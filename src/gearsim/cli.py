@@ -402,7 +402,7 @@ def main(argv=None) -> int:
         "occupations": "eigenstate occupations and spectrum after a kick",
         "evolve": "expectation values on a time grid after a kick protocol",
         "ergotropy": "extractable work of the driven gear over time",
-        "oracle": "raw-lattice reference evolution (slow, independent path)",
+        "oracle": "raw-lattice reference evolution (independent path)",
         "verify": "run the built-in acceptance checks",
     }
     for name in list(_COMMANDS) + ["verify"]:

@@ -4,21 +4,19 @@ This module deliberately shares nothing with the transformed-coordinate
 pipeline beyond the configuration object: the Hamiltonian is assembled
 directly from the two-rotor momentum representation (kinetic diagonal, each
 cosine harmonic p hopping (m1, m2) -> (m1 + p n1, m2 - p n2)), states are
-evolved through a dense eigendecomposition, and kicks shift the amplitude
-array.  Agreement with the fast pipeline is a genuine cross-check, not a
-tautology.
+evolved by exact diagonalisation of each disconnected hopping component of
+that lattice, and kicks shift the amplitude array.  Agreement with the fast
+pipeline is a genuine cross-check, not a tautology.
 """
 
 from __future__ import annotations
 
-import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
-from scipy.sparse.linalg import eigsh
+from scipy.sparse.csgraph import connected_components
 
 from .errors import ConvergenceFailure, TruncationBreach
 from .model import GearConfig
@@ -35,6 +33,23 @@ __all__ = [
 
 _EDGE_TOL = 1e-10
 
+# One (lattice indices, eigenvalues, eigenvectors) triple per hopping component.
+Components = list[tuple[np.ndarray, np.ndarray, np.ndarray]]
+
+
+def _check_edges(config: GearConfig, cutoff: int, p: np.ndarray) -> None:
+    """Raise if probability p[i1, i2, ...] sits where the fundamental hop
+    (n1, -n2) would leave the lattice: |m1| > cutoff - n1 or
+    |m2| > cutoff - n2.  A component stepping by n > 1 can miss the outermost
+    ring entirely, so that ring alone does not detect a breach."""
+    m = np.abs(np.arange(-cutoff, cutoff + 1))
+    edge = (m[:, None] > cutoff - config.n1) | (m[None, :] > cutoff - config.n2)
+    occ = float(np.max(p[edge].sum(axis=0), initial=0.0))
+    if occ > _EDGE_TOL:
+        raise TruncationBreach(
+            f"probability {occ:.3e} at the lattice boundary; enlarge cutoff"
+        )
+
 
 @dataclass
 class LatticeState:
@@ -50,17 +65,8 @@ class LatticeState:
     def norm(self) -> float:
         return float(np.sum(np.abs(self.amplitudes) ** 2))
 
-    def edge_occupation(self) -> float:
-        a = np.abs(self.amplitudes) ** 2
-        return float(a[0, :].sum() + a[-1, :].sum()
-                     + a[1:-1, 0].sum() + a[1:-1, -1].sum())
-
     def check_edges(self) -> None:
-        occ = self.edge_occupation()
-        if occ > _EDGE_TOL:
-            raise TruncationBreach(
-                f"probability {occ:.3e} at the lattice boundary; enlarge cutoff"
-            )
+        _check_edges(self.config, self.cutoff, np.abs(self.amplitudes) ** 2)
 
 
 def build_full_hamiltonian(config: GearConfig, cutoff: int) -> sp.csr_matrix:
@@ -98,55 +104,59 @@ def build_full_hamiltonian(config: GearConfig, cutoff: int) -> sp.csr_matrix:
     return H.tocsr()
 
 
-_DENSE_CACHE: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
-_DENSE_LOCK = threading.Lock()
-
-
-def _config_key(config: GearConfig, cutoff: int) -> tuple:
-    return (config.n1, config.n2, config.I1, config.I2, config.V0,
-            config.potential.fourier, cutoff)
-
-
-def _eigensystem(config: GearConfig, cutoff: int) -> tuple[np.ndarray, np.ndarray]:
-    """Dense eigendecomposition of the full lattice Hamiltonian (cached)."""
-    key = _config_key(config, cutoff)
-    got = _DENSE_CACHE.get(key)
-    if got is None:
-        H = build_full_hamiltonian(config, cutoff).toarray()
-        w, v = scipy.linalg.eigh(H)
-        with _DENSE_LOCK:
-            _DENSE_CACHE.setdefault(key, (w, v))
-        got = _DENSE_CACHE[key]
-    return got
-
-
-def oracle_ground_state(config: GearConfig, cutoff: int) -> LatticeState:
-    """Lowest eigenstate via a sparse solver with a deterministic start."""
+def _eigensystem(config: GearConfig, cutoff: int) -> Components:
+    """Exact eigensystem of the lattice Hamiltonian.  Every harmonic hops by a
+    multiple of (n1, -n2), so H is block diagonal in its connected hopping
+    components; each block is diagonalised densely on its own."""
     H = build_full_hamiltonian(config, cutoff)
-    N = 2 * cutoff + 1
-    m = np.arange(-cutoff, cutoff + 1, dtype=float)
-    m1g, m2g = np.meshgrid(m, m, indexing="ij")
-    v0 = np.exp(-(m1g ** 2 + m2g ** 2) / 4.0).ravel()
-    v0 /= np.linalg.norm(v0)
-    try:
-        w, v = eigsh(H, k=1, which="SA", v0=v0, maxiter=5000)
-    except Exception as exc:
-        raise ConvergenceFailure(f"sparse ground-state solve failed: {exc}") from exc
+    _, labels = connected_components(H, directed=False)
+    order = np.argsort(labels, kind="stable")
+    H = H[order][:, order]      # each component is now a contiguous block
+    components = []
+    start = 0
+    for end in np.cumsum(np.bincount(labels)).tolist():
+        try:
+            w, v = scipy.linalg.eigh(H[start:end, start:end].toarray())
+        except np.linalg.LinAlgError as exc:
+            raise ConvergenceFailure(f"component eigensolve failed: {exc}") from exc
+        components.append((order[start:end], w, v))
+        start = end
+    return components
+
+
+def _propagate(components: Components, c: np.ndarray, times) -> np.ndarray:
+    """exp(-iHt) c for every t in `times`, shape (c.size, len(times)).
+    Components that carry no amplitude stay exactly zero."""
+    out = np.zeros((c.size, len(times)), dtype=complex)
+    for idx, w, v in components:
+        ci = c[idx]
+        if not ci.any():
+            continue
+        a = v.T @ ci
+        out[idx] = v @ (np.exp(-1j * np.outer(w, times)) * a[:, None])
+    return out
+
+
+def oracle_ground_state(config: GearConfig, cutoff: int,
+                        components: Components | None = None) -> LatticeState:
+    """Lowest eigenpair over all hopping components, sign fixed so that the
+    largest amplitude is positive."""
+    if components is None:
+        components = _eigensystem(config, cutoff)
+    idx, _, v = min(components, key=lambda comp: comp[1][0])
     vec = v[:, 0]
-    peak = int(np.argmax(np.abs(vec)))
-    if vec[peak] < 0:
+    if vec[np.argmax(np.abs(vec))] < 0:
         vec = -vec
-    state = LatticeState(config, cutoff, vec.reshape(N, N).astype(complex))
+    N = 2 * cutoff + 1
+    amplitudes = np.zeros(N * N, dtype=complex)
+    amplitudes[idx] = vec
+    state = LatticeState(config, cutoff, amplitudes.reshape(N, N))
     state.check_edges()
     return state
 
 
 def oracle_ground_energy(config: GearConfig, cutoff: int) -> float:
-    H = build_full_hamiltonian(config, cutoff)
-    N = 2 * cutoff + 1
-    v0 = np.ones(N * N) / N
-    w = eigsh(H, k=1, which="SA", v0=v0, return_eigenvectors=False, maxiter=5000)
-    return float(w[0])
+    return float(min(w[0] for _, w, _ in _eigensystem(config, cutoff)))
 
 
 def oracle_apply_kick(state: LatticeState, l1: int = 0, l2: int = 0) -> LatticeState:
@@ -169,27 +179,29 @@ def oracle_apply_kick(state: LatticeState, l1: int = 0, l2: int = 0) -> LatticeS
     return out
 
 
-def oracle_evolve(state: LatticeState, t: float) -> LatticeState:
-    """Evolve by the dense spectral propagator."""
-    w, v = _eigensystem(state.config, state.cutoff)
-    c = state.amplitudes.ravel()
-    a = v.T @ c
-    c_t = v @ (np.exp(-1j * w * t) * a)
+def oracle_evolve(state: LatticeState, t: float,
+                  components: Components | None = None) -> LatticeState:
+    """Evolve by the spectral propagator of each hopping component."""
+    if components is None:
+        components = _eigensystem(state.config, state.cutoff)
+    c_t = _propagate(components, state.amplitudes.ravel(), [t])[:, 0]
     return LatticeState(state.config, state.cutoff,
                         c_t.reshape(state.amplitudes.shape))
+
+
+def _moments(p: np.ndarray, m: np.ndarray):
+    """L1, L2, L2^2 and the gear-2 marginal of p[i1, i2, ...]."""
+    p1 = p.sum(axis=1)
+    p2 = p.sum(axis=0)
+    return m @ p1, m @ p2, (m * m) @ p2, p2
 
 
 def oracle_observables(state: LatticeState) -> dict[str, float]:
     p = np.abs(state.amplitudes) ** 2
     m = np.arange(-state.cutoff, state.cutoff + 1, dtype=float)
-    p1 = p.sum(axis=1)
-    p2 = p.sum(axis=0)
-    return {
-        "L1": float(p1 @ m),
-        "L2": float(p2 @ m),
-        "L2_sq": float(p2 @ (m * m)),
-        "norm": float(p.sum()),
-    }
+    L1, L2, L2_sq, _ = _moments(p, m)
+    return {"L1": float(L1), "L2": float(L2), "L2_sq": float(L2_sq),
+            "norm": float(p.sum())}
 
 
 @dataclass(frozen=True)
@@ -211,35 +223,20 @@ def oracle_run(config: GearConfig, protocol, times, cutoff: int = 24) -> OracleS
     same semantics as the pipeline's KickProtocol (duck-typed: this module
     never imports it)."""
     times = np.asarray(times, dtype=float)
-    state = oracle_ground_state(config, cutoff)
+    components = _eigensystem(config, cutoff)
+    state = oracle_ground_state(config, cutoff, components)
     per = protocol.per_kick()
     num = protocol.resolved_num_kicks()
     l1, l2 = (per, 0) if protocol.target_gear == 1 else (0, per)
     for i in range(num):
         state = oracle_apply_kick(state, l1, l2)
         if i < num - 1 and protocol.delta_t > 0:
-            state = oracle_evolve(state, protocol.delta_t)
+            state = oracle_evolve(state, protocol.delta_t, components)
 
-    w, v = _eigensystem(config, cutoff)
-    c0 = state.amplitudes.ravel()
-    a = v.T @ c0
     N = 2 * cutoff + 1
+    c = _propagate(components, state.amplitudes.ravel(), times)
+    p = (np.abs(c) ** 2).reshape(N, N, len(times))
+    _check_edges(config, cutoff, p)
     m = np.arange(-cutoff, cutoff + 1, dtype=float)
-    L1 = np.empty(len(times))
-    L2 = np.empty(len(times))
-    L2s = np.empty(len(times))
-    nrm = np.empty(len(times))
-    gear2 = np.empty((len(times), N))
-    for i, t in enumerate(times):
-        c = v @ (np.exp(-1j * w * t) * a)
-        st = LatticeState(config, cutoff, c.reshape(N, N))
-        st.check_edges()
-        p = np.abs(st.amplitudes) ** 2
-        p1 = p.sum(axis=1)
-        p2 = p.sum(axis=0)
-        L1[i] = p1 @ m
-        L2[i] = p2 @ m
-        L2s[i] = p2 @ (m * m)
-        nrm[i] = p.sum()
-        gear2[i] = p2
-    return OracleSeries(times, L1, L2, L2s, nrm, m.copy(), gear2)
+    L1, L2, L2_sq, gear2 = _moments(p, m)
+    return OracleSeries(times, L1, L2, L2_sq, p.sum(axis=(0, 1)), m, gear2.T)

@@ -3,11 +3,13 @@ while sharing none of its machinery."""
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from gearsim.dynamics import KickProtocol, evolve, observables, run_protocol
 from gearsim.errors import TruncationBreach
-from gearsim.model import GearConfig, derive_geometry
+from gearsim.model import GearConfig, PotentialSpec, derive_geometry
 from gearsim.oracle import (
+    LatticeState,
     build_full_hamiltonian,
     oracle_apply_kick,
     oracle_evolve,
@@ -19,6 +21,8 @@ from gearsim.oracle import (
 from gearsim.relative import ground_energy, ground_state
 
 CUTOFF = 16
+SECOND = PotentialSpec(((0, 0.5), (1, 0.4), (2, 0.1)))
+THIRD = PotentialSpec(((0, 0.5), (1, 0.45), (3, 0.05)))
 
 
 def test_hamiltonian_is_hermitian(cfg22):
@@ -85,15 +89,64 @@ def test_kick_near_edge_breaches_truncation(cfg22):
             state = oracle_apply_kick(state, l1=CUTOFF // 2)
 
 
-def test_agrees_with_banded_pipeline(cfg22, geom22):
+@pytest.mark.parametrize("config,protocol,cutoff", [
+    pytest.param(GearConfig(2, 2, V0=10.0), KickProtocol(ell=1, num_kicks=1),
+                 CUTOFF, id="22-kick1-c16"),
+    # kick trains: each kick moves the state into other hopping components
+    pytest.param(GearConfig(2, 2, V0=10.0),
+                 KickProtocol(ell=4, num_kicks=4, delta_t=1.0), 24,
+                 id="22-train4x1-c24"),
+    pytest.param(GearConfig(4, 2, V0=10.0),
+                 KickProtocol(ell=6, num_kicks=3, delta_t=0.5), 30,
+                 id="42-train3x2-c30"),
+    # a lattice of 14641 states, far beyond a dense eigensolve of the whole
+    pytest.param(GearConfig(2, 2, V0=10.0), KickProtocol(ell=40, num_kicks=1),
+                 60, id="22-kick40-c60"),
+])
+def test_agrees_with_banded_pipeline(config, protocol, cutoff):
     times = np.array([0.0, 2.5, 5.0])
-    series = oracle_run(cfg22, KickProtocol(ell=1, num_kicks=1), times, cutoff=CUTOFF)
-    state = run_protocol(geom22, KickProtocol(ell=1, num_kicks=1))
+    series = oracle_run(config, protocol, times, cutoff=cutoff)
+    state = run_protocol(derive_geometry(config), protocol)
     for i, t in enumerate(times):
         obs = observables(evolve(state, t))
         assert series.L1[i] == pytest.approx(obs.L1, abs=1e-8)
         assert series.L2[i] == pytest.approx(obs.L2, abs=1e-8)
         assert series.L2_sq[i] == pytest.approx(obs.L2_sq, abs=1e-8)
+
+
+@pytest.mark.parametrize("config,cutoff,kick", [
+    pytest.param(GearConfig(1, 3, V0=6.0, potential=THIRD), 18, (2, 0),
+                 id="13-third-c18"),
+    pytest.param(GearConfig(2, 2, V0=6.0, potential=SECOND), 14, (2, 0),
+                 id="22-second-c14"),
+    pytest.param(GearConfig(4, 2, V0=6.0), 16, (0, 2), id="42-c16"),
+])
+def test_component_split_matches_dense_eigensolve(config, cutoff, kick):
+    w, v = scipy.linalg.eigh(build_full_hamiltonian(config, cutoff).toarray())
+    assert oracle_ground_energy(config, cutoff) == pytest.approx(w[0], abs=1e-12)
+    kicked = oracle_apply_kick(oracle_ground_state(config, cutoff), *kick)
+    # a faint admixture puts weight on every component, so none may be skipped
+    c = (kicked.amplitudes.ravel()
+         + 1e-9 * np.random.default_rng(1).standard_normal(w.size))
+    state = LatticeState(config, cutoff, c.reshape(kicked.amplitudes.shape))
+    for t in (0.7, 3.0):
+        dense = v @ (np.exp(-1j * w * t) * (v.T @ c))
+        split = oracle_evolve(state, t).amplitudes.ravel()
+        assert np.max(np.abs(split - dense)) <= 1e-12
+
+
+@pytest.mark.parametrize("config,ell", [
+    pytest.param(GearConfig(1, 3, V0=27.83, potential=THIRD), 2, id="13-ell2"),
+    pytest.param(GearConfig(2, 1, V0=20.0, potential=THIRD), 5, id="21-ell5"),
+])
+def test_breach_inside_the_outer_ring_is_caught(config, ell):
+    # these components step by n > 1 and never reach |m| = cutoff, yet the
+    # state leaks through the ring their hops cross
+    times = np.linspace(0.0, 30.0, 41)
+    protocol = KickProtocol(ell=ell, num_kicks=1)
+    with pytest.raises(TruncationBreach):
+        oracle_run(config, protocol, times, cutoff=20)
+    oracle_run(config, protocol, times, cutoff=26)
 
 
 def test_gear2_marginal_is_a_distribution(cfg22):
