@@ -42,8 +42,11 @@ __all__ = [
 _DT_FRACTION = 1e-3
 # steps larger than this fraction of the fastest period are refused
 _DT_LIMIT_FRACTION = 0.1
+# event searches integrate at most _MAX_CHUNKS chunks of _CHUNK_STEPS steps,
+# looking for the event after every _BLOCK_STEPS steps
 _CHUNK_STEPS = 20000
 _MAX_CHUNKS = 200
+_BLOCK_STEPS = 1024
 
 
 @dataclass(frozen=True)
@@ -97,17 +100,12 @@ def _energy(geom: DerivedGeometry, theta: float, L: float) -> float:
     return L * L / (2.0 * geom.I_r) - cfg.V0 * cfg.potential.value(geom.n * theta)
 
 
-def simulate_relative(
-    geom: DerivedGeometry,
-    initial: ClassicalState,
-    t_final: float,
-    dt: float | None = None,
-) -> Trajectory:
-    """Classical RK4 integration of the relative motion for time t_final.
+def _step_grid(geom: DerivedGeometry, t_final: float,
+               dt: float | None) -> tuple[int, float]:
+    """(number of steps, step) of a fixed-step run that lands on t_final.
 
-    The step is fixed; t_final is landed on exactly by shrinking the step to
-    an integer divisor.  Raises StepTooLarge when dt is an unreasonable
-    fraction of the well period.
+    The step is dt shrunk to an integer divisor of t_final.  Raises
+    StepTooLarge when dt is an unreasonable fraction of the well period.
     """
     if not t_final > 0:
         raise ValueError("t_final must be > 0")
@@ -121,30 +119,57 @@ def simulate_relative(
             f"dt={dt:g} exceeds {limit:g}, the stability bound for this well"
         )
     n_steps = max(1, math.ceil(t_final / dt - 1e-12))
-    dt = t_final / n_steps
+    return n_steps, t_final / n_steps
 
-    cfg = geom.config
+
+def _rk4(geom: DerivedGeometry, th: float, l: float, dt: float,
+         n_steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """n_steps RK4 steps of size dt from (th, l): the (theta, L) samples,
+    starting point included."""
     I_r = geom.I_r
     n = geom.n
-    V0 = cfg.V0
-    deriv_u = cfg.potential.derivative
+    nV0 = n * geom.config.V0
+    terms = tuple((p, p * a) for p, a in geom.config.potential.harmonics())
 
-    times = initial.time + dt * np.arange(n_steps + 1)
+    def force(x: float) -> float:
+        # n V0 u'(x), summed in the order of PotentialSpec.derivative
+        du = 0.0
+        for p, pa in terms:
+            du -= pa * math.sin(p * x)
+        return nV0 * du
+
     theta = np.empty(n_steps + 1)
     L = np.empty(n_steps + 1)
-    th, l = initial.theta_r, initial.L_r
     theta[0], L[0] = th, l
     for i in range(1, n_steps + 1):
-        k1t, k1l = l / I_r, n * V0 * deriv_u(n * th)
+        k1t, k1l = l / I_r, force(n * th)
         th2, l2 = th + 0.5 * dt * k1t, l + 0.5 * dt * k1l
-        k2t, k2l = l2 / I_r, n * V0 * deriv_u(n * th2)
+        k2t, k2l = l2 / I_r, force(n * th2)
         th3, l3 = th + 0.5 * dt * k2t, l + 0.5 * dt * k2l
-        k3t, k3l = l3 / I_r, n * V0 * deriv_u(n * th3)
+        k3t, k3l = l3 / I_r, force(n * th3)
         th4, l4 = th + dt * k3t, l + dt * k3l
-        k4t, k4l = l4 / I_r, n * V0 * deriv_u(n * th4)
+        k4t, k4l = l4 / I_r, force(n * th4)
         th += dt * (k1t + 2 * k2t + 2 * k3t + k4t) / 6.0
         l += dt * (k1l + 2 * k2l + 2 * k3l + k4l) / 6.0
         theta[i], L[i] = th, l
+    return theta, L
+
+
+def simulate_relative(
+    geom: DerivedGeometry,
+    initial: ClassicalState,
+    t_final: float,
+    dt: float | None = None,
+) -> Trajectory:
+    """Classical RK4 integration of the relative motion for time t_final.
+
+    The step is fixed; t_final is landed on exactly by shrinking the step to
+    an integer divisor.  Raises StepTooLarge when dt is an unreasonable
+    fraction of the well period.
+    """
+    n_steps, dt = _step_grid(geom, t_final, dt)
+    times = initial.time + dt * np.arange(n_steps + 1)
+    theta, L = _rk4(geom, initial.theta_r, initial.L_r, dt, n_steps)
     return Trajectory(geom, times, theta, L, initial.L_c)
 
 
@@ -184,17 +209,27 @@ def _hermite(y0: float, d0: float, y1: float, d1: float, h: float):
 
 
 def _simulate_until(geom: DerivedGeometry, state: ClassicalState, event,
-                    dt: float) -> tuple[float, ClassicalState, Trajectory]:
-    """Integrate in chunks until `event(traj, start_index)` returns a refined
-    event time, then return (event_time, state at chunk end, last chunk)."""
-    t_chunk = _CHUNK_STEPS * dt
-    current = state
+                    dt: float) -> float:
+    """Integrate until `event(traj)` returns a refined event time; return it.
+
+    The run is cut into chunks of _CHUNK_STEPS steps, each on its own time
+    grid, and every chunk is walked in blocks of _BLOCK_STEPS steps, so the
+    integration stops at the first block in which the event fires.  A block
+    starts on the last sample of the one before it: `event` sees every pair
+    of neighbouring samples once, in order.
+    """
+    n_steps, h = _step_grid(geom, _CHUNK_STEPS * dt, dt)
+    t0, th, l = state.time, state.theta_r, state.L_r
     for _ in range(_MAX_CHUNKS):
-        traj = simulate_relative(geom, current, t_chunk, dt)
-        hit = event(traj)
-        if hit is not None:
-            return hit, traj.final(), traj
-        current = traj.final()
+        for start in range(0, n_steps, _BLOCK_STEPS):
+            stop = min(start + _BLOCK_STEPS, n_steps)
+            theta, L = _rk4(geom, th, l, h, stop - start)
+            times = t0 + h * np.arange(start, stop + 1)
+            hit = event(Trajectory(geom, times, theta, L, state.L_c))
+            if hit is not None:
+                return hit
+            th, l = float(theta[-1]), float(L[-1])
+        t0 = float(times[-1])
     raise ConvergenceFailure("classical event not found within time budget")
 
 
@@ -240,7 +275,7 @@ def mean_relative_momentum(geom: DerivedGeometry, state: ClassicalState,
             s = brentq(f, 0.0, h, xtol=1e-15)
             return float(times[i - 1]) + s
 
-        t_cross, _, _ = _simulate_until(geom, state, crossed, dt)
+        t_cross = _simulate_until(geom, state, crossed, dt)
         period = t_cross - state.time
         return geom.I_r * direction * span / period
 
@@ -271,7 +306,7 @@ def mean_relative_momentum(geom: DerivedGeometry, state: ClassicalState,
 
     if abs(state.L_r) < tiny and abs(cfg.potential.derivative(geom.n * state.theta_r)) < 1e-15:
         return 0.0  # resting at an equilibrium point
-    third_t, _, _ = _simulate_until(geom, state, third_turning, dt)
+    _simulate_until(geom, state, third_turning, dt)
     (t1, th1), _, (t3, th3) = turnings[:3]
     return geom.I_r * (th3 - th1) / (t3 - t1)
 

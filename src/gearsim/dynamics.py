@@ -38,6 +38,7 @@ from .relative import (
     TAIL_BOUND,
     EigenSystem,
     RotorState,
+    _edges,
     build_hamiltonian,
     eigensystem_for,
     ground_state,
@@ -192,11 +193,10 @@ def _weighted_eigentail(es: EigenSystem, state: RotorState) -> float:
     """Upper bound on the window-edge occupation of the state at *any* time:
     (sum_i |a_i| * ||tail of v_i||)^2 by the triangle inequality."""
     a = es.vectors.T @ state.amplitudes
-    size = es.dim
-    per_side = max(1, math.ceil(0.5 * 0.10 * size))
+    low, high = _edges(es.dim)
     tails = np.sqrt(
-        np.sum(es.vectors[:per_side, :] ** 2, axis=0)
-        + np.sum(es.vectors[-per_side:, :] ** 2, axis=0)
+        np.sum(es.vectors[low, :] ** 2, axis=0)
+        + np.sum(es.vectors[high, :] ** 2, axis=0)
     )
     return float(np.sum(np.abs(a) * tails)) ** 2
 

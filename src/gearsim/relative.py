@@ -75,14 +75,6 @@ class BandedHamiltonian:
             out[:-step] += strength * c[step:]
         return out
 
-    def dense(self) -> np.ndarray:
-        h = np.diag(self.diag)
-        for step, strength in self.couplings:
-            idx = np.arange(self.dim - step)
-            h[idx, idx + step] = strength
-            h[idx + step, idx] = strength
-        return h
-
 
 def build_hamiltonian(geom: DerivedGeometry, grid: GridSpec) -> BandedHamiltonian:
     """Relative Hamiltonian restricted to a lattice window.
@@ -314,12 +306,18 @@ class RotorState:
         return replace(self, amplitudes=self.amplitudes.copy())
 
 
+def _edges(size: int) -> tuple[slice, slice]:
+    """Low and high edge rows of a window of `size` states: together the
+    outer TAIL_FRACTION of it, at least one row on each side."""
+    per_side = max(1, ceil(0.5 * TAIL_FRACTION * size))
+    return slice(None, per_side), slice(-per_side, None)
+
+
 def tail_mass(amplitudes: np.ndarray) -> float:
     """Probability in the outer TAIL_FRACTION of the window (both edges)."""
-    size = len(amplitudes)
-    per_side = max(1, ceil(0.5 * TAIL_FRACTION * size))
+    low, high = _edges(len(amplitudes))
     p = np.abs(amplitudes) ** 2
-    return float(p[:per_side].sum() + p[-per_side:].sum())
+    return float(p[low].sum() + p[high].sum())
 
 
 def widen(state: RotorState, factor: float = 1.5) -> RotorState:

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from gearsim import classical
 from gearsim.classical import (
     ClassicalState,
     classical_kick,
@@ -15,7 +16,7 @@ from gearsim.classical import (
 )
 from gearsim.dynamics import KickProtocol
 from gearsim.errors import ConvergenceFailure, StepTooLarge
-from gearsim.model import GearConfig, derive_geometry
+from gearsim.model import GearConfig, PotentialSpec, derive_geometry
 
 
 def test_rest_state_stays_at_rest(geom22):
@@ -110,3 +111,58 @@ def test_threshold_bisection_against_transmission(cfg22, geom22):
         else:
             lo = mid
     assert 0.5 * (lo + hi) == pytest.approx(geom22.ell_threshold, abs=1e-3)
+
+
+def _walk_cases():
+    """Interlocked and drifting kicks, kicks within 1 % of the threshold on
+    either side, a 2nd-harmonic profile and kick trains with free evolution
+    between the kicks."""
+    cfg22 = GearConfig(2, 2, V0=10.0)
+    # 2:2 has ell_threshold = sqrt(4 V0): ell = 6 sits 1 % below / above it
+    near_below = GearConfig(2, 2, V0=(6.0 / 0.99) ** 2 / 4.0)
+    near_above = GearConfig(2, 2, V0=(6.0 / 1.01) ** 2 / 4.0)
+    assert derive_geometry(near_below).ell_threshold == pytest.approx(6.0 / 0.99)
+    harmonic2 = GearConfig(1, 3, V0=20.0,
+                           potential=PotentialSpec(((0, .5), (1, .4), (2, .1))))
+    return [
+        (cfg22, KickProtocol(ell=6, num_kicks=1)),
+        (cfg22, KickProtocol(ell=7, num_kicks=1)),
+        (cfg22, KickProtocol(ell=20, num_kicks=1)),
+        (near_below, KickProtocol(ell=6, num_kicks=1)),
+        (near_above, KickProtocol(ell=6, num_kicks=1)),
+        (GearConfig(4, 2, V0=10.0), KickProtocol(ell=4, num_kicks=1)),
+        (harmonic2, KickProtocol(ell=3, num_kicks=1)),
+        (harmonic2, KickProtocol(ell=9, num_kicks=1, target_gear=2)),
+        (cfg22, KickProtocol(ell=8, num_kicks=4, delta_t=0.7)),
+        (cfg22, KickProtocol(ell=12, num_kicks=4, delta_t=0.3)),
+    ]
+
+
+@pytest.mark.parametrize("chunk_steps", [classical._CHUNK_STEPS, 300])
+def test_block_walk_is_bit_identical(monkeypatch, chunk_steps):
+    """Stopping at the first block in which the event fires gives exactly
+    the floats of scanning whole chunks, for any block size."""
+    monkeypatch.setattr(classical, "_CHUNK_STEPS", chunk_steps)
+    rk4_steps = []
+    rk4 = classical._rk4
+
+    def counted(geom, th, l, dt, n_steps):
+        rk4_steps.append(n_steps)
+        return rk4(geom, th, l, dt, n_steps)
+
+    monkeypatch.setattr(classical, "_rk4", counted)
+    cases = _walk_cases()
+    results = {}
+    for block in (1, 7, chunk_steps):
+        monkeypatch.setattr(classical, "_BLOCK_STEPS", block)
+        rk4_steps.clear()
+        results[block] = [classical_transmission(cfg, proto) for cfg, proto in cases]
+    assert results[1] == results[chunk_steps]
+    assert results[7] == results[chunk_steps]
+    assert [res.above_threshold for res in results[1]] == \
+        [False, True, True, False, True, False, False, True, False, False]
+    if chunk_steps == 300:
+        # one event search per case, each a whole chunk per call when the
+        # block is the chunk: more calls than cases means events past a
+        # chunk boundary were reached
+        assert rk4_steps.count(300) > len(cases)
