@@ -57,12 +57,10 @@ from .dynamics import (
     long_time_average,
     multi_kick,
     observables,
-    revival_phase_check,
     revival_phase_defect,
     run_protocol,
     time_series,
     transmission_ratio,
-    windowed_average_L2,
 )
 from .ergotropy import (
     ErgotropyReport,
@@ -88,7 +86,6 @@ from .oracle import (
     build_full_hamiltonian,
     oracle_apply_kick,
     oracle_ground_state,
-    oracle_observables,
     oracle_run,
 )
 

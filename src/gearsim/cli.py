@@ -129,6 +129,8 @@ def _times(doc: dict) -> np.ndarray:
         num = int(times["num"])
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad times section: {exc}") from None
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise ConfigError("times.start and times.stop must be finite")
     if num < 1 or stop < start or start < 0:
         raise ConfigError("times must satisfy 0 <= start <= stop and num >= 1")
     return np.linspace(start, stop, num)
@@ -295,6 +297,11 @@ def _cmd_multikick(doc, out_dir, workers):
     config = _gear_config(doc)
     template = _protocol(doc)
     dts = _sweep_values(doc, "delta_t", float)
+    for dt in dts:
+        try:
+            KickProtocol(template.ell, None, dt, template.target_gear)
+        except ValueError as exc:
+            raise ConfigError(f"bad protocol for delta_t={dt}: {exc}") from None
     args = [(config, template.ell, dt, template.target_gear) for dt in dts]
     rows = _map_sweep(_multikick_point, args, workers)
     _emit(out_dir, "multikick.csv",

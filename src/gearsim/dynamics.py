@@ -3,8 +3,10 @@
 Evolution is exact within the truncated window: states are expanded in the
 eigenbasis of the banded relative Hamiltonian and phases applied in closed
 form.  Every returned state is checked against the tail-occupation bound and
-the window is regrown when a kick or long evolution pushes probability
-toward an edge.
+the window is regrown, up to MAX_HALF_WIDTH, when a kick or long evolution
+pushes probability toward an edge.  `evolve`, `evolved_states`, `time_series`,
+`eigen_occupations` and `long_time_average` all go through `_ensure_window`,
+which fits the window and projects the state onto its eigenstates once.
 
 The infinite-time average of any observable is its diagonal-ensemble value.
 Degenerate levels are handled by projecting onto each level before taking
@@ -38,6 +40,7 @@ from .relative import (
     TAIL_BOUND,
     EigenSystem,
     RotorState,
+    _check_growth,
     _edges,
     build_hamiltonian,
     eigensystem_for,
@@ -61,9 +64,7 @@ __all__ = [
     "run_protocol",
     "transmission_ratio",
     "multi_kick",
-    "windowed_average_L2",
     "revival_phase_defect",
-    "revival_phase_check",
 ]
 
 
@@ -92,8 +93,8 @@ class KickProtocol:
                 raise ValueError(
                     f"ell={self.ell} does not divide into {self.num_kicks} equal kicks"
                 )
-        if not self.delta_t >= 0:
-            raise ValueError("delta_t must be >= 0")
+        if not (self.delta_t >= 0 and math.isfinite(self.delta_t)):
+            raise ValueError("delta_t must be finite and >= 0")
         if self.target_gear not in (1, 2):
             raise ValueError("target_gear must be 1 or 2")
 
@@ -189,10 +190,10 @@ def apply_kick(state: RotorState, l1: int = 0, l2: int = 0) -> RotorState:
     return _refit_grid(shifted)
 
 
-def _weighted_eigentail(es: EigenSystem, state: RotorState) -> float:
-    """Upper bound on the window-edge occupation of the state at *any* time:
-    (sum_i |a_i| * ||tail of v_i||)^2 by the triangle inequality."""
-    a = es.vectors.T @ state.amplitudes
+def _weighted_eigentail(es: EigenSystem, a: np.ndarray) -> float:
+    """Upper bound on the window-edge occupation, at *any* time, of the
+    state with eigen-amplitudes a: (sum_i |a_i| * ||tail of v_i||)^2 by the
+    triangle inequality."""
     low, high = _edges(es.dim)
     tails = np.sqrt(
         np.sum(es.vectors[low, :] ** 2, axis=0)
@@ -201,37 +202,34 @@ def _weighted_eigentail(es: EigenSystem, state: RotorState) -> float:
     return float(np.sum(np.abs(a) * tails)) ** 2
 
 
-def _ensure_window(state: RotorState) -> tuple[RotorState, EigenSystem]:
+def _ensure_window(state: RotorState) -> tuple[RotorState, EigenSystem, np.ndarray]:
     """Grow the window until evolution can never push visible probability
-    into its edges."""
+    into its edges.  Returns the state on that window, its eigensystem and
+    the state's eigen-amplitudes a = V^T c."""
     while True:
         es = eigensystem_for(state.geom, state.grid)
-        if _weighted_eigentail(es, state) < TAIL_BOUND:
-            return state, es
+        a = es.vectors.T @ state.amplitudes
+        tail = _weighted_eigentail(es, a)
+        if tail < TAIL_BOUND:
+            return state, es, a
+        _check_growth(state.grid, tail)
         state = widen(state)
 
 
 def evolve(state: RotorState, t: float) -> RotorState:
     """Free evolution for time t under the relative Hamiltonian, plus the
     closed-form center-of-mass phase."""
-    if not t >= 0:
-        raise ValueError("t must be >= 0")
     if t == 0:
         return state.copy()
-    state, es = _ensure_window(state)
-    a = es.vectors.T @ state.amplitudes
-    c = es.vectors @ (np.exp(-1j * es.energies * t) * a)
-    phase = state.com_phase - float(state.mu_c) ** 2 * t / (2.0 * state.geom.I_c)
-    return RotorState(state.geom, state.mu_c, state.grid, c, phase)
+    return evolved_states(state, [t])[0]
 
 
 def evolved_states(state: RotorState, times) -> list[RotorState]:
     """The state at each requested time, sharing one eigendecomposition."""
     times = np.asarray(times, dtype=float)
-    if np.any(times < 0):
-        raise ValueError("times must be >= 0")
-    state, es = _ensure_window(state)
-    a = es.vectors.T @ state.amplitudes
+    if not np.all((times >= 0) & np.isfinite(times)):
+        raise ValueError("times must be finite and >= 0")
+    state, es, a = _ensure_window(state)
     out = []
     for t in times:
         c = es.vectors @ (np.exp(-1j * es.energies * t) * a)
@@ -319,8 +317,7 @@ def time_series(state: RotorState, times) -> TimeSeries:
 def eigen_occupations(state: RotorState) -> tuple[EigenSystem, np.ndarray]:
     """Eigensystem of the state's (adequately sized) window and the state's
     probability in each eigenstate."""
-    state, es = _ensure_window(state)
-    a = es.vectors.T @ state.amplitudes
+    _, es, a = _ensure_window(state)
     return es, np.abs(a) ** 2
 
 
@@ -353,10 +350,8 @@ def long_time_average(state: RotorState, ell: int | None = None) -> Transmission
     Exactly degenerate pairs live in different sectors, where L_r has no
     cross matrix elements, so they contribute the same either way.
     """
-    state, es = _ensure_window(state)
-    a = es.vectors.T @ state.amplitudes
-    occ = np.abs(a) ** 2
-    mu = state.grid.values()
+    es, occ = eigen_occupations(state)
+    mu = es.grid.values()
     per_state = (np.abs(es.vectors) ** 2 * mu[:, None]).sum(axis=0)
     L_r_bar = float(occ @ per_state)
     L1_bar, L2_bar = angular_momentum_split(state.geom, float(state.mu_c), L_r_bar)
@@ -402,26 +397,6 @@ def multi_kick(config: GearConfig, protocol: KickProtocol) -> TransmissionResult
     return transmission_ratio(config, protocol)
 
 
-def windowed_average_L2(state: RotorState, T: float) -> float:
-    """(1/T) integral of <L2(t)> dt over [0, T], evaluated in closed form on
-    the eigenbasis (the kernel for an energy gap w is (e^{iwT}-1)/(iwT))."""
-    if not T > 0:
-        raise ValueError("T must be > 0")
-    state, es = _ensure_window(state)
-    a = es.vectors.T @ state.amplitudes
-    _, m2 = state.momentum_pairs()
-    M = es.vectors.T @ (m2[:, None].astype(float) * es.vectors)
-    w = np.subtract.outer(es.energies, es.energies)  # E_i - E_j
-    x = w * T
-    kernel = np.where(
-        np.abs(x) < 1e-12,
-        1.0,
-        (np.exp(1j * x) - 1.0) / np.where(np.abs(x) < 1e-12, 1.0, 1j * x),
-    )
-    val = np.conj(a)[:, None] * a[None, :] * M * kernel
-    return float(np.real(val.sum()))
-
-
 def revival_phase_defect(geom: DerivedGeometry, mu_c) -> float:
     """Distance of the center-of-mass phase at t = tau_c from a multiple of
     2*pi, in radians.  Evaluated with exact rationals: the phase over 2*pi
@@ -432,7 +407,3 @@ def revival_phase_defect(geom: DerivedGeometry, mu_c) -> float:
     frac = winding - round(winding)
     return abs(float(frac)) * 2.0 * math.pi
 
-
-def revival_phase_check(geom: DerivedGeometry, mu_c_values, tol: float = 1e-10) -> bool:
-    """True when every listed mu_c revives at tau_c within tol radians."""
-    return all(revival_phase_defect(geom, mu_c) < tol for mu_c in mu_c_values)

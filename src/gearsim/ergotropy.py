@@ -73,10 +73,9 @@ class MomentumDistribution:
         return mean * mean / (2.0 * self.inertia)
 
 
-def reduced_gear2(state: RotorState) -> MomentumDistribution:
-    """Gear 2's reduced (diagonal) state."""
-    p = np.abs(state.amplitudes) ** 2
-    _, m2 = state.momentum_pairs()
+def _distribution(m2: np.ndarray, p: np.ndarray, inertia: float) -> MomentumDistribution:
+    """Gear 2's distribution from the m2 of each grid point and the
+    (unnormalised) probability there."""
     probs: dict[int, float] = {}
     for m, pi in zip(m2.tolist(), p.tolist()):
         if m in probs:
@@ -86,7 +85,13 @@ def reduced_gear2(state: RotorState) -> MomentumDistribution:
         probs[m] = pi
     n = p.sum()
     items = tuple((m, pi / n) for m, pi in probs.items() if pi > 0.0)
-    return MomentumDistribution(items, inertia=state.geom.config.I2)
+    return MomentumDistribution(items, inertia=inertia)
+
+
+def reduced_gear2(state: RotorState) -> MomentumDistribution:
+    """Gear 2's reduced (diagonal) state."""
+    _, m2 = state.momentum_pairs()
+    return _distribution(m2, np.abs(state.amplitudes) ** 2, state.geom.config.I2)
 
 
 def passive_state(dist: MomentumDistribution) -> MomentumDistribution:
@@ -137,5 +142,10 @@ def ergotropy_time_series(
 ) -> list[ErgotropyReport]:
     """Ergotropy of gear 2 at each time after a kick protocol."""
     geom = derive_geometry(config)
-    state = run_protocol(geom, protocol)
-    return [ergotropy(reduced_gear2(st)) for st in evolved_states(state, times)]
+    states = evolved_states(run_protocol(geom, protocol), times)
+    if not states:
+        return []
+    # every state shares one window, so the momentum map is made once
+    _, m2 = states[0].momentum_pairs()
+    return [ergotropy(_distribution(m2, np.abs(st.amplitudes) ** 2, config.I2))
+            for st in states]

@@ -27,7 +27,6 @@ __all__ = [
     "build_full_hamiltonian",
     "oracle_ground_state",
     "oracle_apply_kick",
-    "oracle_observables",
     "oracle_run",
 ]
 
@@ -155,10 +154,6 @@ def oracle_ground_state(config: GearConfig, cutoff: int,
     return state
 
 
-def oracle_ground_energy(config: GearConfig, cutoff: int) -> float:
-    return float(min(w[0] for _, w, _ in _eigensystem(config, cutoff)))
-
-
 def oracle_apply_kick(state: LatticeState, l1: int = 0, l2: int = 0) -> LatticeState:
     """Shift amplitudes by (l1, l2); anything pushed past the window edge
     must be negligible or the truncation is breached."""
@@ -194,14 +189,6 @@ def _moments(p: np.ndarray, m: np.ndarray):
     p1 = p.sum(axis=1)
     p2 = p.sum(axis=0)
     return m @ p1, m @ p2, (m * m) @ p2, p2
-
-
-def oracle_observables(state: LatticeState) -> dict[str, float]:
-    p = np.abs(state.amplitudes) ** 2
-    m = np.arange(-state.cutoff, state.cutoff + 1, dtype=float)
-    L1, L2, L2_sq, _ = _moments(p, m)
-    return {"L1": float(L1), "L2": float(L2), "L2_sq": float(L2_sq),
-            "norm": float(p.sum())}
 
 
 @dataclass(frozen=True)

@@ -11,10 +11,10 @@ different sectors from being mixed by the eigensolver.
 
 from __future__ import annotations
 
-import threading
+import functools
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import ceil, gcd
+from math import ceil, gcd, isfinite
 
 import numpy as np
 import scipy.linalg
@@ -46,10 +46,16 @@ TAIL_FRACTION = 0.10
 DEGENERACY_TOL = 1e-9
 # Every dynamical grid keeps at least this half-width.
 MIN_HALF_WIDTH = 32
+# No window-growth loop goes past this half-width.  Its dense eigenvector
+# matrix holds (2 * 1024 + 1)^2 doubles, 34 MB; ell = 400 on 2:2 needs 242.
+MAX_HALF_WIDTH = 1024
 # Extra lattice steps kept beyond the occupied support of a state.
 MARGIN_STEPS = 24
 # |amplitude|^2 below this counts as unoccupied for support bookkeeping.
 SUPPORT_EPS = 1e-28
+# Eigensystems kept by eigensystem_for.  One transmission sweep point adds
+# at most 22 windows and `gearsim verify` needs 26.
+EIGEN_CACHE_SIZE = 64
 
 
 @dataclass(frozen=True)
@@ -249,24 +255,14 @@ def _reflection_adapt(es: EigenSystem, group: np.ndarray) -> None:
         vectors[:, block] = U @ W
 
 
-_EIGEN_CACHE: dict[tuple, EigenSystem] = {}
-_EIGEN_LOCK = threading.Lock()
-
-
-def _geom_key(geom: DerivedGeometry) -> tuple:
-    c = geom.config
-    return (c.n1, c.n2, c.I1, c.I2, c.V0, c.potential.fourier)
-
-
+@functools.lru_cache(maxsize=EIGEN_CACHE_SIZE)
 def eigensystem_for(geom: DerivedGeometry, grid: GridSpec) -> EigenSystem:
-    """Cached eigendecomposition keyed by (config, grid)."""
-    key = (_geom_key(geom), grid.mu_r_offset, grid.spacing, grid.half_width)
-    es = _EIGEN_CACHE.get(key)
-    if es is None:
-        es = eigendecompose(build_hamiltonian(geom, grid))
-        with _EIGEN_LOCK:
-            _EIGEN_CACHE.setdefault(key, es)
-        es = _EIGEN_CACHE[key]
+    """Eigendecomposition of the window, cached by (geometry, grid) in a
+    bounded LRU.  Every caller shares the result, so its arrays are
+    read-only."""
+    es = eigendecompose(build_hamiltonian(geom, grid))
+    es.energies.flags.writeable = False
+    es.vectors.flags.writeable = False
     return es
 
 
@@ -320,11 +316,30 @@ def tail_mass(amplitudes: np.ndarray) -> float:
     return float(p[low].sum() + p[high].sum())
 
 
-def widen(state: RotorState, factor: float = 1.5) -> RotorState:
-    """Same state on a window grown by `factor` (same offset and spacing)."""
+def _wider(grid: GridSpec) -> GridSpec:
+    """`grid` grown by half (at least one step), but not past MAX_HALF_WIDTH
+    unless it is already there."""
+    J = grid.half_width
+    new_J = max(J + 1, min(ceil(J * 1.5), MAX_HALF_WIDTH))
+    return GridSpec(grid.mu_r_offset, grid.spacing, new_J)
+
+
+def _check_growth(grid: GridSpec, tail: float) -> None:
+    """Stop a window-growth loop whose window still leaves `tail` at its
+    edges: at MAX_HALF_WIDTH, or at once when the tail is not finite."""
+    if grid.half_width >= MAX_HALF_WIDTH or not isfinite(tail):
+        raise ConvergenceFailure(
+            f"window tail {tail:.3e} (bound {TAIL_BOUND:g}) at half-width "
+            f"{grid.half_width}; growth stops at {MAX_HALF_WIDTH}"
+        )
+
+
+def widen(state: RotorState) -> RotorState:
+    """Same state on the window `_wider` grows its window to (same offset
+    and spacing)."""
     J = state.grid.half_width
-    new_J = max(J + 1, ceil(J * factor))
-    new_grid = GridSpec(state.grid.mu_r_offset, state.grid.spacing, new_J)
+    new_grid = _wider(state.grid)
+    new_J = new_grid.half_width
     amps = np.zeros(new_grid.size, dtype=complex)
     amps[new_J - J:new_J + J + 1] = state.amplitudes
     return RotorState(state.geom, state.mu_c, new_grid, amps, state.com_phase)
@@ -333,18 +348,19 @@ def widen(state: RotorState, factor: float = 1.5) -> RotorState:
 def ground_state(geom: DerivedGeometry) -> RotorState:
     """Interlocked ground state: lowest eigenstate on the mu_c = 0 lattice.
 
-    The window grows until the edge occupation passes the tail bound.  The
-    global phase is fixed by making the largest-magnitude amplitude real
-    positive.
+    The window grows until the edge occupation passes the tail bound, up to
+    MAX_HALF_WIDTH.  The global phase is fixed by making the
+    largest-magnitude amplitude real positive.
     """
     grid = allowed_relative_grid(geom, 0, half_width=MIN_HALF_WIDTH)
     while True:
         es = eigensystem_for(geom, grid)
         v0 = es.vectors[:, 0]
-        if tail_mass(v0) < TAIL_BOUND:
+        tail = tail_mass(v0)
+        if tail < TAIL_BOUND:
             break
-        grid = GridSpec(grid.mu_r_offset, grid.spacing,
-                        ceil(grid.half_width * 1.5))
+        _check_growth(grid, tail)
+        grid = _wider(grid)
     if es.labels[0] != 0:
         raise ConvergenceFailure(
             f"ground state found in sector k={es.labels[0]}, expected k=0"

@@ -2,13 +2,13 @@
 
 Each criterion is a function returning a CriterionResult; the test suite and
 the CLI both run them from the registry at the bottom, so there is exactly
-one implementation of every pass/fail judgement.  Heavy intermediate results
-(transmission sweeps, oracle runs) are memoized module-wide because several
-criteria share them.
+one implementation of every pass/fail judgement.  Transmission results are
+shared by several criteria, so they are kept in a small bounded LRU cache.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,7 +26,7 @@ from .dynamics import (
     time_series,
     transmission_ratio,
 )
-from .ergotropy import ergotropy, reduced_gear2
+from .ergotropy import ergotropy_time_series
 from .model import GearConfig, derive_geometry, momenta_to_collective
 from .oracle import oracle_run
 from .relative import band_structure
@@ -72,19 +72,9 @@ class CriterionResult:
     detail: str
 
 
-_TRANSMISSION_MEMO: dict[tuple, TransmissionResult] = {}
-
-
+@functools.lru_cache(maxsize=32)
 def _transmission(config: GearConfig, protocol: KickProtocol) -> TransmissionResult:
-    key = (
-        config.n1, config.n2, config.I1, config.I2, config.V0,
-        config.potential.fourier,
-        protocol.ell, protocol.resolved_num_kicks(), protocol.delta_t,
-        protocol.target_gear,
-    )
-    if key not in _TRANSMISSION_MEMO:
-        _TRANSMISSION_MEMO[key] = transmission_ratio(config, protocol)
-    return _TRANSMISSION_MEMO[key]
+    return transmission_ratio(config, protocol)
 
 
 def _single_kick(ell: int) -> KickProtocol:
@@ -222,16 +212,16 @@ def check_09_multi_kick_invariance() -> CriterionResult:
 
 def check_10_ergotropy_properties() -> CriterionResult:
     geom = derive_geometry(CONFIG_22)
-    state = run_protocol(geom, _single_kick(6))
+    proto = _single_kick(6)
     times = np.linspace(0.0, 30.0, 301)
+    reports = ergotropy_time_series(CONFIG_22, proto, times)
+    mean_L2s = time_series(run_protocol(geom, proto), times).L2
     I2 = CONFIG_22.I2
     eps = 1e-10
     ordering_ok = True
     bound_ok = True
     worst_margin = math.inf
-    for st in evolved_states(state, times):
-        dist = reduced_gear2(st)
-        rep = ergotropy(dist)
+    for rep, mean_L2 in zip(reports, mean_L2s):
         scale = max(1.0, rep.kinetic)
         if not (-eps * scale <= rep.net_kinetic <= rep.ergotropy + eps * scale
                 and rep.ergotropy <= rep.kinetic + eps * scale):
@@ -239,7 +229,6 @@ def check_10_ergotropy_properties() -> CriterionResult:
         if rep.ratio_ergotropy is None or rep.ratio_net is None \
                 or rep.ratio_ergotropy < rep.ratio_net - eps:
             ordering_ok = False
-        mean_L2 = dist.mean()
         for m in range(-12, 13):
             lower = (2.0 * m * mean_L2 - m * m) / (2.0 * I2)
             worst_margin = min(worst_margin, rep.ergotropy - lower)

@@ -164,6 +164,26 @@ def test_invalid_protocol_is_a_config_error(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("times", [
+    {"start": 0.0, "stop": float("inf"), "num": 3},
+    {"start": float("nan"), "stop": 1.0, "num": 3},
+])
+def test_non_finite_times_are_a_config_error(tmp_path, capsys, times):
+    doc = dict(BASE, protocol={"ell": 2}, times=times)
+    code, out = run(tmp_path, "evolve", doc)
+    assert code == 2
+    assert "finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_negative_delay_is_a_config_error(tmp_path, capsys):
+    doc = dict(BASE, protocol={"ell": 2}, sweep={"delta_t": [1.0, -1.0]})
+    code, out = run(tmp_path, "multikick", doc)
+    assert code == 2
+    assert "delta_t=-1.0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_verify_subset(tmp_path, capsys):
     code = main(["verify", "--only", "8"])
     out = capsys.readouterr().out

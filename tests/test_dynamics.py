@@ -6,22 +6,23 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from gearsim import dynamics, relative
 from gearsim.dynamics import (
     KickProtocol,
     apply_kick,
     eigen_occupations,
     evolve,
+    evolved_states,
     kick_shift,
     long_time_average,
     multi_kick,
     observables,
-    revival_phase_check,
     revival_phase_defect,
     run_protocol,
     time_series,
     transmission_ratio,
-    windowed_average_L2,
 )
+from gearsim.errors import ConvergenceFailure
 from gearsim.relative import ground_state
 
 # frozen sub-threshold transmissions, 2:2 pair at V0 = 10
@@ -74,6 +75,12 @@ def test_protocol_kick_count(geom22):
     assert observables(state).L1 == pytest.approx(6.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("delta_t", [-1.0, math.inf, math.nan])
+def test_protocol_rejects_bad_delay(delta_t):
+    with pytest.raises(ValueError, match="delta_t"):
+        KickProtocol(ell=2, delta_t=delta_t)
+
+
 def test_multi_kick_requires_unit_kicks(cfg22):
     with pytest.raises(ValueError):
         multi_kick(cfg22, KickProtocol(ell=6, num_kicks=3, delta_t=1.0))
@@ -107,6 +114,38 @@ def test_evolve_composes(geom22):
     overlap = abs(np.vdot(one.amplitudes, two.amplitudes))
     assert overlap == pytest.approx(1.0, abs=1e-12)
     assert np.max(np.abs(one.amplitudes - two.amplitudes)) < 1e-10
+
+
+@pytest.mark.parametrize("t", [-1.0, math.inf, math.nan])
+def test_evolve_rejects_bad_times(geom22, t):
+    state = apply_kick(ground_state(geom22), l1=2)
+    with pytest.raises(ValueError, match="finite"):
+        evolve(state, t)
+    with pytest.raises(ValueError, match="finite"):
+        evolved_states(state, [0.0, t])
+
+
+def test_window_growth_stops_at_the_cap(geom22, monkeypatch):
+    kicked = apply_kick(ground_state(geom22), l1=3)
+    cap = kicked.grid.half_width + 8
+    monkeypatch.setattr(relative, "MAX_HALF_WIDTH", cap)
+    # no window ever passes a zero bound, so only the cap ends the growth
+    monkeypatch.setattr(relative, "TAIL_BOUND", 0.0)
+    monkeypatch.setattr(dynamics, "TAIL_BOUND", 0.0)
+    with pytest.raises(ConvergenceFailure, match=f"tail .* at half-width {cap};"):
+        evolve(kicked, 1.0)
+    monkeypatch.setattr(relative, "MAX_HALF_WIDTH", 40)
+    with pytest.raises(ConvergenceFailure, match="at half-width 40;"):
+        ground_state(geom22)
+
+
+def test_non_finite_tail_stops_window_growth(geom22, monkeypatch):
+    monkeypatch.setattr(relative, "MAX_HALF_WIDTH", 64)
+    state = apply_kick(ground_state(geom22), l1=2)
+    state.amplitudes[0] = np.nan
+    with pytest.raises(ConvergenceFailure, match=f"tail nan .* half-width "
+                                                 f"{state.grid.half_width};"):
+        evolve(state, 1.0)
 
 
 def test_time_series_matches_pointwise(geom22):
@@ -143,6 +182,20 @@ def test_occupations_form_a_distribution(geom22):
     assert es.dim == occ.size
 
 
+def windowed_average_L2(state, T):
+    """(1/T) integral of <L2(t)> dt over [0, T], in closed form on the
+    eigenbasis: an energy gap w contributes with weight (e^{iwT}-1)/(iwT)."""
+    es, _ = eigen_occupations(state)
+    start = evolved_states(state, [0.0])[0]   # the state on the window of es
+    a = es.vectors.T @ start.amplitudes
+    _, m2 = start.momentum_pairs()
+    M = es.vectors.T @ (m2[:, None].astype(float) * es.vectors)
+    x = np.subtract.outer(es.energies, es.energies) * T
+    small = np.abs(x) < 1e-12
+    kernel = np.where(small, 1.0, (np.exp(1j * x) - 1.0) / np.where(small, 1.0, 1j * x))
+    return float(np.real((np.conj(a)[:, None] * a[None, :] * M * kernel).sum()))
+
+
 def test_windowed_average_approaches_diagonal_ensemble(cfg22, geom22):
     res = transmission_ratio(cfg22, KickProtocol(ell=6, num_kicks=1))
     state = run_protocol(geom22, KickProtocol(ell=6, num_kicks=1))
@@ -164,8 +217,8 @@ def test_revival_phases_exact_on_resonance(geom22, geom42):
     # computed in exact arithmetic and must vanish for physical momenta
     assert revival_phase_defect(geom22, Fraction(7)) == 0.0
     assert revival_phase_defect(geom42, Fraction(3)) == 0.0
-    mu_cs = [Fraction(m) for m in range(-6, 7)]
-    assert revival_phase_check(geom22, mu_cs)
+    for m in range(-6, 7):
+        assert revival_phase_defect(geom22, Fraction(m)) == 0.0
 
 
 def test_revival_phase_defect_rejects_off_lattice(geom42):

@@ -3,7 +3,14 @@
 import numpy as np
 import pytest
 
-from gearsim.dynamics import KickProtocol, apply_kick, evolve, observables, run_protocol
+from gearsim.dynamics import (
+    KickProtocol,
+    apply_kick,
+    evolve,
+    evolved_states,
+    observables,
+    run_protocol,
+)
 from gearsim.ergotropy import (
     MomentumDistribution,
     ergotropy,
@@ -11,7 +18,7 @@ from gearsim.ergotropy import (
     passive_state,
     reduced_gear2,
 )
-from gearsim.model import GearConfig, derive_geometry
+from gearsim.model import GearConfig, PotentialSpec, derive_geometry
 from gearsim.relative import ground_state
 
 
@@ -100,3 +107,21 @@ def test_ergotropy_time_series_shape(cfg22):
     for rep in reports:
         assert rep.kinetic >= 0.0
         assert 0.0 - 1e-12 <= rep.ergotropy <= rep.kinetic + 1e-12
+
+
+@pytest.mark.parametrize("config,protocol", [
+    pytest.param(GearConfig(2, 2, V0=10.0), KickProtocol(ell=6, num_kicks=1),
+                 id="22-kick6"),
+    pytest.param(GearConfig(1, 3, V0=6.0,
+                            potential=PotentialSpec(((0, 0.5), (1, 0.45), (3, 0.05)))),
+                 KickProtocol(ell=3, num_kicks=3, delta_t=0.4, target_gear=2),
+                 id="13-third-train3"),
+])
+def test_time_series_is_the_per_state_reduction(config, protocol):
+    # the series maps momenta once per window; each sample must still be
+    # exactly what reducing that state on its own gives
+    times = np.linspace(0.0, 12.0, 25)
+    state = run_protocol(derive_geometry(config), protocol)
+    expected = [ergotropy(reduced_gear2(st)) for st in evolved_states(state, times)]
+    assert ergotropy_time_series(config, protocol, times) == expected
+    assert ergotropy_time_series(config, protocol, []) == []

@@ -119,6 +119,20 @@ def test_eigensystem_cache_returns_same_object(geom22):
     assert eigensystem_for(geom22, grid) is eigensystem_for(geom22, grid)
 
 
+def test_eigensystem_cache_is_bounded():
+    from gearsim.relative import EIGEN_CACHE_SIZE
+    geom = derive_geometry(GearConfig(2, 2, V0=0.0))   # diagonal: cheap solves
+    grids = [GridSpec(Fraction(0), Fraction(4), J)
+             for J in range(1, EIGEN_CACHE_SIZE + 10)]
+    for grid in grids:
+        es = eigensystem_for(geom, grid)
+        assert es.grid == grid
+    assert eigensystem_for.cache_info().currsize <= EIGEN_CACHE_SIZE
+    hits = eigensystem_for.cache_info().hits
+    assert eigensystem_for(geom, grids[-1]) is es
+    assert eigensystem_for.cache_info().hits == hits + 1
+
+
 def test_unequal_inertia_unsupported():
     geom = derive_geometry(GearConfig(2, 2, I1=1.0, I2=2.0, V0=10.0))
     with pytest.raises(UnsupportedInertiaError):
