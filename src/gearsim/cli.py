@@ -47,6 +47,15 @@ def _require_keys(doc: dict, allowed, where: str) -> None:
         raise ConfigError(f"unknown key(s) {unknown} in {where}")
 
 
+def _integer(value, name: str) -> int:
+    """A JSON integer, or a float with no fractional part.  Anything else,
+    bools included, is a ConfigError: nothing is truncated."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or (isinstance(value, float) and not value.is_integer())):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _load_config(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
@@ -77,14 +86,14 @@ def _gear_config(doc: dict) -> GearConfig:
         if "fourier" not in pot:
             raise ConfigError("potential section needs 'fourier'")
         try:
-            potential = PotentialSpec(tuple((int(p), float(a))
+            potential = PotentialSpec(tuple((_integer(p, "harmonic"), float(a))
                                             for p, a in pot["fourier"]))
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad potential.fourier: {exc}") from None
     try:
         return GearConfig(
-            n1=int(gears["n1"]),
-            n2=int(gears["n2"]),
+            n1=_integer(gears["n1"], "gears.n1"),
+            n2=_integer(gears["n2"], "gears.n2"),
             I1=float(gears.get("I1", 1.0)),
             I2=float(gears.get("I2", 1.0)),
             V0=float(gears.get("V0", 0.0)),
@@ -107,10 +116,11 @@ def _protocol(doc: dict, ell=None, delta_t=None,
         delta_t = proto.get("delta_t", 0.0)
     try:
         return KickProtocol(
-            ell=int(ell),
-            num_kicks=None if num_kicks is None else int(num_kicks),
+            ell=_integer(ell, "protocol.ell"),
+            num_kicks=(None if num_kicks is None
+                       else _integer(num_kicks, "protocol.num_kicks")),
             delta_t=float(delta_t),
-            target_gear=int(proto.get("target_gear", 1)),
+            target_gear=_integer(proto.get("target_gear", 1), "protocol.target_gear"),
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad protocol: {exc}") from None
@@ -126,7 +136,7 @@ def _times(doc: dict) -> np.ndarray:
     try:
         start = float(times.get("start", 0.0))
         stop = float(times["stop"])
-        num = int(times["num"])
+        num = _integer(times["num"], "times.num")
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad times section: {exc}") from None
     if not (math.isfinite(start) and math.isfinite(stop)):
@@ -154,11 +164,8 @@ def _sweep_values(doc: dict, key: str, cast, fallback=None):
 
 
 def _workers(doc: dict, override) -> int:
-    w = override if override is not None else doc.get("workers", 1)
-    try:
-        w = int(w)
-    except (TypeError, ValueError):
-        raise ConfigError("workers must be an integer") from None
+    w = _integer(override if override is not None else doc.get("workers", 1),
+                 "workers")
     if w < 1:
         raise ConfigError("workers must be >= 1")
     return w
@@ -254,8 +261,8 @@ def _occupation_rows(args):
 
 def _cmd_bands(doc, out_dir, workers):
     config = _gear_config(doc)
-    num_bands = doc.get("num_bands", 3)
-    if not isinstance(num_bands, int) or num_bands < 1:
+    num_bands = _integer(doc.get("num_bands", 3), "num_bands")
+    if num_bands < 1:
         raise ConfigError("num_bands must be a positive integer")
     bs = band_structure(derive_geometry(config), num_bands)
     rows = [
@@ -270,8 +277,9 @@ def _ell_sweep_args(doc, config):
     """(config, ell, num_kicks, delta_t, target) tuples for an ell sweep,
     validated up front so bad combinations fail as ConfigError."""
     proto = doc.get("protocol", {})
-    fallback = [int(proto["ell"])] if "ell" in proto else None
-    ells = _sweep_values(doc, "ell", int, fallback=fallback)
+    fallback = [_integer(proto["ell"], "protocol.ell")] if "ell" in proto else None
+    ells = _sweep_values(doc, "ell", lambda v: _integer(v, "sweep.ell"),
+                         fallback=fallback)
     template = _protocol(doc, ell=0, default_num_kicks=1)
     args = []
     for ell in ells:
@@ -361,8 +369,8 @@ def _cmd_oracle(doc, out_dir, workers):
     times = _times(doc)
     oracle_doc = doc.get("oracle", {})
     _require_keys(oracle_doc, {"cutoff"}, "oracle")
-    cutoff = oracle_doc.get("cutoff", 24)
-    if not isinstance(cutoff, int) or cutoff < 1:
+    cutoff = _integer(oracle_doc.get("cutoff", 24), "oracle.cutoff")
+    if cutoff < 1:
         raise ConfigError("oracle.cutoff must be a positive integer")
     series = oracle_run(config, protocol, times, cutoff=cutoff)
     rows = zip(series.times, series.L1, series.L2, series.L2_sq, series.norm)

@@ -5,6 +5,12 @@ point of a fixed-mu_c state maps to a distinct m2), so the reduced state is
 just a probability distribution over integer m2.  Its ergotropy has a closed
 form: reorder the probabilities passively (largest onto m=0, next two onto
 m=+1, m=-1, ...) and take the kinetic-energy difference.
+
+One array kernel computes that for a whole (time, momentum) matrix of
+probabilities at once: `ergotropy` runs it on one distribution and
+`ergotropy_time_series` on every time sample together, with no per-sample
+Python objects.  Its sums run term by term in ascending momentum, so each
+sample gives the same bits as reducing that state on its own.
 """
 
 from __future__ import annotations
@@ -73,9 +79,10 @@ class MomentumDistribution:
         return mean * mean / (2.0 * self.inertia)
 
 
-def _distribution(m2: np.ndarray, p: np.ndarray, inertia: float) -> MomentumDistribution:
-    """Gear 2's distribution from the m2 of each grid point and the
-    (unnormalised) probability there."""
+def reduced_gear2(state: RotorState) -> MomentumDistribution:
+    """Gear 2's reduced (diagonal) state."""
+    _, m2 = state.momentum_pairs()
+    p = np.abs(state.amplitudes) ** 2
     probs: dict[int, float] = {}
     for m, pi in zip(m2.tolist(), p.tolist()):
         if m in probs:
@@ -85,13 +92,13 @@ def _distribution(m2: np.ndarray, p: np.ndarray, inertia: float) -> MomentumDist
         probs[m] = pi
     n = p.sum()
     items = tuple((m, pi / n) for m, pi in probs.items() if pi > 0.0)
-    return MomentumDistribution(items, inertia=inertia)
+    return MomentumDistribution(items, inertia=state.geom.config.I2)
 
 
-def reduced_gear2(state: RotorState) -> MomentumDistribution:
-    """Gear 2's reduced (diagonal) state."""
-    _, m2 = state.momentum_pairs()
-    return _distribution(m2, np.abs(state.amplitudes) ** 2, state.geom.config.I2)
+def _levels(size: int) -> np.ndarray:
+    """Passive momentum level of each rank: 0, +1, -1, +2, -2, ..."""
+    rank = np.arange(size)
+    return np.where(rank % 2 == 1, (rank + 1) // 2, -(rank // 2))
 
 
 def passive_state(dist: MomentumDistribution) -> MomentumDistribution:
@@ -103,11 +110,9 @@ def passive_state(dist: MomentumDistribution) -> MomentumDistribution:
     same energy.
     """
     ranked = sorted(dist.probs, key=lambda mp: (-mp[1], abs(mp[0]), mp[0] < 0))
-    out = []
-    for i, (_, p) in enumerate(ranked):
-        level = 0 if i == 0 else ((i + 1) // 2 if i % 2 else -(i // 2))
-        out.append((level, p))
-    return MomentumDistribution(tuple(out), dist.inertia)
+    levels = _levels(len(ranked)).tolist()
+    return MomentumDistribution(
+        tuple((level, p) for level, (_, p) in zip(levels, ranked)), dist.inertia)
 
 
 @dataclass(frozen=True)
@@ -124,17 +129,55 @@ class ErgotropyReport:
     ratio_net: float | None
 
 
+def _last_of_running_sum(x: np.ndarray) -> np.ndarray:
+    """Row sums of x added left to right, one term after another."""
+    return np.add.accumulate(x, axis=1)[:, -1]
+
+
+def _reports(m: np.ndarray, Q: np.ndarray, inertia: float) -> list[ErgotropyReport]:
+    """ErgotropyReport of every row of Q, a (T, d) matrix of normalised
+    probabilities over the d distinct integer momenta m (in any order).
+
+    Every sum runs left to right over ascending m, or over ascending
+    passive level, as a term-by-term sum of the nonzero entries would; zero
+    entries add nothing.  The passive state of a row is the row sorted in
+    descending order and placed on the levels of `_levels`; swapping equal
+    values between levels changes no sum.
+    """
+    order = np.argsort(m, kind="stable")
+    m = m[order]
+    if np.any(m[1:] == m[:-1]):
+        raise InternalInconsistency("two grid points map to the same momentum; "
+                                    "reduction not diagonal")
+    total = _last_of_running_sum(Q)
+    bad = ~(np.abs(total - 1.0) <= 1e-10)  # NaN fails too
+    if bad.any():
+        raise InternalInconsistency(
+            f"probabilities sum to {total[bad][0]!r}, expected 1")
+    Q = Q[:, order]
+    two_I = 2.0 * inertia
+    kinetic = _last_of_running_sum((m * m).astype(float) * Q) / two_I
+    mean = _last_of_running_sum(m.astype(float) * Q)
+    net = mean * mean / two_I
+    levels = _levels(Q.shape[1])
+    up = np.argsort(levels, kind="stable")
+    descending = np.sort(Q, axis=1)[:, ::-1]
+    passive = _last_of_running_sum(
+        (levels[up] ** 2).astype(float) * descending[:, up]) / two_I
+    reports = []
+    for kin, pas, n in zip(kinetic.tolist(), passive.tolist(), net.tolist()):
+        erg = kin - pas
+        if kin < 1e-12:
+            reports.append(ErgotropyReport(erg, kin, n, None, None))
+        else:
+            reports.append(ErgotropyReport(erg, kin, n, erg / kin, n / kin))
+    return reports
+
+
 def ergotropy(dist: MomentumDistribution) -> ErgotropyReport:
     """Work extractable from a diagonal rotor state by unitaries."""
-    kinetic = dist.kinetic()
-    passive_kinetic = passive_state(dist).kinetic()
-    erg = kinetic - passive_kinetic
-    net = dist.net_kinetic()
-    if kinetic < 1e-12:
-        ratios = (None, None)
-    else:
-        ratios = (erg / kinetic, net / kinetic)
-    return ErgotropyReport(erg, kinetic, net, ratios[0], ratios[1])
+    m, p = zip(*dist.probs)
+    return _reports(np.array(m, dtype=np.int64), np.array([p]), dist.inertia)[0]
 
 
 def ergotropy_time_series(
@@ -145,7 +188,9 @@ def ergotropy_time_series(
     states = evolved_states(run_protocol(geom, protocol), times)
     if not states:
         return []
-    # every state shares one window, so the momentum map is made once
+    # every state shares one window, so the momentum map is made once and
+    # all samples go through the kernel together, each row normalised by
+    # its own sum in grid order
     _, m2 = states[0].momentum_pairs()
-    return [ergotropy(_distribution(m2, np.abs(st.amplitudes) ** 2, config.I2))
-            for st in states]
+    P = np.abs(np.array([st.amplitudes for st in states])) ** 2
+    return _reports(m2, P / P.sum(axis=1, keepdims=True), config.I2)

@@ -19,7 +19,7 @@ from math import ceil, gcd, isfinite
 import numpy as np
 import scipy.linalg
 
-from .errors import ConvergenceFailure, UnsupportedInertiaError
+from .errors import ConvergenceFailure, InternalInconsistency, UnsupportedInertiaError
 from .model import (
     DerivedGeometry,
     GridSpec,
@@ -145,12 +145,14 @@ class EigenSystem:
 
 
 def _fix_signs(vectors: np.ndarray) -> None:
-    """Deterministic gauge: first entry of visible magnitude is positive."""
-    for i in range(vectors.shape[1]):
-        v = vectors[:, i]
-        nz = np.flatnonzero(np.abs(v) > 1e-12 * np.abs(v).max())
-        if nz.size and v[nz[0]] < 0:
-            vectors[:, i] = -v
+    """Deterministic gauge: first entry of visible magnitude is positive.
+    All-zero columns are left as they are."""
+    mag = np.abs(vectors)
+    visible = mag > 1e-12 * mag.max(axis=0)
+    first = np.argmax(visible, axis=0)
+    cols = np.arange(vectors.shape[1])
+    flip = visible[first, cols] & (vectors[first, cols] < 0)
+    vectors[:, flip] = -vectors[:, flip]
 
 
 def eigendecompose(ham: BandedHamiltonian) -> EigenSystem:
@@ -281,20 +283,30 @@ class RotorState:
         return float(np.sum(np.abs(self.amplitudes) ** 2))
 
     def momentum_pairs(self) -> tuple[np.ndarray, np.ndarray]:
-        """Exact integer (m1, m2) for every grid point.
+        """Exact integer (m1, m2) for every grid point, as int64.
 
-        Raises NonPhysicalError if any grid point has no integer preimage,
-        which would mean kick bookkeeping has drifted off the physical
-        lattice.
+        At fixed mu_c the map is affine in the grid index, so the first two
+        points are solved exactly, the rest extended in integers, and the
+        last point solved exactly again as a check.  If two consecutive
+        points have integer preimages every point does, so this raises
+        NonPhysicalError exactly when some grid point has none, which would
+        mean kick bookkeeping has drifted off the physical lattice.
         """
         from .model import collective_to_momenta
 
         J = self.grid.half_width
-        m1 = np.empty(self.grid.size, dtype=np.int64)
-        m2 = np.empty(self.grid.size, dtype=np.int64)
-        for i in range(self.grid.size):
-            m1[i], m2[i] = collective_to_momenta(
-                self.geom, self.mu_c, self.grid.value(i - J)
+        first = collective_to_momenta(self.geom, self.mu_c, self.grid.value(-J))
+        if J == 0:
+            return np.array([first[0]], np.int64), np.array([first[1]], np.int64)
+        second = collective_to_momenta(self.geom, self.mu_c, self.grid.value(1 - J))
+        j = np.arange(self.grid.size, dtype=np.int64)
+        m1 = first[0] + (second[0] - first[0]) * j
+        m2 = first[1] + (second[1] - first[1]) * j
+        last = collective_to_momenta(self.geom, self.mu_c, self.grid.value(J))
+        if (int(m1[-1]), int(m2[-1])) != last:
+            raise InternalInconsistency(
+                f"affine momentum map ends at ({m1[-1]}, {m2[-1]}), "
+                f"exact solve gives {last}"
             )
         return m1, m2
 

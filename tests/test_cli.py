@@ -194,3 +194,45 @@ def test_verify_subset(tmp_path, capsys):
 
 def test_verify_rejects_bad_only(tmp_path):
     assert main(["verify", "--only", "eight"]) == 2
+
+
+@pytest.mark.parametrize("command,doc", [
+    ("transmission", dict(BASE, gears={"n1": 2.5, "n2": 2, "V0": 10.0},
+                          protocol={"num_kicks": 1}, sweep={"ell": [4]})),
+    ("transmission", dict(BASE, protocol={"num_kicks": 1},
+                          sweep={"ell": [2.7, 4]})),
+    ("transmission", dict(BASE, protocol={"num_kicks": 1.5},
+                          sweep={"ell": [3]})),
+    ("transmission", dict(BASE, protocol={"num_kicks": 1, "target_gear": 1.5},
+                          sweep={"ell": [2]})),
+    ("transmission", dict(BASE, protocol={"num_kicks": 1}, sweep={"ell": [2]},
+                          workers=1.5)),
+    ("evolve", dict(BASE, protocol={"ell": 2.5}, times={"stop": 1.0, "num": 3})),
+    ("evolve", dict(BASE, protocol={"ell": 2}, times={"stop": 1.0, "num": 3.9})),
+    ("evolve", dict(BASE, protocol={"ell": 2}, times={"stop": 1.0, "num": "3"})),
+    ("bands", dict(BASE, num_bands=True)),
+    ("bands", dict(BASE, num_bands=2.5)),
+    ("oracle", dict(BASE, protocol={"ell": 1}, times={"stop": 1.0, "num": 3},
+                    oracle={"cutoff": True})),
+], ids=["n1", "sweep-ell", "num_kicks", "target_gear", "workers", "ell",
+        "times-num", "times-num-string", "num_bands-bool", "num_bands",
+        "oracle-cutoff-bool"])
+def test_non_integer_counts_are_config_errors(tmp_path, capsys, command, doc):
+    # nothing is truncated to an integer: a fractional or boolean count is
+    # refused, and no table is written
+    code, out = run(tmp_path, command, doc)
+    assert code == 2
+    assert "must be an integer" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_integral_floats_are_integers(tmp_path):
+    blobs = []
+    for sub, n1, ell in (("int", 2, 2), ("float", 2.0, 2.0)):
+        doc = dict(BASE, gears={"n1": n1, "n2": 2, "V0": 10.0},
+                   protocol={"num_kicks": 1.0}, sweep={"ell": [ell]})
+        (tmp_path / sub).mkdir()
+        code, out = run(tmp_path / sub, "transmission", doc)
+        assert code == 0
+        blobs.append((out / "transmission.csv").read_bytes())
+    assert blobs[0] == blobs[1]

@@ -1,5 +1,7 @@
 """Extractable work of the driven gear's momentum distribution."""
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,9 @@ from gearsim.dynamics import (
     observables,
     run_protocol,
 )
+from gearsim.errors import InternalInconsistency
 from gearsim.ergotropy import (
+    ErgotropyReport,
     MomentumDistribution,
     ergotropy,
     ergotropy_time_series,
@@ -125,3 +129,56 @@ def test_time_series_is_the_per_state_reduction(config, protocol):
     expected = [ergotropy(reduced_gear2(st)) for st in evolved_states(state, times)]
     assert ergotropy_time_series(config, protocol, times) == expected
     assert ergotropy_time_series(config, protocol, []) == []
+
+
+def per_entry_report(dist):
+    """The ergotropy formula entry by entry: left-to-right sums over
+    ascending m and over ascending passive level."""
+    two_I = 2.0 * dist.inertia
+    kinetic = sum(m * m * p for m, p in dist.probs) / two_I
+    mean = sum(m * p for m, p in dist.probs)
+    ranked = sorted(dist.probs, key=lambda mp: (-mp[1], abs(mp[0]), mp[0] < 0))
+    levels = [0 if i == 0 else ((i + 1) // 2 if i % 2 else -(i // 2))
+              for i in range(len(ranked))]
+    passive = sorted(zip(levels, (p for _, p in ranked)))
+    erg = kinetic - sum(m * m * p for m, p in passive) / two_I
+    net = mean * mean / two_I
+    if kinetic < 1e-12:
+        return ErgotropyReport(erg, kinetic, net, None, None)
+    return ErgotropyReport(erg, kinetic, net, erg / kinetic, net / kinetic)
+
+
+def test_ergotropy_is_the_per_entry_formula_bit_for_bit():
+    rng = np.random.default_rng(11)
+    for _ in range(2000):
+        size = int(rng.integers(1, 40))
+        ms = rng.choice(np.arange(-60, 61), size=size, replace=False)
+        ps = rng.dirichlet(np.full(size, 0.5))
+        tiny = rng.random(size) < 0.15
+        ps[tiny] = 10.0 ** rng.uniform(-300, -20, size=tiny.sum())
+        for _ in range(int(rng.integers(0, 4))):  # ties
+            i, j = rng.integers(0, size, size=2)
+            ps[i] = ps[j]
+        ps = ps / ps.sum()
+        inertia = float(rng.choice([1.0, 0.5, 2.7, 1 / 3]))
+        d = dist(zip(ms.tolist(), ps.tolist()), inertia)
+        assert ergotropy(d) == per_entry_report(d)
+
+
+@pytest.mark.parametrize("value", [np.nan, 0.0])
+def test_time_series_rejects_a_sample_that_is_no_distribution(
+        monkeypatch, cfg22, value):
+    # the package exports the function `ergotropy` under the module's name
+    module = importlib.import_module("gearsim.ergotropy")
+    evolved = module.evolved_states
+
+    def broken(state, times):
+        states = evolved(state, times)
+        states[-1].amplitudes[:] = 0.0
+        states[-1].amplitudes[0] = value
+        return states
+
+    monkeypatch.setattr(module, "evolved_states", broken)
+    with np.errstate(invalid="ignore"), \
+            pytest.raises(InternalInconsistency, match="sum to"):
+        ergotropy_time_series(cfg22, KickProtocol(ell=2, num_kicks=1), [0.0, 1.0])

@@ -5,14 +5,23 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gearsim.errors import UnsupportedInertiaError
+from gearsim import model
+from gearsim.errors import (
+    InternalInconsistency,
+    NonPhysicalError,
+    UnsupportedInertiaError,
+)
 from gearsim.model import (
     GearConfig,
     GridSpec,
     allowed_relative_grid,
+    collective_to_momenta,
     derive_geometry,
+    momenta_to_collective,
 )
 from gearsim.relative import (
+    RotorState,
+    _fix_signs,
     band_structure,
     build_hamiltonian,
     eigendecompose,
@@ -176,3 +185,83 @@ def test_band_structure_respects_requested_count(geom22):
     bs = band_structure(geom22, 5)
     assert bs.num_bands == 5
     assert bs.energies.shape[0] == 5
+
+
+def _state(geom, mu_c, grid):
+    return RotorState(geom, Fraction(mu_c), grid, np.zeros(grid.size, complex))
+
+
+def test_momentum_pairs_is_the_exact_map_point_by_point():
+    offsets = set()
+    for n1 in range(1, 6):
+        for n2 in range(1, 6):
+            geom = derive_geometry(GearConfig(n1, n2, V0=5.0))
+            for l1, l2 in ((0, 0), (1, 0), (0, 1), (3, -2)):  # kicked mu_c
+                mu_c = momenta_to_collective(geom, l1, l2).mu_c
+                for J in (0, 1, 32, 97):
+                    grid = allowed_relative_grid(geom, mu_c, half_width=J)
+                    offsets.add(grid.mu_r_offset == 0)
+                    m1, m2 = _state(geom, mu_c, grid).momentum_pairs()
+                    exact = [collective_to_momenta(geom, mu_c, grid.value(j))
+                             for j in range(-J, J + 1)]
+                    assert m1.dtype == m2.dtype == np.int64
+                    assert m1.tolist() == [a for a, _ in exact]
+                    assert m2.tolist() == [b for _, b in exact]
+    assert offsets == {True, False}  # centred and off-centre windows
+
+
+@pytest.mark.parametrize("J", [0, 1, 32])
+def test_momentum_pairs_off_lattice_window_raises(geom22, J):
+    grid = allowed_relative_grid(geom22, 0, half_width=J)
+    off = GridSpec(grid.mu_r_offset + grid.spacing / 2, grid.spacing, J)
+    with pytest.raises(NonPhysicalError):
+        _state(geom22, 0, off).momentum_pairs()
+
+
+def test_momentum_pairs_solves_three_points_and_checks_the_last(
+        monkeypatch, geom42):
+    grid = allowed_relative_grid(geom42, 0, half_width=40)
+    calls = []
+    exact = model.collective_to_momenta
+
+    def counting(geom, mu_c, mu_r):
+        calls.append(mu_r)
+        return exact(geom, mu_c, mu_r)
+
+    monkeypatch.setattr(model, "collective_to_momenta", counting)
+    _state(geom42, 0, grid).momentum_pairs()
+    assert calls == [grid.value(-40), grid.value(-39), grid.value(40)]
+
+    def wrong_at_the_end(geom, mu_c, mu_r):
+        m1, m2 = exact(geom, mu_c, mu_r)
+        return (m1, m2 + 1) if mu_r == grid.value(40) else (m1, m2)
+
+    monkeypatch.setattr(model, "collective_to_momenta", wrong_at_the_end)
+    with pytest.raises(InternalInconsistency):
+        _state(geom42, 0, grid).momentum_pairs()
+
+
+def _fix_signs_by_column(vectors):
+    for i in range(vectors.shape[1]):
+        v = vectors[:, i]
+        nz = np.flatnonzero(np.abs(v) > 1e-12 * np.abs(v).max())
+        if nz.size and v[nz[0]] < 0:
+            vectors[:, i] = -v
+
+
+def test_fix_signs_matches_the_column_loop():
+    rng = np.random.default_rng(3)
+    for _ in range(50):
+        rows, cols = rng.integers(1, 12, size=2)
+        v = rng.normal(size=(rows, cols))
+        v[:, rng.random(cols) < 0.2] = 0.0                 # all-zero columns
+        v[rng.random((rows, cols)) < 0.3] = 0.0            # exact zeros
+        if rows > 1:
+            for c in range(cols):                          # near the threshold
+                scale = rng.choice([1 - 1e-6, 1 + 1e-6, 1.0]) * 1e-12
+                peak = np.abs(v[1:, c]).max()
+                v[0, c] = rng.choice([-1, 1]) * scale * peak
+        want = v.copy()
+        _fix_signs_by_column(want)
+        _fix_signs(v)
+        assert v.tobytes() == want.tobytes()
