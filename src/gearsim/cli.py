@@ -10,6 +10,7 @@ are computed independently of each other.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -403,7 +404,9 @@ _COMMANDS = {
 }
 
 
-def main(argv=None) -> int:
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="gearsim",
         description="Angular-momentum transmission between coupled quantum rotors",
@@ -430,7 +433,11 @@ def main(argv=None) -> int:
         if name == "verify":
             p.add_argument("--only", default=None,
                            help="comma-separated criterion numbers")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
 
     try:
         doc = _load_config(args.config) if args.config else {}

@@ -8,10 +8,10 @@ pushes probability toward an edge.  `evolve`, `evolved_states`, `time_series`,
 `eigen_occupations` and `long_time_average` all go through `_ensure_window`,
 which fits the window and projects the state onto its eigenstates once.
 
-The infinite-time average of any observable is its diagonal-ensemble value.
-Degenerate levels are handled by projecting onto each level before taking
-expectation values, so the result never depends on the arbitrary basis the
-eigensolver picked inside a degenerate subspace.
+The infinite-time average of any observable is its diagonal-ensemble value,
+taken in the symmetry-resolved eigenbasis of `relative.eigendecompose`:
+sector-pure everywhere, and even or odd under mu_r -> -mu_r in the sectors
+the reflection maps onto themselves.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ import numpy as np
 
 from .errors import InternalInconsistency, NonPhysicalError
 from .model import (
+    CollectiveMomentum,
     DerivedGeometry,
     GearConfig,
     GridSpec,
@@ -117,8 +118,12 @@ class KickShift:
     """Decomposition of a kick's relative-momentum transfer.
 
     dmu_r = dm_r * n + dk with the residue dk reduced into (-n/2, n/2].
-    A kick with dk in {0, n/2} keeps (or parity-flips) the Bloch sector,
-    which is the resonant-transmission condition.
+    The Hamiltonian conserves mu_r modulo P = n * gcd of the harmonic
+    indices it couples with (P = n for any profile with a p = 1 term;
+    without coupling every mu_r is conserved, and only dmu_r = 0 counts).
+    enhanced means 2 * dmu_r is a multiple of P: the kick takes the ground
+    state into a sector that mu_r -> -mu_r maps onto itself, where the
+    long-time transmission is exactly the classical ratio.
     """
 
     dmu_c: Fraction
@@ -134,43 +139,44 @@ def kick_shift(geom: DerivedGeometry, l1: int, l2: int) -> KickShift:
     dk = bloch_label(geom, shift.mu_r)
     dm_r = (shift.mu_r - dk) / geom.n
     assert dm_r.denominator == 1
-    enhanced = dk == 0 or 2 * dk == geom.n
+    cfg = geom.config
+    harmonics = [p for p, _ in cfg.potential.harmonics()] if cfg.V0 else []
+    period = geom.n * math.gcd(*harmonics)   # 0 when nothing couples
+    enhanced = (2 * shift.mu_r) % period == 0 if period else shift.mu_r == 0
     return KickShift(shift.mu_c, shift.mu_r, int(dm_r), dk, enhanced)
 
 
-def _refit_grid(state: RotorState) -> RotorState:
-    """Re-center the window on the canonical offset and resize it to the
-    occupied support plus margin.  Drops only amplitudes below SUPPORT_EPS."""
+def _refit_grid(state: RotorState, shift: CollectiveMomentum) -> RotorState:
+    """The state moved by a kick's collective shift, on the window built on
+    the canonical offset and sized to the occupied support plus margin.
+    Drops only amplitudes below SUPPORT_EPS."""
     grid = state.grid
     s = grid.spacing
-    offset = grid.mu_r_offset % s
+    moved = grid.mu_r_offset + shift.mu_r
+    offset = moved % s
     if offset > s / 2:
         offset -= s
-    shift_steps = (grid.mu_r_offset - offset) / s
-    assert shift_steps.denominator == 1
-    k = int(shift_steps)
+    k = (moved - offset) / s
+    assert k.denominator == 1
 
-    J = grid.half_width
-    p = np.abs(state.amplitudes) ** 2
-    occupied = np.flatnonzero(p > SUPPORT_EPS)
+    occupied = np.flatnonzero(np.abs(state.amplitudes) ** 2 > SUPPORT_EPS)
     if occupied.size == 0:
-        occupied = np.array([J])
-    # occupied extent in the re-centered index convention
-    extent = int(np.max(np.abs(occupied - J + k)))
-    new_J = max(MIN_HALF_WIDTH, extent + MARGIN_STEPS)
+        occupied = np.array([-grid.lo])
+    # signed index of each occupied point on the new offset
+    j = occupied + grid.lo + int(k)
+    new_J = max(MIN_HALF_WIDTH, int(np.max(np.abs(j))) + MARGIN_STEPS)
     new_grid = GridSpec(offset, s, new_J)
     amps = np.zeros(new_grid.size, dtype=complex)
-    for i in occupied:
-        j_new = int(i) - J + k
-        if abs(j_new) <= new_J:
-            amps[j_new + new_J] = state.amplitudes[i]
-    return RotorState(state.geom, state.mu_c, new_grid, amps, state.com_phase)
+    amps[j - new_grid.lo] = state.amplitudes[occupied]
+    return RotorState(state.geom, state.mu_c + shift.mu_c, new_grid, amps,
+                      state.com_phase)
 
 
 def apply_kick(state: RotorState, l1: int = 0, l2: int = 0) -> RotorState:
     """Instantaneous momentum kick: every basis state (m1, m2) shifts to
-    (m1 + l1, m2 + l2).  The relative window is re-centered afterwards so
-    that it always covers the parity partner of the occupied support.
+    (m1 + l1, m2 + l2).  The relative window is rebuilt around the kicked
+    support afterwards, and mirror-symmetric, so that it always covers the
+    parity partner of the occupied support.
 
     The (dmu_c, dmu_r, dm_r, dk) bookkeeping of the same kick is available
     from `kick_shift`.
@@ -178,16 +184,7 @@ def apply_kick(state: RotorState, l1: int = 0, l2: int = 0) -> RotorState:
     for name, l in (("l1", l1), ("l2", l2)):
         if not isinstance(l, int) or isinstance(l, bool):
             raise ValueError(f"{name} must be an integer")
-    shift = momenta_to_collective(state.geom, l1, l2)
-    shifted = RotorState(
-        state.geom,
-        state.mu_c + shift.mu_c,
-        GridSpec(state.grid.mu_r_offset + shift.mu_r,
-                 state.grid.spacing, state.grid.half_width),
-        state.amplitudes,
-        state.com_phase,
-    )
-    return _refit_grid(shifted)
+    return _refit_grid(state, momenta_to_collective(state.geom, l1, l2))
 
 
 def _weighted_eigentail(es: EigenSystem, a: np.ndarray) -> float:
@@ -343,12 +340,12 @@ def long_time_average(state: RotorState, ell: int | None = None) -> Transmission
     """Diagonal-ensemble averages of the per-gear momenta.
 
     <L_r>_bar = sum_i p_i <v_i|L_r|v_i> over the eigenbasis.  Any nonzero
-    splitting dephases at infinite time, so levels are never merged; the
-    eigenbasis is already symmetry-resolved (sector-pure, and
-    reflection-definite inside near-degenerate blocks), which pins down
-    the only bases the per-state sum could have been sensitive to.
-    Exactly degenerate pairs live in different sectors, where L_r has no
-    cross matrix elements, so they contribute the same either way.
+    splitting dephases at infinite time, so levels are never merged.  The
+    eigenbasis is symmetry-resolved: every vector is sector-pure, and in a
+    sector that mu_r -> -mu_r maps onto itself it is even or odd, whatever
+    the splitting of a tunnelling pair.  Exactly degenerate pairs live in
+    different index sectors, with disjoint support, where L_r has no cross
+    matrix elements, so they contribute the same in any basis.
     """
     es, occ = eigen_occupations(state)
     mu = es.grid.values()

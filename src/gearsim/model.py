@@ -183,10 +183,13 @@ class CollectiveMomentum:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Symmetric window of the allowed relative-momentum lattice.
+    """Window of the allowed relative-momentum lattice.
 
     Grid points are mu_r = mu_r_offset + spacing * j for j in
-    [-half_width, half_width].  Offset and spacing are exact.
+    [lo, half_width].  lo is -half_width - 1 when the offset is half a step
+    (2 * mu_r_offset == spacing) and -half_width otherwise, so a window on a
+    lattice that mu_r -> -mu_r maps onto itself is mirror-symmetric.
+    Offset and spacing are exact.
     """
 
     mu_r_offset: Fraction
@@ -202,16 +205,22 @@ class GridSpec:
             raise ValueError("half_width must be a non-negative integer")
 
     @property
+    def lo(self) -> int:
+        """Lowest signed grid index."""
+        half_step = 2 * self.mu_r_offset == self.spacing
+        return -self.half_width - 1 if half_step else -self.half_width
+
+    @property
     def size(self) -> int:
-        return 2 * self.half_width + 1
+        return self.half_width - self.lo + 1
 
     def value(self, j: int) -> Fraction:
-        """Exact mu_r at signed grid index j (j=0 is the window center)."""
+        """Exact mu_r at signed grid index j (j=0 is the offset itself)."""
         return self.mu_r_offset + self.spacing * j
 
     def values(self) -> np.ndarray:
         """All grid mu_r values as floats, ascending."""
-        j = np.arange(-self.half_width, self.half_width + 1, dtype=float)
+        j = np.arange(self.lo, self.half_width + 1, dtype=float)
         return float(self.mu_r_offset) + float(self.spacing) * j
 
     def index_of(self, mu_r) -> int:
@@ -221,7 +230,7 @@ class GridSpec:
         if j.denominator != 1:
             raise NonPhysicalError(f"mu_r={mu_r} not on grid {self}")
         j = int(j)
-        if abs(j) > self.half_width:
+        if not self.lo <= j <= self.half_width:
             raise NonPhysicalError(f"mu_r={mu_r} outside grid window {self}")
         return j
 
@@ -370,8 +379,8 @@ def allowed_relative_grid(geom: DerivedGeometry, mu_c, half_width: int = 32) -> 
     """The mu_r lattice compatible with a fixed physical mu_c.
 
     The allowed values form an arithmetic progression with exact spacing
-    n/gcd(n1, n2); the returned window is centered on the representative
-    offset reduced into (-spacing/2, spacing/2], which keeps the window
+    n/gcd(n1, n2); the returned window is built on the representative
+    offset reduced into (-spacing/2, spacing/2], so (see GridSpec.lo) it is
     symmetric under mu_r -> -mu_r whenever the lattice itself is.
 
     Equal moments of inertia only (the fixed-mu_c lattice is not a single

@@ -4,9 +4,13 @@ In the momentum basis the relative Hamiltonian is banded: kinetic energy on
 the diagonal, and each cosine harmonic p of the tooth profile couples grid
 points separated by exactly p * n in mu_r.  Because those coupling steps are
 a fixed multiple of the grid spacing, the matrix decouples into independent
-sectors labelled by the conserved Bloch residue k = mu_r mod n; each sector
-is diagonalized on its own, which keeps exactly degenerate partners from
-different sectors from being mixed by the eigensolver.
+sectors, each carrying one conserved Bloch residue k = mu_r mod n; each
+sector is diagonalized on its own, which keeps exactly degenerate partners
+from different sectors from being mixed by the eigensolver.  Every window on
+a lattice that mu_r -> -mu_r maps onto itself is mirror-symmetric (see
+GridSpec.lo), and a sector that the reflection maps onto itself (k = 0 or
+k = n/2) is diagonalized in its even and odd parts, so its eigenvectors are
+reflection-definite by construction.
 """
 
 from __future__ import annotations
@@ -42,8 +46,6 @@ __all__ = [
 # Occupation allowed in the outer TAIL_FRACTION of any trusted grid window.
 TAIL_BOUND = 1e-12
 TAIL_FRACTION = 0.10
-# Relative gap below which two eigenvalues are treated as one degenerate level.
-DEGENERACY_TOL = 1e-9
 # Every dynamical grid keeps at least this half-width.
 MIN_HALF_WIDTH = 32
 # No window-growth loop goes past this half-width.  Its dense eigenvector
@@ -118,8 +120,9 @@ def build_hamiltonian(geom: DerivedGeometry, grid: GridSpec) -> BandedHamiltonia
 class EigenSystem:
     """Full eigendecomposition of a banded relative Hamiltonian.
 
-    States are sorted by (energy, Bloch label); each eigenvector lives
-    entirely inside one Bloch sector of the grid.
+    States are sorted by (energy, Bloch label); each eigenvector lives in
+    one index sector of the grid and, in a sector that mu_r -> -mu_r maps
+    onto itself, is even or odd under that reflection.
     """
 
     geom: DerivedGeometry
@@ -131,17 +134,6 @@ class EigenSystem:
     @property
     def dim(self) -> int:
         return self.grid.size
-
-    def degenerate_groups(self, tol: float = DEGENERACY_TOL) -> list[np.ndarray]:
-        """Indices grouped into (near-)degenerate energy levels."""
-        groups = []
-        start = 0
-        e = self.energies
-        for i in range(1, len(e) + 1):
-            if i == len(e) or (e[i] - e[i - 1]) > tol * max(1.0, abs(e[i])):
-                groups.append(np.arange(start, i))
-                start = i
-        return groups
 
 
 def _fix_signs(vectors: np.ndarray) -> None:
@@ -155,106 +147,99 @@ def _fix_signs(vectors: np.ndarray) -> None:
     vectors[:, flip] = -vectors[:, flip]
 
 
-def eigendecompose(ham: BandedHamiltonian) -> EigenSystem:
-    """Diagonalize sector by sector and merge.
+def _band(diag: np.ndarray, couplings, bw: int) -> np.ndarray:
+    """Upper banded storage of the matrix with `diag` on the diagonal and
+    H[i, i+o] = s for every (o, s) in couplings (o <= bw)."""
+    band = np.zeros((bw + 1, diag.size))
+    band[bw] = diag
+    for o, s in couplings:
+        band[bw - o, o:] = s
+    return band
 
-    Exactly degenerate levels whose members sit in different Bloch sectors
-    (e.g. +k and -k) keep their sector-pure eigenvectors this way; a dense
-    solver on the full matrix would return arbitrary mixtures.
+
+def _eig(band: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    try:
+        return scipy.linalg.eig_banded(band, lower=False)
+    except scipy.linalg.LinAlgError as exc:  # pragma: no cover
+        raise ConvergenceFailure(f"banded eigensolver failed: {exc}") from exc
+
+
+def _parity_eig(diag: np.ndarray, couplings, bw: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of a sector that reflection (point q -> m - 1 - q) maps
+    onto itself, from its even and odd parts, even first.
+
+    Row a of a part stands for point start + a and its mirror, so a
+    coupling of o steps also joins rows a and t - a, t = o + m - 1 - 2 start,
+    with the part's sign.  The centre of an odd-sized sector is in the even
+    part only and couples to each pair with sqrt(2) times the strength.
+    """
+    m = diag.size
+    h, c = divmod(m, 2)
+    energies, vectors = [], []
+    for sign, centre in ((1.0, c), (-1.0, 0)):
+        start = h + c - centre
+        band = _band(diag[start:], couplings, bw)
+        if centre:
+            o = np.arange(1, bw + 1)
+            band[bw - o, o] *= np.sqrt(2.0)
+        for o, s in couplings:
+            t = o + m - 1 - 2 * start
+            a = np.arange(centre, t // 2 + 1)
+            band[bw + 2 * a - t, t - a] += sign * s
+        w, v = _eig(band)
+        lift = np.zeros((m, w.size))
+        lift[start:] = v
+        lift[h + c:] *= np.sqrt(0.5)
+        lift[:h] = sign * lift[h + c:][::-1]
+        energies.append(w)
+        vectors.append(lift)
+    return np.concatenate(energies), np.hstack(vectors)
+
+
+def eigendecompose(ham: BandedHamiltonian) -> EigenSystem:
+    """Diagonalize index sector by index sector and merge.
+
+    Harmonics only couple points a multiple of the stride (the gcd of the
+    coupling steps) apart, and without couplings every point is its own
+    sector.  Exactly degenerate levels in different sectors (e.g. +k and -k)
+    keep sector-pure eigenvectors, which a dense solve would mix.  A sector
+    that reflection maps onto itself is solved in its even and odd parts,
+    so a tunnelling pair comes out reflection-definite however small its
+    splitting.
     """
     grid, geom = ham.grid, ham.geom
     dim = grid.size
-    J = grid.half_width
     steps = [s for s, _ in ham.couplings]
-    stride = gcd(*steps) if steps else 0
+    stride = gcd(*steps) if steps else dim
+    bw = max(steps, default=0) // stride
+    couplings = [(s // stride, strength) for s, strength in ham.couplings]
+    mirrored = grid.value(grid.lo) == -grid.value(grid.half_width)
 
     energies = np.empty(dim)
     vectors = np.zeros((dim, dim))
-    labels: list[Fraction] = [Fraction(0)] * dim
-
-    if stride == 0:
-        order = np.argsort(ham.diag, kind="stable")
-        energies[:] = ham.diag[order]
-        for i, src in enumerate(order):
-            vectors[src, i] = 1.0
-            labels[i] = bloch_label(geom, grid.value(int(src) - J))
-    else:
-        pos = 0
-        for c in range(stride):
-            idx = np.arange(c, dim, stride)
-            m = idx.size
-            sector_label = bloch_label(geom, grid.value(int(idx[0]) - J))
-            diag_s = ham.diag[idx]
-            bw = max(s // stride for s in steps)
-            if bw >= m:
-                bw = m - 1  # couplings longer than the sector: keep rows valid
-            band = np.zeros((bw + 1, m))
-            band[bw, :] = diag_s
-            for s, strength in ham.couplings:
-                o = s // stride
-                if 0 < o <= bw:
-                    band[bw - o, o:] = strength
-            try:
-                w, v = scipy.linalg.eig_banded(band, lower=False)
-            except scipy.linalg.LinAlgError as exc:  # pragma: no cover
-                raise ConvergenceFailure(f"banded eigensolver failed: {exc}") from exc
-            energies[pos:pos + m] = w
-            vectors[np.ix_(idx, np.arange(pos, pos + m))] = v
-            for i in range(pos, pos + m):
-                labels[i] = sector_label
-            pos += m
-        order = sorted(range(dim), key=lambda i: (energies[i], float(labels[i])))
-        energies = energies[order]
-        vectors = vectors[:, order]
-        labels = [labels[i] for i in order]
-
-    es = EigenSystem(geom, grid, energies, vectors, tuple(labels))
-    # Inside near-degenerate groups the solver's basis is arbitrary:
-    # re-orthogonalize, then resolve the arbitrariness with the window's
-    # exact symmetries so expectation values of odd observables are honest.
-    for group in es.degenerate_groups():
-        if group.size < 2:
-            continue
-        for a in range(1, group.size):
-            v = vectors[:, group[a]]
-            for b in range(a):
-                u = vectors[:, group[b]]
-                v = v - (u @ v) * u
-            vectors[:, group[a]] = v / np.linalg.norm(v)
-        _reflection_adapt(es, group)
+    sector_of = np.empty(dim, dtype=np.intp)
+    sector_labels = []
+    pos = 0
+    for c in range(stride):
+        idx = np.arange(c, dim, stride)
+        m = idx.size
+        diag = ham.diag[idx]
+        if mirrored and m > 1 and idx[0] + idx[-1] == dim - 1:
+            w, v = _parity_eig(diag, couplings, bw)
+        else:
+            w, v = _eig(_band(diag, couplings, bw))
+        energies[pos:pos + m] = w
+        vectors[idx, pos:pos + m] = v
+        sector_of[pos:pos + m] = c
+        sector_labels.append(bloch_label(geom, grid.value(c + grid.lo)))
+        pos += m
+    label_keys = np.array([float(k) for k in sector_labels])[sector_of]
+    order = np.lexsort((label_keys, energies))
+    energies = energies[order]
+    vectors = vectors[:, order]
+    labels = tuple(sector_labels[c] for c in sector_of[order].tolist())
     _fix_signs(vectors)
-    return es
-
-
-def _reflection_adapt(es: EigenSystem, group: np.ndarray) -> None:
-    """Rotate a near-degenerate group onto the exact mu_r -> -mu_r
-    eigenbasis where that symmetry is exact.
-
-    On a window centered at mu_r = 0 the Hamiltonian commutes exactly with
-    index reversal, so every simple true eigenvector is reflection-definite
-    with <mu_r> = 0; a tunneling pair whose tiny splitting falls below the
-    solver's resolution comes back as arbitrary (typically side-localized)
-    mixtures instead.  Diagonalizing the reversal operator inside each
-    near-degenerate block restores the true basis.  Only sectors mapped to
-    themselves by reflection (k = 0 and k = n/2) qualify; reflection maps
-    other sectors onto different ones and those pairs need no fix (mu_r has
-    no matrix elements between sectors).
-    """
-    if es.grid.mu_r_offset != 0:
-        return
-    vectors = es.vectors
-    n = es.geom.n
-    for label in {es.labels[i] for i in group}:
-        if (2 * label) % n != 0:
-            continue
-        block = np.array([i for i in group if es.labels[i] == label])
-        if block.size < 2:
-            continue
-        U = vectors[:, block]
-        S = U.T @ U[::-1, :]
-        S = 0.5 * (S + S.T)
-        _, W = np.linalg.eigh(S)
-        vectors[:, block] = U @ W
+    return EigenSystem(geom, grid, energies, vectors, labels)
 
 
 @functools.lru_cache(maxsize=EIGEN_CACHE_SIZE)
@@ -294,15 +279,15 @@ class RotorState:
         """
         from .model import collective_to_momenta
 
-        J = self.grid.half_width
-        first = collective_to_momenta(self.geom, self.mu_c, self.grid.value(-J))
-        if J == 0:
+        grid = self.grid
+        first = collective_to_momenta(self.geom, self.mu_c, grid.value(grid.lo))
+        if grid.size == 1:
             return np.array([first[0]], np.int64), np.array([first[1]], np.int64)
-        second = collective_to_momenta(self.geom, self.mu_c, self.grid.value(1 - J))
-        j = np.arange(self.grid.size, dtype=np.int64)
+        second = collective_to_momenta(self.geom, self.mu_c, grid.value(grid.lo + 1))
+        j = np.arange(grid.size, dtype=np.int64)
         m1 = first[0] + (second[0] - first[0]) * j
         m2 = first[1] + (second[1] - first[1]) * j
-        last = collective_to_momenta(self.geom, self.mu_c, self.grid.value(J))
+        last = collective_to_momenta(self.geom, self.mu_c, grid.value(grid.half_width))
         if (int(m1[-1]), int(m2[-1])) != last:
             raise InternalInconsistency(
                 f"affine momentum map ends at ({m1[-1]}, {m2[-1]}), "
@@ -349,11 +334,10 @@ def _check_growth(grid: GridSpec, tail: float) -> None:
 def widen(state: RotorState) -> RotorState:
     """Same state on the window `_wider` grows its window to (same offset
     and spacing)."""
-    J = state.grid.half_width
     new_grid = _wider(state.grid)
-    new_J = new_grid.half_width
+    start = state.grid.lo - new_grid.lo
     amps = np.zeros(new_grid.size, dtype=complex)
-    amps[new_J - J:new_J + J + 1] = state.amplitudes
+    amps[start:start + state.grid.size] = state.amplitudes
     return RotorState(state.geom, state.mu_c, new_grid, amps, state.com_phase)
 
 

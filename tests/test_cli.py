@@ -236,3 +236,18 @@ def test_integral_floats_are_integers(tmp_path):
         assert code == 0
         blobs.append((out / "transmission.csv").read_bytes())
     assert blobs[0] == blobs[1]
+
+
+def test_calls_share_one_parser(capsys):
+    from gearsim import cli
+    cli._parser()
+    before = cli._parser.cache_info()
+    for _ in range(2):
+        assert main(["verify", "--only", "x"]) == 2
+    after = cli._parser.cache_info()
+    assert after.misses == before.misses
+    assert after.hits == before.hits + 2
+    with pytest.raises(SystemExit) as exc:   # --help still works on reuse
+        main(["--help"])
+    assert exc.value.code == 0
+    assert "verify" in capsys.readouterr().out

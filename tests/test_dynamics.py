@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gearsim import dynamics, relative
 from gearsim.dynamics import (
@@ -23,10 +25,13 @@ from gearsim.dynamics import (
     transmission_ratio,
 )
 from gearsim.errors import ConvergenceFailure
-from gearsim.relative import ground_state
+from gearsim.model import GearConfig, PotentialSpec, derive_geometry
+from gearsim.relative import build_hamiltonian, ground_state
 
 # frozen sub-threshold transmissions, 2:2 pair at V0 = 10
 R_ODD = {1: 0.4598306368273201, 3: 0.4003615607688080, 5: 0.2872076356616948}
+
+SECOND = PotentialSpec(((0, 0.5), (2, 0.5)))   # no p = 1 term
 
 
 # ------------------------------------------------------------------ kicks ---
@@ -40,6 +45,13 @@ def test_kick_shift_worked_examples(geom22, geom42):
     assert ks.enhanced
     assert not kick_shift(geom22, 1, 0).enhanced
     assert not kick_shift(geom42, 1, 0).enhanced
+    # without a p = 1 harmonic mu_r is conserved mod 2n, not n: dk = n/2
+    # is then no longer a self-conjugate sector
+    second = derive_geometry(GearConfig(2, 2, V0=10.0, potential=SECOND))
+    ks = kick_shift(second, 2, 0)
+    assert (ks.dmu_r, ks.dk) == (2, 2)
+    assert not ks.enhanced
+    assert kick_shift(second, 4, 0).enhanced
 
 
 def test_kick_shift_additive(geom42):
@@ -225,3 +237,76 @@ def test_revival_phase_defect_rejects_off_lattice(geom42):
     from gearsim.errors import NonPhysicalError
     with pytest.raises(NonPhysicalError):
         revival_phase_defect(geom42, Fraction(1, 2))
+
+
+# ----------------------------------------------- self-conjugate sectors ---
+
+# (n1, n2, ell) with 2 ell n1 / (n1^2 + n2^2) an integer: a kick on gear 1
+# that lands in a sector mu_r -> -mu_r maps onto itself (k = 0 or n/2)
+SELF_CONJUGATE = [(n1, n2, ell)
+                  for n1 in range(1, 6) for n2 in range(1, 6)
+                  for ell in range(1, 13)
+                  if Fraction(2 * ell * n1, n1 * n1 + n2 * n2).denominator == 1]
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(kick=st.sampled_from(SELF_CONJUGATE),
+       V0=st.floats(2.0, 40.0),
+       fourier=st.tuples(st.floats(0.1, 0.6),
+                         st.sampled_from([0.0, 0.05, 0.1, 0.2]),
+                         st.sampled_from([0.0, 0.05])))
+# the k = n/2 sector half a grid step off mu_r = 0, and a 3:1 kick
+@example(kick=(1, 1, 11), V0=16.08583582949375, fourier=(0.4, 0.1, 0.0))
+@example(kick=(1, 1, 7), V0=35.38, fourier=(0.4, 0.1, 0.0))
+@example(kick=(1, 1, 9), V0=35.38, fourier=(0.4, 0.1, 0.0))
+@example(kick=(1, 1, 11), V0=35.38, fourier=(0.4, 0.1, 0.0))
+@example(kick=(3, 1, 5), V0=25.0, fourier=(0.4, 0.1, 0.0))
+def test_self_conjugate_kicks_transmit_exactly_r_cl(kick, V0, fourier):
+    n1, n2, ell = kick
+    a1, a2, a3 = fourier
+    profile = PotentialSpec(((0, 0.5), (1, a1), (2, a2), (3, a3)))
+    config = GearConfig(n1, n2, V0=V0, potential=profile)
+    assert kick_shift(derive_geometry(config), ell, 0).enhanced
+    res = transmission_ratio(config, KickProtocol(ell=ell, num_kicks=1))
+    assert abs(res.r - n1 * n2 / (n1 * n1 + n2 * n2)) <= 1e-9
+
+
+def projector_average_L_r(state):
+    """Sum over energy levels of <psi|P L_r P|psi>, from a dense eigh of
+    the state's window with levels closer than 1e-9 merged: independent of
+    the basis inside any degenerate level."""
+    start = evolved_states(state, [0.0])[0]   # the state on the window used
+    ham = build_hamiltonian(start.geom, start.grid)
+    H = np.diag(ham.diag)
+    for step, strength in ham.couplings:
+        H += strength * (np.eye(ham.dim, k=step) + np.eye(ham.dim, k=-step))
+    w, V = np.linalg.eigh(H)
+    a = V.T @ start.amplitudes
+    mu = start.grid.values()
+    total = 0.0
+    for level in np.split(np.arange(w.size), np.flatnonzero(np.diff(w) > 1e-9) + 1):
+        psi = V[:, level] @ a[level]
+        total += float(np.real(np.vdot(psi, mu * psi)))
+    return total
+
+
+@pytest.mark.parametrize("n1, n2, V0, fourier, ell, half_step", [
+    # no p = 1 harmonic: two index sectors share each Bloch label
+    (2, 2, 10.0, SECOND.fourier, 2, False),
+    (2, 4, 10.0, SECOND.fourier, 5, False),
+    (4, 4, 25.0, SECOND.fourier, 4, False),
+    (2, 2, 25.0, SECOND.fourier, 6, False),
+    # a window at offset s/2, one point more below the offset than above
+    (3, 3, 10.0, ((0, 0.5), (1, 0.5)), 1, True),
+])
+def test_long_time_average_is_the_projector_average(n1, n2, V0, fourier, ell,
+                                                    half_step):
+    """Basis-independent check of the diagonal ensemble.  None of these
+    kicks lands in a sector that reflection maps onto itself: there the
+    1e-9 merge would also join tunnelling pairs that infinite time does
+    resolve, so those kicks are checked by the exact-r property above."""
+    config = GearConfig(n1, n2, V0=V0, potential=PotentialSpec(fourier))
+    state = run_protocol(derive_geometry(config), KickProtocol(ell=ell, num_kicks=1))
+    assert (2 * state.grid.mu_r_offset == state.grid.spacing) == half_step
+    res = long_time_average(state, ell)
+    assert res.L_r_bar == pytest.approx(projector_average_L_r(state), abs=1e-10)

@@ -188,12 +188,24 @@ def test_relative_grid_matches_brute_force(n1, n2):
 
 
 def test_grid_spec_indexing(geom22):
-    grid = allowed_relative_grid(geom22, Fraction(1), half_width=16)
-    values = grid.values()
-    assert len(values) == grid.size == 2 * grid.half_width + 1
-    assert values[grid.half_width] == pytest.approx(float(grid.mu_r_offset))
-    for j in (-grid.half_width, -3, 0, 5, grid.half_width):
-        v = grid.value(j)
-        assert grid.index_of(v) == j
-        assert values[j + grid.half_width] == pytest.approx(float(v))
-    assert np.all(np.diff(values) == pytest.approx(float(grid.spacing)))
+    half_steps = set()
+    for mu_c in (Fraction(0), Fraction(1)):
+        grid = allowed_relative_grid(geom22, mu_c, half_width=16)
+        J = grid.half_width
+        values = grid.values()
+        half_step = 2 * grid.mu_r_offset == grid.spacing
+        half_steps.add(half_step)
+        assert grid.lo == (-J - 1 if half_step else -J)
+        assert len(values) == grid.size == J - grid.lo + 1
+        assert values[-grid.lo] == pytest.approx(float(grid.mu_r_offset))
+        for j in range(grid.lo, J + 1):
+            v = grid.value(j)
+            assert grid.index_of(v) == j
+            assert values[j - grid.lo] == pytest.approx(float(v))
+        for j in (grid.lo - 1, J + 1):
+            with pytest.raises(NonPhysicalError):
+                grid.index_of(grid.value(j))
+        assert np.all(np.diff(values) == pytest.approx(float(grid.spacing)))
+        # both windows on this mirror-symmetric lattice are mirror-symmetric
+        assert np.array_equal(values, -values[::-1])
+    assert half_steps == {False, True}

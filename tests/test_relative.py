@@ -200,14 +200,19 @@ def test_momentum_pairs_is_the_exact_map_point_by_point():
                 mu_c = momenta_to_collective(geom, l1, l2).mu_c
                 for J in (0, 1, 32, 97):
                     grid = allowed_relative_grid(geom, mu_c, half_width=J)
-                    offsets.add(grid.mu_r_offset == 0)
+                    half_step = 2 * grid.mu_r_offset == grid.spacing
+                    offsets.add((grid.mu_r_offset == 0, half_step))
                     m1, m2 = _state(geom, mu_c, grid).momentum_pairs()
                     exact = [collective_to_momenta(geom, mu_c, grid.value(j))
-                             for j in range(-J, J + 1)]
+                             for j in range(grid.lo, J + 1)]
                     assert m1.dtype == m2.dtype == np.int64
                     assert m1.tolist() == [a for a, _ in exact]
                     assert m2.tolist() == [b for _, b in exact]
-    assert offsets == {True, False}  # centred and off-centre windows
+                    if half_step:
+                        values = grid.values()
+                        assert np.array_equal(values, -values[::-1])
+    # centred, half-step and other off-centre windows
+    assert offsets == {(True, False), (False, True), (False, False)}
 
 
 @pytest.mark.parametrize("J", [0, 1, 32])
@@ -265,3 +270,44 @@ def test_fix_signs_matches_the_column_loop():
         _fix_signs_by_column(want)
         _fix_signs(v)
         assert v.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n1, n2, fourier, l1, J, half_step", [
+    (2, 2, ((0, 0.5), (1, 0.5)), 0, 20, False),          # odd and even m
+    (1, 1, ((0, 0.5), (1, 0.4), (2, 0.1)), 1, 21, True),
+    (3, 1, ((0, 0.5), (1, 0.45), (3, 0.05)), 5, 30, True),
+    (2, 2, ((0, 0.5), (2, 0.3), (3, 0.2)), 0, 17, False),  # stride 1, o <= 3
+    (4, 4, ((0, 0.5), (2, 0.5)), 0, 16, False),          # no p = 1 term
+])
+def test_parity_resolved_eigensystem_is_exact(n1, n2, fourier, l1, J, half_step):
+    """Against a dense solve: same spectrum, eigenpairs and orthonormality,
+    and every vector of a sector the reflection maps onto itself is even or
+    odd (elsewhere its mirror image lives in another sector)."""
+    geom = derive_geometry(GearConfig(n1, n2, V0=12.0,
+                                      potential=model.PotentialSpec(fourier)))
+    mu_c = momenta_to_collective(geom, l1, 0).mu_c
+    grid = allowed_relative_grid(geom, mu_c, half_width=J)
+    assert (2 * grid.mu_r_offset == grid.spacing) == half_step
+    values = grid.values()
+    assert np.array_equal(values, -values[::-1])
+    ham = build_hamiltonian(geom, grid)
+    es = eigendecompose(ham)
+    H = np.diag(ham.diag)
+    for step, strength in ham.couplings:
+        H += strength * (np.eye(ham.dim, k=step) + np.eye(ham.dim, k=-step))
+    assert es.energies == pytest.approx(np.linalg.eigvalsh(H), abs=1e-11)
+    keys = [(e, float(k)) for e, k in zip(es.energies, es.labels)]
+    assert keys == sorted(keys)
+    assert np.max(np.abs(H @ es.vectors - es.vectors * es.energies)) < 1e-11
+    assert np.max(np.abs(es.vectors.T @ es.vectors - np.eye(ham.dim))) < 1e-12
+    mirrored = 0
+    for i in range(ham.dim):
+        v = es.vectors[:, i]
+        on = np.flatnonzero(v)
+        if on[0] + on[-1] == ham.dim - 1:
+            mirrored += 1
+            assert min(np.max(np.abs(v[::-1] - v)),
+                       np.max(np.abs(v[::-1] + v))) == 0.0
+        else:
+            assert np.all(v[ham.dim - 1 - on] == 0.0)
+    assert mirrored > 0
