@@ -16,7 +16,6 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from fractions import Fraction
 
 import numpy as np
 
@@ -183,6 +182,10 @@ def _out_dir(doc: dict, override) -> str:
 # ------------------------------------------------------------------- CSV ---
 
 def _fmt(x) -> str:
+    # floats (np.float64 too) first: nearly every cell is one; + 0.0 folds
+    # -0.0 into 0.0, and inf, -inf and nan print as themselves
+    if isinstance(x, float):
+        return f"{x + 0.0:.15g}"
     if x is None:
         return ""
     if isinstance(x, str):
@@ -191,14 +194,7 @@ def _fmt(x) -> str:
         return "1" if x else "0"
     if isinstance(x, (int, np.integer)):
         return str(int(x))
-    if isinstance(x, Fraction):
-        x = float(x)
-    x = float(x)
-    if x == 0.0:
-        x = 0.0  # fold -0.0 into 0.0
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return f"{x:.15g}"
+    return f"{float(x) + 0.0:.15g}"
 
 
 def _write_csv(path: str, header: list[str], rows) -> None:

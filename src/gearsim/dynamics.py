@@ -4,9 +4,11 @@ Evolution is exact within the truncated window: states are expanded in the
 eigenbasis of the banded relative Hamiltonian and phases applied in closed
 form.  Every returned state is checked against the tail-occupation bound and
 the window is regrown, up to MAX_HALF_WIDTH, when a kick or long evolution
-pushes probability toward an edge.  `evolve`, `evolved_states`, `time_series`,
-`eigen_occupations` and `long_time_average` all go through `_ensure_window`,
-which fits the window and projects the state onto its eigenstates once.
+pushes probability toward an edge.  `_ensure_window` fits the window and
+projects the state onto its eigenstates once; the propagation kernel
+`_amplitudes` turns that into the amplitudes at all T sample times as one
+(T, dim) matrix, by two real products with the eigenvectors.  `evolve`,
+`evolved_states`, `time_series` and `ergotropy_time_series` read its rows.
 
 The infinite-time average of any observable is its diagonal-ensemble value,
 taken in the symmetry-resolved eigenbasis of `relative.eigendecompose`:
@@ -205,7 +207,9 @@ def _ensure_window(state: RotorState) -> tuple[RotorState, EigenSystem, np.ndarr
     the state's eigen-amplitudes a = V^T c."""
     while True:
         es = eigensystem_for(state.geom, state.grid)
-        a = es.vectors.T @ state.amplitudes
+        c = state.amplitudes
+        # two real products: V times a complex array would upcast all of V
+        a = es.vectors.T @ c.real + 1j * (es.vectors.T @ c.imag)
         tail = _weighted_eigentail(es, a)
         if tail < TAIL_BOUND:
             return state, es, a
@@ -221,18 +225,26 @@ def evolve(state: RotorState, t: float) -> RotorState:
     return evolved_states(state, [t])[0]
 
 
-def evolved_states(state: RotorState, times) -> list[RotorState]:
-    """The state at each requested time, sharing one eigendecomposition."""
+def _amplitudes(state: RotorState, times) -> tuple[RotorState, np.ndarray]:
+    """The propagation kernel: the state on its adequate window and the
+    (T, dim) matrix C whose row i holds the amplitudes at times[i],
+    C = X V^T with X = e^{-iEt} * a for every time at once."""
     times = np.asarray(times, dtype=float)
     if not np.all((times >= 0) & np.isfinite(times)):
         raise ValueError("times must be finite and >= 0")
     state, es, a = _ensure_window(state)
-    out = []
-    for t in times:
-        c = es.vectors @ (np.exp(-1j * es.energies * t) * a)
-        phase = state.com_phase - float(state.mu_c) ** 2 * t / (2.0 * state.geom.I_c)
-        out.append(RotorState(state.geom, state.mu_c, state.grid, c, phase))
-    return out
+    X = np.exp(np.outer(times, -1j * es.energies)) * a
+    VT = es.vectors.T
+    return state, X.real @ VT + 1j * (X.imag @ VT)
+
+
+def evolved_states(state: RotorState, times) -> list[RotorState]:
+    """The state at each requested time, sharing one eigendecomposition."""
+    state, C = _amplitudes(state, times)
+    mu_c2 = float(state.mu_c) ** 2
+    return [RotorState(state.geom, state.mu_c, state.grid, c,
+                       state.com_phase - mu_c2 * t / (2.0 * state.geom.I_c))
+            for t, c in zip(np.asarray(times, dtype=float), C)]
 
 
 @dataclass(frozen=True)
@@ -289,26 +301,18 @@ class TimeSeries:
 
 
 def time_series(state: RotorState, times) -> TimeSeries:
-    """Evolve and record observables at each time (one eigendecomposition)."""
+    """Evolve and record observables at each time, all samples at once.
+    The energy is measured on every evolved sample, <c|H c>, so its spread
+    tests the propagation rather than restating it."""
     times = np.asarray(times, dtype=float)
-    states = evolved_states(state, times)
-    m1, m2 = states[0].momentum_pairs()
-    m1 = m1.astype(float)
+    state, C = _amplitudes(state, times)
+    m1, m2 = state.momentum_pairs()
     m2 = m2.astype(float)
-    ham = build_hamiltonian(state.geom, states[0].grid)
-    L1 = np.empty(len(times))
-    L2 = np.empty(len(times))
-    L2s = np.empty(len(times))
-    en = np.empty(len(times))
-    norm = np.empty(len(times))
-    for i, st in enumerate(states):
-        p = np.abs(st.amplitudes) ** 2
-        L1[i] = p @ m1
-        L2[i] = p @ m2
-        L2s[i] = p @ (m2 * m2)
-        en[i] = np.real(np.vdot(st.amplitudes, ham.matvec(st.amplitudes)))
-        norm[i] = p.sum()
-    return TimeSeries(times, L1, L2, L2s, en, norm)
+    P = np.abs(C) ** 2
+    HC = build_hamiltonian(state.geom, state.grid).matvec(C)
+    energy = np.einsum("ij,ij->i", C.conj(), HC).real
+    return TimeSeries(times, P @ m1.astype(float), P @ m2, P @ (m2 * m2),
+                      energy, P.sum(axis=1))
 
 
 def eigen_occupations(state: RotorState) -> tuple[EigenSystem, np.ndarray]:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InternalInconsistency
-from .dynamics import KickProtocol, evolved_states, run_protocol
+from .dynamics import KickProtocol, _amplitudes, run_protocol
 from .model import GearConfig, derive_geometry
 from .relative import RotorState
 
@@ -184,13 +184,10 @@ def ergotropy_time_series(
     config: GearConfig, protocol: KickProtocol, times
 ) -> list[ErgotropyReport]:
     """Ergotropy of gear 2 at each time after a kick protocol."""
-    geom = derive_geometry(config)
-    states = evolved_states(run_protocol(geom, protocol), times)
-    if not states:
-        return []
-    # every state shares one window, so the momentum map is made once and
+    state, C = _amplitudes(run_protocol(derive_geometry(config), protocol), times)
+    # every sample shares one window, so the momentum map is made once and
     # all samples go through the kernel together, each row normalised by
     # its own sum in grid order
-    _, m2 = states[0].momentum_pairs()
-    P = np.abs(np.array([st.amplitudes for st in states])) ** 2
+    _, m2 = state.momentum_pairs()
+    P = np.abs(C) ** 2
     return _reports(m2, P / P.sum(axis=1, keepdims=True), config.I2)

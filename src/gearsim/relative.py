@@ -77,10 +77,11 @@ class BandedHamiltonian:
         return self.grid.size
 
     def matvec(self, c: np.ndarray) -> np.ndarray:
+        """H c, for one vector or for every row of a (T, dim) matrix."""
         out = self.diag * c
         for step, strength in self.couplings:
-            out[step:] += strength * c[:-step]
-            out[:-step] += strength * c[step:]
+            out[..., step:] += strength * c[..., :-step]
+            out[..., :-step] += strength * c[..., step:]
         return out
 
 

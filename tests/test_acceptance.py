@@ -66,3 +66,17 @@ def test_12_norm_energy_and_total_momentum_conservation():
 
 def test_13_kick_train_delay_sweep():
     _run(13)
+
+
+def test_11_fails_on_a_nan_sample(monkeypatch):
+    series = V.time_series
+
+    def with_nan(state, times):
+        ts = series(state, times)
+        ts.L2[-1] = float("nan")
+        return ts
+
+    monkeypatch.setattr(V, "time_series", with_nan)
+    res = V.run_one(11)
+    assert not res.passed
+    assert "max deviation nan" in res.detail

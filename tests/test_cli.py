@@ -1,6 +1,7 @@
 """Command-line front end: JSON in, deterministic CSV out."""
 
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -251,3 +252,28 @@ def test_calls_share_one_parser(capsys):
         main(["--help"])
     assert exc.value.code == 0
     assert "verify" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("value, text", [
+    (-0.0, "0"),
+    (0.0, "0"),
+    (float("inf"), "inf"),
+    (float("-inf"), "-inf"),
+    (float("nan"), "nan"),
+    (np.float64(-0.0), "0"),
+    (np.float64(0.1), "0.1"),
+    (np.float64(-2.5e-7), "-2.5e-07"),
+    (1e-300, "1e-300"),
+    (1.23456789012345678e17, "1.23456789012346e+17"),
+    (Fraction(1, 3), "0.333333333333333"),
+    (Fraction(-4, 2), "-2"),
+    (True, "1"),
+    (np.bool_(False), "0"),
+    (np.int64(-7), "-7"),
+    (12, "12"),
+    (None, ""),
+    ("x", "x"),
+])
+def test_cell_format_is_pinned(value, text):
+    from gearsim import cli
+    assert cli._fmt(value) == text

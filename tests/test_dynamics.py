@@ -171,6 +171,56 @@ def test_time_series_matches_pointwise(geom22):
         assert ts.L2_sq[i] == pytest.approx(obs.L2_sq, abs=1e-12)
 
 
+def test_time_series_of_no_times_is_empty(geom22):
+    ts = time_series(apply_kick(ground_state(geom22), l1=2), [])
+    for field in (ts.times, ts.L1, ts.L2, ts.L2_sq, ts.energy_r, ts.norm):
+        assert field.shape == (0,)
+
+
+THIRD = PotentialSpec(((0, 0.5), (1, 0.45), (3, 0.05)))
+SMALL_SECOND = PotentialSpec(((0, 0.5), (1, 0.4), (2, 0.1)))
+
+
+@pytest.mark.parametrize("config, protocol", [
+    pytest.param(GearConfig(2, 2, V0=10.0), KickProtocol(ell=6, num_kicks=1),
+                 id="22"),
+    pytest.param(GearConfig(4, 2, V0=10.0),
+                 KickProtocol(ell=4, num_kicks=2, delta_t=0.7), id="42-train"),
+    pytest.param(GearConfig(1, 3, V0=6.0, potential=THIRD),
+                 KickProtocol(ell=3, num_kicks=1, target_gear=2), id="13-third"),
+    pytest.param(GearConfig(1, 1, V0=16.08583582949375, potential=SMALL_SECOND),
+                 KickProtocol(ell=11, num_kicks=1), id="11-half-step"),
+    pytest.param(GearConfig(3, 2, V0=10.0), KickProtocol(ell=40, num_kicks=1),
+                 id="32-ell40"),
+    pytest.param(GearConfig(3, 3, V0=10.0), KickProtocol(ell=120, num_kicks=1),
+                 id="33-ell120"),
+])
+def test_kernel_is_the_per_time_propagator(config, protocol):
+    state = run_protocol(derive_geometry(config), protocol)
+    times = np.array([0.0, 0.3, 1.7, 4.0, 12.5, 60.0])
+    window, C = dynamics._amplitudes(state, times)
+    assert C.shape == (len(times), window.grid.size)
+    es = relative.eigensystem_for(window.geom, window.grid)
+    a = es.vectors.T @ window.amplitudes
+    for t, row in zip(times, C):
+        ref = es.vectors @ (np.exp(-1j * es.energies * t) * a)
+        assert np.max(np.abs(row - ref)) <= 1e-14
+    if protocol.ell == 11:
+        assert 2 * window.grid.mu_r_offset == window.grid.spacing
+    if protocol.ell == 120:
+        assert window.grid.size > 200
+
+
+def test_evolve_is_the_kernel_row(geom22):
+    state = run_protocol(geom22, KickProtocol(ell=4, num_kicks=2, delta_t=0.5))
+    for t in (0.4, 3.0, 25.0):
+        one = evolve(state, t)
+        row = evolved_states(state, [t])[0]
+        assert np.array_equal(one.amplitudes, row.amplitudes)
+        assert (one.grid, one.mu_c, one.com_phase) == (row.grid, row.mu_c,
+                                                       row.com_phase)
+
+
 # ------------------------------------------------------ long-time averages ---
 
 def test_resonant_kick_transmits_exactly_half(cfg22):
