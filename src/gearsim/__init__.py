@@ -76,7 +76,6 @@ from .classical import (
     Trajectory,
     classical_kick,
     classical_transmission,
-    interlock_threshold,
     mean_relative_momentum,
     simulate_relative,
 )

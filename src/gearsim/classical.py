@@ -33,7 +33,6 @@ __all__ = [
     "ClassicalTransmissionResult",
     "simulate_relative",
     "classical_kick",
-    "interlock_threshold",
     "mean_relative_momentum",
     "classical_transmission",
 ]
@@ -185,12 +184,6 @@ def classical_kick(geom: DerivedGeometry, state: ClassicalState,
     )
 
 
-def interlock_threshold(geom: DerivedGeometry) -> tuple[float, float]:
-    """(critical |L_r|, equivalent single kick on gear 1) above which the
-    teeth slip classically."""
-    return geom.L_r_threshold, geom.ell_threshold
-
-
 def _potential_ceiling(geom: DerivedGeometry) -> float:
     """Maximum of the potential energy -V0 u(x): the escape energy."""
     return -geom.config.V0 * geom.config.potential.min_value()
@@ -233,8 +226,7 @@ def _simulate_until(geom: DerivedGeometry, state: ClassicalState, event,
     raise ConvergenceFailure("classical event not found within time budget")
 
 
-def mean_relative_momentum(geom: DerivedGeometry, state: ClassicalState,
-                           dt: float | None = None) -> float:
+def mean_relative_momentum(geom: DerivedGeometry, state: ClassicalState) -> float:
     """Time-averaged L_r measured from the simulated trajectory.
 
     Interlocked motion averages over one full libration period (turning
@@ -243,11 +235,10 @@ def mean_relative_momentum(geom: DerivedGeometry, state: ClassicalState,
     mean L_r = I_r * (net theta advance)/(elapsed time).
     """
     cfg = geom.config
-    if dt is None:
-        dt = _default_dt(geom, math.inf)
-        if math.isinf(dt):
-            # free rotor: L_r is conserved
-            return state.L_r
+    dt = _default_dt(geom, math.inf)
+    if math.isinf(dt):
+        # free rotor: L_r is conserved
+        return state.L_r
     E = _energy(geom, state.theta_r, state.L_r)
     ceiling = _potential_ceiling(geom)
     scale = cfg.V0 + abs(E) + 1.0
@@ -355,9 +346,8 @@ def classical_transmission(
     the quantum pipeline; kicks are interleaved with classical evolution.
     """
     geom = derive_geometry(config)
-    per = protocol.per_kick()
     num = protocol.resolved_num_kicks()
-    l1, l2 = (per, 0.0) if protocol.target_gear == 1 else (0.0, per)
+    l1, l2 = protocol.kick_momenta()
 
     state = ClassicalState(theta_r=0.0, L_r=0.0, L_c=0.0, time=0.0)
     for i in range(num):

@@ -10,6 +10,7 @@ are computed independently of each other.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -103,8 +104,7 @@ def _gear_config(doc: dict) -> GearConfig:
         raise ConfigError(f"bad gears section: {exc}") from None
 
 
-def _protocol(doc: dict, ell=None, delta_t=None,
-              default_num_kicks=None) -> KickProtocol:
+def _protocol(doc: dict, ell=None, default_num_kicks=None) -> KickProtocol:
     proto = doc.get("protocol", {})
     _require_keys(proto, {"ell", "num_kicks", "delta_t", "target_gear"}, "protocol")
     if ell is None:
@@ -112,14 +112,12 @@ def _protocol(doc: dict, ell=None, delta_t=None,
             raise ConfigError("protocol section needs 'ell'")
         ell = proto["ell"]
     num_kicks = proto.get("num_kicks", default_num_kicks)
-    if delta_t is None:
-        delta_t = proto.get("delta_t", 0.0)
     try:
         return KickProtocol(
             ell=_integer(ell, "protocol.ell"),
             num_kicks=(None if num_kicks is None
                        else _integer(num_kicks, "protocol.num_kicks")),
-            delta_t=float(delta_t),
+            delta_t=float(proto.get("delta_t", 0.0)),
             target_gear=_integer(proto.get("target_gear", 1), "protocol.target_gear"),
         )
     except (TypeError, ValueError) as exc:
@@ -222,33 +220,33 @@ def _map_sweep(fn, items, workers: int):
 
 # ----------------------------------------------------------- sweep points ---
 
-def _transmission_point(args):
-    config, ell, num_kicks, delta_t, target = args
-    res = transmission_ratio(config, KickProtocol(ell, num_kicks, delta_t, target))
-    return (ell, res.r, res.L1_bar, res.L2_bar, res.L_r_bar, res.period_estimate)
+def _transmission_point(job):
+    config, protocol = job
+    res = transmission_ratio(config, protocol)
+    return (protocol.ell, res.r, res.L1_bar, res.L2_bar, res.L_r_bar,
+            res.period_estimate)
 
 
-def _multikick_point(args):
-    config, ell, delta_t, target = args
-    res = transmission_ratio(config, KickProtocol(ell, None, delta_t, target))
-    return (delta_t, res.r, res.L1_bar, res.L2_bar, res.L_r_bar)
+def _multikick_point(job):
+    config, protocol = job
+    res = transmission_ratio(config, protocol)
+    return (protocol.delta_t, res.r, res.L1_bar, res.L2_bar, res.L_r_bar)
 
 
-def _classical_point(args):
-    config, ell, num_kicks, delta_t, target = args
-    res = classical_transmission(config, KickProtocol(ell, num_kicks, delta_t, target))
-    return (ell, res.r, res.r_measured, res.L_r_bar, res.above_threshold)
+def _classical_point(job):
+    config, protocol = job
+    res = classical_transmission(config, protocol)
+    return (protocol.ell, res.r, res.r_measured, res.L_r_bar, res.above_threshold)
 
 
-def _occupation_rows(args):
-    config, ell, num_kicks, delta_t, target = args
+def _occupation_rows(job):
+    config, protocol = job
     geom = derive_geometry(config)
-    state = run_protocol(geom, KickProtocol(ell, num_kicks, delta_t, target))
-    es, occ = eigen_occupations(state)
+    es, occ = eigen_occupations(run_protocol(geom, protocol))
     mu = es.grid.values()
     kinetic = (es.vectors ** 2).T @ (mu ** 2 / (2.0 * geom.I_r))
     return [
-        (ell, i, float(es.labels[i]), float(es.energies[i]),
+        (protocol.ell, i, float(es.labels[i]), float(es.energies[i]),
          float(kinetic[i]), float(occ[i]))
         for i in range(es.dim)
     ]
@@ -270,30 +268,31 @@ def _cmd_bands(doc, out_dir, workers):
     _emit(out_dir, "bands.csv", ["k", "band", "energy"], rows)
 
 
-def _ell_sweep_args(doc, config):
-    """(config, ell, num_kicks, delta_t, target) tuples for an ell sweep,
+def _sweep_jobs(config, template: KickProtocol, key: str, values):
+    """(config, protocol) jobs: the template with `key` set to each value,
     validated up front so bad combinations fail as ConfigError."""
+    jobs = []
+    for value in values:
+        try:
+            jobs.append((config, dataclasses.replace(template, **{key: value})))
+        except ValueError as exc:
+            raise ConfigError(f"bad protocol for {key}={value}: {exc}") from None
+    return jobs
+
+
+def _ell_sweep_jobs(doc, config):
     proto = doc.get("protocol", {})
     fallback = [_integer(proto["ell"], "protocol.ell")] if "ell" in proto else None
     ells = _sweep_values(doc, "ell", lambda v: _integer(v, "sweep.ell"),
                          fallback=fallback)
     template = _protocol(doc, ell=0, default_num_kicks=1)
-    args = []
-    for ell in ells:
-        try:
-            KickProtocol(ell, template.num_kicks, template.delta_t,
-                         template.target_gear)
-        except ValueError as exc:
-            raise ConfigError(f"bad protocol for ell={ell}: {exc}") from None
-        args.append((config, ell, template.num_kicks, template.delta_t,
-                     template.target_gear))
-    return args
+    return _sweep_jobs(config, template, "ell", ells)
 
 
 def _cmd_transmission(doc, out_dir, workers):
     config = _gear_config(doc)
-    args = _ell_sweep_args(doc, config)
-    rows = _map_sweep(_transmission_point, args, workers)
+    jobs = _ell_sweep_jobs(doc, config)
+    rows = _map_sweep(_transmission_point, jobs, workers)
     _emit(out_dir, "transmission.csv",
           ["ell", "r", "L1_bar", "L2_bar", "L_r_bar", "period_estimate"], rows)
 
@@ -301,33 +300,31 @@ def _cmd_transmission(doc, out_dir, workers):
 def _cmd_multikick(doc, out_dir, workers):
     config = _gear_config(doc)
     template = _protocol(doc)
+    if template.num_kicks is not None:
+        raise ConfigError("multikick sends |ell| unit kicks and takes no "
+                          "protocol.num_kicks")
     dts = _sweep_values(doc, "delta_t", float)
-    for dt in dts:
-        try:
-            KickProtocol(template.ell, None, dt, template.target_gear)
-        except ValueError as exc:
-            raise ConfigError(f"bad protocol for delta_t={dt}: {exc}") from None
-    args = [(config, template.ell, dt, template.target_gear) for dt in dts]
-    rows = _map_sweep(_multikick_point, args, workers)
+    jobs = _sweep_jobs(config, template, "delta_t", dts)
+    rows = _map_sweep(_multikick_point, jobs, workers)
     _emit(out_dir, "multikick.csv",
           ["delta_t", "r", "L1_bar", "L2_bar", "L_r_bar"], rows)
 
 
 def _cmd_classical(doc, out_dir, workers):
     config = _gear_config(doc)
-    args = _ell_sweep_args(doc, config)
+    jobs = _ell_sweep_jobs(doc, config)
     geom = derive_geometry(config)
     print(f"L_r threshold {geom.L_r_threshold:.6g}; "
           f"gear-1 kick threshold {geom.ell_threshold:.6g}")
-    rows = _map_sweep(_classical_point, args, workers)
+    rows = _map_sweep(_classical_point, jobs, workers)
     _emit(out_dir, "classical.csv",
           ["ell", "r", "r_measured", "L_r_bar", "above_threshold"], rows)
 
 
 def _cmd_occupations(doc, out_dir, workers):
     config = _gear_config(doc)
-    args = _ell_sweep_args(doc, config)
-    nested = _map_sweep(_occupation_rows, args, workers)
+    jobs = _ell_sweep_jobs(doc, config)
+    nested = _map_sweep(_occupation_rows, jobs, workers)
     rows = [row for chunk in nested for row in chunk]
     _emit(out_dir, "occupations.csv",
           ["ell", "state", "k", "energy", "kinetic_energy", "occupation"], rows)

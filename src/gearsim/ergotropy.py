@@ -24,6 +24,9 @@ from .dynamics import KickProtocol, _amplitudes, run_protocol
 from .model import GearConfig, derive_geometry
 from .relative import RotorState
 
+# tolerance on |sum of probabilities - 1| of a gear-2 distribution
+_NORM_TOL = 1e-10
+
 __all__ = [
     "MomentumDistribution",
     "ErgotropyReport",
@@ -58,12 +61,9 @@ class MomentumDistribution:
             if p > 0.0:
                 clean.append((m, p))
                 total += p
-        if abs(total - 1.0) > 1e-10:
+        if abs(total - 1.0) > _NORM_TOL:
             raise ValueError(f"probabilities sum to {total}, expected 1")
         object.__setattr__(self, "probs", tuple(sorted(clean)))
-
-    def as_dict(self) -> dict[int, float]:
-        return dict(self.probs)
 
     def kinetic(self) -> float:
         """<L^2>/(2 I)."""
@@ -150,7 +150,7 @@ def _reports(m: np.ndarray, Q: np.ndarray, inertia: float) -> list[ErgotropyRepo
         raise InternalInconsistency("two grid points map to the same momentum; "
                                     "reduction not diagonal")
     total = _last_of_running_sum(Q)
-    bad = ~(np.abs(total - 1.0) <= 1e-10)  # NaN fails too
+    bad = ~(np.abs(total - 1.0) <= _NORM_TOL)  # NaN fails too
     if bad.any():
         raise InternalInconsistency(
             f"probabilities sum to {total[bad][0]!r}, expected 1")

@@ -124,10 +124,11 @@ class PotentialSpec:
         """-u''(0) ... sum_p p^2 a_p; the well curvature when x=0 is a maximum."""
         return sum(p * p * a for p, a in self.harmonics())
 
-    def min_value(self, samples: int = 8192) -> float:
-        """Minimum of u over a period (sampled; exact 0 for the default)."""
-        xs = np.linspace(0.0, 2.0 * math.pi, samples, endpoint=False)
-        u = np.full(samples, self.a0)
+    def min_value(self) -> float:
+        """Minimum of u over a period (sampled at 8192 points; exact 0 for
+        the default)."""
+        xs = np.linspace(0.0, 2.0 * math.pi, 8192, endpoint=False)
+        u = np.full(8192, self.a0)
         for p, a in self.harmonics():
             u += a * np.cos(p * xs)
         return float(u.min())
@@ -249,7 +250,6 @@ class DerivedGeometry:
     g: int                 # gcd(n1, n2)
     M1: int                # n2/g  (integers entering the revival identity)
     M2: int                # n1/g
-    I: float               # (I1 + I2)/2
     I_c: float             # center-of-mass moment of inertia
     I_r: float             # relative moment of inertia
     nu: Fraction           # (M1^2 I1 + M2^2 I2) / ((M1 + M2) I), exact
@@ -263,9 +263,6 @@ class DerivedGeometry:
     # exact transform coefficients
     _I1: Fraction
     _I2: Fraction
-    _I: Fraction
-    _I_c: Fraction
-    _I_r: Fraction
     _mu_c_factor: Fraction  # I_c/(n I):    mu_c = _mu_c_factor*(n2 m1 + n1 m2)
     _mu_r_factor: Fraction  # I_c/(n I^2):  mu_r = _mu_r_factor*(n1 I2 m1 - n2 I1 m2)
     _lc_to_l1: Fraction     # n2 I1/(n I):  L1 = _lc_to_l1*L_c + (n1/n) L_r
@@ -307,7 +304,6 @@ def derive_geometry(config: GearConfig) -> DerivedGeometry:
         g=g,
         M1=M1,
         M2=M2,
-        I=float(I),
         I_c=float(I_c),
         I_r=I_r_f,
         nu=nu,
@@ -320,9 +316,6 @@ def derive_geometry(config: GearConfig) -> DerivedGeometry:
         ell_threshold=ell_star,
         _I1=I1,
         _I2=I2,
-        _I=I,
-        _I_c=I_c,
-        _I_r=I_r,
         _mu_c_factor=n * I / denom,
         _mu_r_factor=Fraction(n) / denom,
         _lc_to_l1=n2 * I1 / (n * I),
@@ -397,7 +390,7 @@ def allowed_relative_grid(geom: DerivedGeometry, mu_c, half_width: int = 32) -> 
     t = A // g
     m1_0, m2_0 = x * t, y * t  # one integer solution of n2 m1 + n1 m2 = A
     mu_r0 = momenta_to_collective(geom, m1_0, m2_0).mu_r
-    spacing = Fraction(geom.n, geom.g)
+    spacing = Fraction(geom.grid_spacing)
     offset = mu_r0 % spacing
     if offset > spacing / 2:
         offset -= spacing

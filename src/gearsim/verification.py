@@ -2,13 +2,14 @@
 
 Each criterion is a function returning a CriterionResult; the test suite and
 the CLI both run them from the registry at the bottom, so there is exactly
-one implementation of every pass/fail judgement.  Transmission results are
-shared by several criteria, so they are kept in a small bounded LRU cache.
+one implementation of every pass/fail judgement.  Every maximum a criterion
+takes over its deviations goes through `_worst`, so a NaN anywhere fails it.
+Criteria compute what they need afresh; the only result cache is the
+eigensystem one in `relative`.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -18,7 +19,6 @@ import numpy as np
 from .classical import classical_transmission
 from .dynamics import (
     KickProtocol,
-    TransmissionResult,
     _amplitudes,
     multi_kick,
     revival_phase_defect,
@@ -31,7 +31,7 @@ from .model import GearConfig, derive_geometry, momenta_to_collective
 from .oracle import oracle_run
 from .relative import band_structure
 
-__all__ = ["CriterionResult", "CRITERIA", "run_all", "run_one"]
+__all__ = ["CriterionResult", "CRITERIA", "run_all"]
 
 CONFIG_22 = GearConfig(2, 2, V0=10.0)
 CONFIG_42 = GearConfig(4, 2, V0=10.0)
@@ -44,11 +44,10 @@ FIG7_DELTA_TS = (0.1, 0.2, 0.5, 1.0, 2.0, 3.77, 5.0, 7.5, 10.0, 15.0, 20.0, 30.0
 FIG7_SHORT = (0.1, 0.2, 0.5)
 FIG7_LONG = (10.0, 15.0, 20.0, 30.0)
 
-# Frozen first-run values of the sweep above (regression guard; the
-# qualitative plateau property is asserted separately).
 # Frozen regression values for the delay sweep (13 unit kicks on the 2:2
-# pair at V0 = 10).  Regenerate deliberately if the propagator changes.
-FIG7_BASELINE: dict[float, float] | None = {
+# pair at V0 = 10; the qualitative plateau property is asserted
+# separately).  Regenerate deliberately if the propagator changes.
+FIG7_BASELINE: dict[float, float] = {
     0.1: 0.3058624974801786,
     0.2: 0.4540418200606544,
     0.5: 0.49252268732021803,
@@ -72,9 +71,10 @@ class CriterionResult:
     detail: str
 
 
-@functools.lru_cache(maxsize=32)
-def _transmission(config: GearConfig, protocol: KickProtocol) -> TransmissionResult:
-    return transmission_ratio(config, protocol)
+def _worst(deviations) -> float:
+    """Largest of the deviations; NaN when any of them is NaN, so a NaN
+    result fails every `< tolerance` test (Python's max would drop it)."""
+    return float(np.max(deviations))
 
 
 def _single_kick(ell: int) -> KickProtocol:
@@ -99,13 +99,10 @@ def check_01_classical_benchmark() -> CriterionResult:
 
 
 def check_02_quantum_enhancement() -> CriterionResult:
-    worst = 0.0
-    for ell in (2, 4, 6, 8, 10, 12):
-        r = _transmission(CONFIG_22, _single_kick(ell)).r
-        worst = max(worst, abs(r - 0.5))
-    for ell in (5, 10):
-        r = _transmission(CONFIG_42, _single_kick(ell)).r
-        worst = max(worst, abs(r - 0.4))
+    cases = [(CONFIG_22, ell, 0.5) for ell in (2, 4, 6, 8, 10, 12)]
+    cases += [(CONFIG_42, ell, 0.4) for ell in (5, 10)]
+    worst = _worst([abs(transmission_ratio(config, _single_kick(ell)).r - r_cl)
+                    for config, ell, r_cl in cases])
     return CriterionResult(
         2, "resonant kicks hit the classical ratio", worst < 1e-9,
         f"max |r - r_cl| = {worst:.2e} over the resonant kick set",
@@ -113,10 +110,10 @@ def check_02_quantum_enhancement() -> CriterionResult:
 
 
 def check_03_tunneling_reduction() -> CriterionResult:
-    rs = {ell: _transmission(CONFIG_22, _single_kick(ell)).r for ell in (1, 3, 5)}
+    rs = {ell: transmission_ratio(CONFIG_22, _single_kick(ell)).r for ell in (1, 3, 5)}
     below = all(r < 0.5 for r in rs.values())
     r_shallow = rs[1]
-    r_deep = _transmission(CONFIG_22_DEEP, _single_kick(1)).r
+    r_deep = transmission_ratio(CONFIG_22_DEEP, _single_kick(1)).r
     deep_improves = r_deep > r_shallow
     return CriterionResult(
         3, "odd kicks transmit below the classical ratio", below and deep_improves,
@@ -126,10 +123,10 @@ def check_03_tunneling_reduction() -> CriterionResult:
 
 
 def check_04_long_time_averages() -> CriterionResult:
-    res6 = _transmission(CONFIG_22, _single_kick(6))
-    res10 = _transmission(CONFIG_22, _single_kick(10))
+    res6 = transmission_ratio(CONFIG_22, _single_kick(6))
+    res10 = transmission_ratio(CONFIG_22, _single_kick(10))
     devs = (abs(res6.L1_bar - 3.0), abs(res6.L2_bar - 3.0), abs(res10.L2_bar - 5.0))
-    worst = max(devs)
+    worst = _worst(devs)
     return CriterionResult(
         4, "diagonal-ensemble momentum split", worst < 1e-9,
         f"|L1bar-3|, |L2bar-3| (ell=6) and |L2bar-5| (ell=10): "
@@ -141,9 +138,9 @@ def check_05_period_estimates() -> CriterionResult:
     expected = {6: 15.0, 8: 194.0, 10: 4836.0, 12: 1.9e5}
     rel = {}
     for ell, ref in expected.items():
-        period = _transmission(CONFIG_22, _single_kick(ell)).period_estimate
+        period = transmission_ratio(CONFIG_22, _single_kick(ell)).period_estimate
         rel[ell] = abs(period - ref) / ref
-    worst = max(rel.values())
+    worst = _worst(list(rel.values()))
     return CriterionResult(
         5, "beat periods from the two dominant eigenstates", worst < 0.05,
         "relative errors " + ", ".join(f"ell={e}: {v:.3f}" for e, v in rel.items()),
@@ -156,13 +153,10 @@ def check_06_band_structure() -> CriterionResult:
     ks_ok = bs.ks == tuple(Fraction(k) for k in (-2, -1, 0, 1, 2, 3))
     signs_ok = bool(np.all(bs.energies[0] < 0) and np.all(bs.energies[1] < 0)
                     and np.all(bs.energies[2] > 0))
-    sym_dev = 0.0
     index = {k: i for i, k in enumerate(bs.ks)}
-    for k, i in index.items():
-        partner = index.get(-k)
-        if partner is not None:
-            sym_dev = max(sym_dev, float(np.max(
-                np.abs(bs.energies[:, i] - bs.energies[:, partner]))))
+    pairs = [(i, index[-k]) for k, i in index.items() if -k in index]
+    sym_dev = _worst([np.abs(bs.energies[:, i] - bs.energies[:, j])
+                      for i, j in pairs])
     passed = ks_ok and signs_ok and sym_dev < 1e-10
     return CriterionResult(
         6, "band structure of the (3,3) pair", passed,
@@ -173,19 +167,18 @@ def check_06_band_structure() -> CriterionResult:
 
 def check_07_revival_phases() -> CriterionResult:
     rng = np.random.default_rng(20260818)
-    worst = 0.0
-    count = 0
+    defects = []
     for config in (CONFIG_22, CONFIG_42):
         geom = derive_geometry(config)
         for _ in range(50):
             m1 = int(rng.integers(-40, 41))
             m2 = int(rng.integers(-40, 41))
             mu_c = momenta_to_collective(geom, m1, m2).mu_c
-            worst = max(worst, revival_phase_defect(geom, mu_c))
-            count += 1
+            defects.append(revival_phase_defect(geom, mu_c))
+    worst = _worst(defects)
     return CriterionResult(
         7, "center-of-mass revival phases", worst < 1e-10,
-        f"max phase defect {worst:.2e} rad over {count} random physical mu_c",
+        f"max phase defect {worst:.2e} rad over {len(defects)} random physical mu_c",
     )
 
 
@@ -200,10 +193,8 @@ def check_08_timescale() -> CriterionResult:
 
 
 def check_09_multi_kick_invariance() -> CriterionResult:
-    worst = 0.0
-    for dt in (0.1, 1.0, 10.0, 37.7):
-        res = multi_kick(CONFIG_22, KickProtocol(ell=12, delta_t=dt))
-        worst = max(worst, abs(res.r - 0.5))
+    worst = _worst([abs(multi_kick(CONFIG_22, KickProtocol(ell=12, delta_t=dt)).r - 0.5)
+                    for dt in (0.1, 1.0, 10.0, 37.7)])
     return CriterionResult(
         9, "unit-kick trains are delay-invariant", worst < 1e-9,
         f"max |r - 0.5| = {worst:.2e} over delta_t in (0.1, 1, 10, 37.7)",
@@ -244,7 +235,7 @@ def check_10_ergotropy_properties() -> CriterionResult:
 def check_11_oracle_equivalence() -> CriterionResult:
     geom = derive_geometry(CONFIG_22)
     times = np.linspace(0.0, 50.0, 26)
-    worst = 0.0
+    devs = []
     for ell in (1, 3, 6):
         proto = _single_kick(ell)
         state = run_protocol(geom, proto)
@@ -260,8 +251,8 @@ def check_11_oracle_equivalence() -> CriterionResult:
                 gear2[:, j] = P[:, column[m]]
         pairs = ((ts.L1, kin.L1), (ts.L2, kin.L2), (ts.L2_sq, kin.L2_sq),
                  (gear2, kin.gear2))
-        # np.max, not max: a NaN anywhere must fail the check
-        worst = float(np.max([worst] + [np.max(np.abs(a - b)) for a, b in pairs]))
+        devs += [_worst(np.abs(a - b)) for a, b in pairs]
+    worst = _worst(devs)
     return CriterionResult(
         11, "pipeline matches the raw-lattice reference", worst < 1e-8,
         f"max deviation {worst:.2e} over L1, L2, L2^2 and gear-2 "
@@ -272,17 +263,11 @@ def check_11_oracle_equivalence() -> CriterionResult:
 def check_12_conservation() -> CriterionResult:
     geom = derive_geometry(CONFIG_22)
     n1, n2 = CONFIG_22.n1, CONFIG_22.n2
-    worst_norm = 0.0
-    worst_energy = 0.0
-    worst_linear = 0.0
-    for proto in (_single_kick(6), KickProtocol(ell=3, delta_t=1.0)):
-        state = run_protocol(geom, proto)
-        ts = time_series(state, np.linspace(0.0, 50.0, 101))
-        worst_norm = max(worst_norm, float(np.max(np.abs(ts.norm - 1.0))))
-        worst_energy = max(worst_energy,
-                           float(ts.energy_r.max() - ts.energy_r.min()))
-        linear = n2 * ts.L1 + n1 * ts.L2
-        worst_linear = max(worst_linear, float(linear.max() - linear.min()))
+    series = [time_series(run_protocol(geom, proto), np.linspace(0.0, 50.0, 101))
+              for proto in (_single_kick(6), KickProtocol(ell=3, delta_t=1.0))]
+    worst_norm = _worst([np.abs(ts.norm - 1.0) for ts in series])
+    worst_energy = _worst([np.ptp(ts.energy_r) for ts in series])
+    worst_linear = _worst([np.ptp(n2 * ts.L1 + n1 * ts.L2) for ts in series])
     passed = worst_norm < 1e-12 and worst_energy < 1e-10 and worst_linear < 1e-10
     return CriterionResult(
         12, "norm, energy and total momentum conservation", passed,
@@ -297,19 +282,14 @@ def check_13_delay_sweep() -> CriterionResult:
         rs[dt] = multi_kick(CONFIG_22, KickProtocol(ell=13, delta_t=dt)).r
     plateau = [rs[dt] for dt in FIG7_LONG]
     short = [rs[dt] for dt in FIG7_SHORT]
-    plateau_ok = max(plateau) >= 0.45
-    short_ok = min(short) < min(plateau)
-    regression_ok = True
-    worst_reg = 0.0
-    if FIG7_BASELINE is not None:
-        for dt, ref in FIG7_BASELINE.items():
-            worst_reg = max(worst_reg, abs(rs[dt] - ref))
-        regression_ok = worst_reg < 1e-6
+    plateau_ok = _worst(plateau) >= 0.45
+    short_ok = float(np.min(short)) < float(np.min(plateau))  # NaN fails
+    worst_reg = _worst([abs(rs[dt] - ref) for dt, ref in FIG7_BASELINE.items()])
+    regression_ok = worst_reg < 1e-6
     detail = ("r(" + ", ".join(f"{dt:g}" for dt in FIG7_DELTA_TS) + ") = "
               + ", ".join(f"{rs[dt]:.4f}" for dt in FIG7_DELTA_TS)
-              + f"; plateau>=0.45: {plateau_ok}, short below plateau: {short_ok}")
-    if FIG7_BASELINE is not None:
-        detail += f", regression max dev {worst_reg:.2e}"
+              + f"; plateau>=0.45: {plateau_ok}, short below plateau: {short_ok}"
+              + f", regression max dev {worst_reg:.2e}")
     return CriterionResult(
         13, "kick-train delay sweep", plateau_ok and short_ok and regression_ok,
         detail,
@@ -331,13 +311,6 @@ CRITERIA = (
     (12, check_12_conservation),
     (13, check_13_delay_sweep),
 )
-
-
-def run_one(cid: int) -> CriterionResult:
-    for i, fn in CRITERIA:
-        if i == cid:
-            return fn()
-    raise ValueError(f"no criterion {cid}")
 
 
 def run_all(only=None) -> list[CriterionResult]:

@@ -6,11 +6,15 @@ diagnostic line, so `pytest -v tests/test_acceptance.py` reads as a
 criterion-by-criterion pass/fail report.
 """
 
+import dataclasses
+
+import pytest
+
 from gearsim import verification as V
 
 
 def _run(cid):
-    res = V.run_one(cid)
+    [res] = V.run_all({cid})
     status = "PASS" if res.passed else "FAIL"
     print(f"[{status}] {res.cid:02d} {res.name}: {res.detail}")
     assert res.passed, f"criterion {res.cid:02d} ({res.name}): {res.detail}"
@@ -77,6 +81,47 @@ def test_11_fails_on_a_nan_sample(monkeypatch):
         return ts
 
     monkeypatch.setattr(V, "time_series", with_nan)
-    res = V.run_one(11)
+    [res] = V.run_all({11})
     assert not res.passed
     assert "max deviation nan" in res.detail
+
+
+def _nan_field(field, key, value):
+    """Wrap a (config, protocol) function so that `field` of its result is
+    NaN when the protocol's `key` equals `value`."""
+    def wrap(real):
+        def patched(config, protocol):
+            res = real(config, protocol)
+            if getattr(protocol, key) == value:
+                res = dataclasses.replace(res, **{field: float("nan")})
+            return res
+        return patched
+    return wrap
+
+
+def _nan_last_conservation_sample(real):
+    def patched(state, times):
+        ts = real(state, times)
+        for series in (ts.norm, ts.energy_r, ts.L1):
+            series[-1] = float("nan")
+        return ts
+    return patched
+
+
+# In each case the NaN sample is not the first one the criterion reduces,
+# so a reduction that drops NaN (Python's max) would let it pass.
+@pytest.mark.parametrize("cid,name,wrap", [
+    (2, "transmission_ratio", _nan_field("r", "ell", 8)),
+    (4, "transmission_ratio", _nan_field("L2_bar", "ell", 10)),
+    (5, "transmission_ratio", _nan_field("period_estimate", "ell", 10)),
+    (9, "multi_kick", _nan_field("r", "delta_t", 10.0)),
+    (12, "time_series", _nan_last_conservation_sample),
+    # delta_t = 5 is in neither the plateau nor the short set: only the
+    # regression deviation sees it
+    (13, "multi_kick", _nan_field("r", "delta_t", 5.0)),
+], ids=["02", "04", "05", "09", "12", "13"])
+def test_a_nan_sample_fails_the_criterion(monkeypatch, cid, name, wrap):
+    monkeypatch.setattr(V, name, wrap(getattr(V, name)))
+    [res] = V.run_all({cid})
+    assert not res.passed, res.detail
+    assert "nan" in res.detail

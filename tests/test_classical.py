@@ -10,7 +10,6 @@ from gearsim.classical import (
     ClassicalState,
     classical_kick,
     classical_transmission,
-    interlock_threshold,
     mean_relative_momentum,
     simulate_relative,
 )
@@ -58,10 +57,11 @@ def test_kick_maps_to_collective_momenta(geom22, geom42):
 
 
 def test_interlock_threshold_matches_energy_balance(geom22, geom42):
-    L_star, ell_star = interlock_threshold(geom22)
+    L_star, ell_star = geom22.L_r_threshold, geom22.ell_threshold
     assert L_star == pytest.approx(math.sqrt(40.0), rel=1e-12)
     assert ell_star == pytest.approx(math.sqrt(40.0), rel=1e-12)
-    assert interlock_threshold(geom42) == (pytest.approx(6.0), pytest.approx(5.0))
+    assert (geom42.L_r_threshold, geom42.ell_threshold) == \
+        (pytest.approx(6.0), pytest.approx(5.0))
 
 
 def test_bounded_orbit_has_zero_mean_momentum(geom22):

@@ -185,6 +185,17 @@ def test_negative_delay_is_a_config_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_multikick_refuses_num_kicks(tmp_path, capsys):
+    # the command always sends |ell| unit kicks; a num_kicks it would ignore
+    # is refused instead
+    doc = dict(BASE, protocol={"ell": 3, "num_kicks": 1},
+               sweep={"delta_t": [1.0]})
+    code, out = run(tmp_path, "multikick", doc)
+    assert code == 2
+    assert "num_kicks" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_verify_subset(tmp_path, capsys):
     code = main(["verify", "--only", "8"])
     out = capsys.readouterr().out
