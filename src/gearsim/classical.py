@@ -15,8 +15,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
 
 from .errors import ConvergenceFailure, StepTooLarge
 from .model import (
@@ -239,6 +237,7 @@ def mean_relative_momentum(geom: DerivedGeometry, state: ClassicalState) -> floa
     if math.isinf(dt):
         # free rotor: L_r is conserved
         return state.L_r
+    from scipy.optimize import brentq
     E = _energy(geom, state.theta_r, state.L_r)
     ceiling = _potential_ceiling(geom)
     scale = cfg.V0 + abs(E) + 1.0
@@ -324,6 +323,7 @@ class ClassicalTransmissionResult:
 def _drift_average_quadrature(geom: DerivedGeometry, E: float, direction: float) -> float:
     """Closed-form mean L_r of a drifting orbit at energy E: I_r * (cell
     width)/(cell traversal time), the time from the energy integral."""
+    from scipy.integrate import quad
     cfg = geom.config
     I_r = geom.I_r
 

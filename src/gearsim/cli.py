@@ -16,7 +16,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -33,7 +32,6 @@ from .errors import ConfigError, GearsError
 from .model import GearConfig, PotentialSpec, derive_geometry
 from .oracle import oracle_run
 from .relative import band_structure
-from .verification import run_all
 
 __all__ = ["main"]
 
@@ -214,6 +212,7 @@ def _map_sweep(fn, items, workers: int):
     items = list(items)
     if workers <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=min(workers, len(items))) as ex:
         return list(ex.map(fn, items))
 
@@ -372,6 +371,7 @@ def _cmd_oracle(doc, out_dir, workers):
 
 
 def _cmd_verify(doc, out_dir, workers, only=None):
+    from .verification import run_all
     results = run_all(only=only)
     failed = 0
     for res in results:

@@ -6,7 +6,8 @@ class GearsError(Exception):
 
 
 class NonPhysicalError(GearsError, ValueError):
-    """A collective momentum has no integer (m1, m2) preimage."""
+    """A collective momentum has no integer (m1, m2) preimage, or the tooth
+    profile has no well at the aligned configuration."""
 
 
 class UnsupportedInertiaError(GearsError, ValueError):

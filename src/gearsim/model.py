@@ -290,7 +290,11 @@ def derive_geometry(config: GearConfig) -> DerivedGeometry:
     V0 = config.V0
     I_r_f = float(I_r)
     omega0 = n * math.sqrt(V0 / I_r_f)
-    omega0_harm = n * math.sqrt(V0 * config.potential.curvature_at_origin() / I_r_f)
+    curvature = config.potential.curvature_at_origin()
+    if V0 * curvature < 0:
+        raise NonPhysicalError(f"tooth profile {config.potential.fourier} has curvature "
+                               f"{curvature:g} < 0 at x = 0, which is then not a well")
+    omega0_harm = n * math.sqrt(V0 * curvature / I_r_f)
     # well depth seen by a state started at the aligned configuration x=0
     depth = V0 * max(0.0, config.potential.value(0.0) - config.potential.min_value())
     L_r_star = math.sqrt(2.0 * I_r_f * depth)

@@ -15,8 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
 
 from .errors import ConvergenceFailure, TruncationBreach
 from .model import GearConfig
@@ -68,8 +66,9 @@ class LatticeState:
         _check_edges(self.config, self.cutoff, np.abs(self.amplitudes) ** 2)
 
 
-def build_full_hamiltonian(config: GearConfig, cutoff: int) -> sp.csr_matrix:
+def build_full_hamiltonian(config: GearConfig, cutoff: int) -> scipy.sparse.csr_matrix:
     """Sparse two-rotor Hamiltonian on the truncated lattice."""
+    import scipy.sparse as sp
     if cutoff < config.n1 + config.n2:
         raise ValueError(
             f"cutoff {cutoff} too small; need at least n1 + n2 = {config.n1 + config.n2}"
@@ -107,6 +106,7 @@ def _eigensystem(config: GearConfig, cutoff: int) -> Components:
     """Exact eigensystem of the lattice Hamiltonian.  Every harmonic hops by a
     multiple of (n1, -n2), so H is block diagonal in its connected hopping
     components; each block is diagonalised densely on its own."""
+    from scipy.sparse.csgraph import connected_components
     H = build_full_hamiltonian(config, cutoff)
     _, labels = connected_components(H, directed=False)
     order = np.argsort(labels, kind="stable")

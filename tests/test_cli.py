@@ -196,6 +196,18 @@ def test_multikick_refuses_num_kicks(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["transmission", "classical", "bands"])
+def test_profile_without_a_well_is_one_error_line(tmp_path, capsys, command):
+    doc = dict(BASE, potential={"fourier": [[0, 0.5], [1, -0.5]]},
+               sweep={"ell": [1]})
+    code, out = run(tmp_path, command, doc)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: tooth profile") and "curvature -0.5" in err
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_verify_subset(tmp_path, capsys):
     code = main(["verify", "--only", "8"])
     out = capsys.readouterr().out

@@ -102,6 +102,16 @@ def test_zero_depth_has_no_interlock():
     assert geom.ell_threshold == 0.0
 
 
+def test_profile_without_a_well_at_the_origin_is_non_physical():
+    dip = PotentialSpec(((0, 0.5), (1, -0.5)))  # x = 0 is a maximum of -u
+    with pytest.raises(NonPhysicalError, match=r"\(1, -0\.5\).*curvature -0\.5"):
+        derive_geometry(GearConfig(2, 2, V0=10.0, potential=dip))
+    # zero curvature is still a geometry: no coupling, or a flat profile
+    assert derive_geometry(GearConfig(2, 2, V0=0.0, potential=dip)).omega0_harmonic == 0.0
+    flat = PotentialSpec(((0, 1.0),))
+    assert derive_geometry(GearConfig(2, 2, V0=10.0, potential=flat)).omega0_harmonic == 0.0
+
+
 # ------------------------------------------------------------- transforms ---
 
 @pytest.mark.parametrize("n1,n2,I1,I2,box", [

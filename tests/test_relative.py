@@ -181,6 +181,34 @@ def test_band_structure_33():
     assert width[0] < width[1] < width[2]
 
 
+@pytest.mark.parametrize("n1,n2,V0", [(2, 2, 10.0), (3, 3, 20.0), (1, 2, 8.0),
+                                      (4, 2, 10.0), (1, 1, 40.0)])
+def test_band_structure_matches_mathieu(n1, n2, V0):
+    """For u = a0 + a1 cos x the relative equation is Mathieu's with
+    z = n theta / 2, q = 4 I_r V0 a1 / n^2 and E = a n^2 / (8 I_r) - V0 a0:
+    the periodic (k = 0) and antiperiodic (k = n/2) sectors are the sorted
+    characteristic values {a_2r, b_2r+2} and {a_2r+1, b_2r+1}."""
+    from scipy.special import mathieu_a, mathieu_b
+
+    geom = derive_geometry(GearConfig(n1, n2, V0=V0))
+    a0, a1 = 0.5, 0.5
+    n, I_r = geom.n, geom.I_r
+    q = 4 * I_r * V0 * a1 / n**2
+    bs = band_structure(geom, 6)
+    orders = {Fraction(0): ([2 * r for r in range(6)], [2 * r + 2 for r in range(6)]),
+              Fraction(n, 2): ([2 * r + 1 for r in range(6)], [2 * r + 1 for r in range(6)])}
+    checked = 0
+    for col, k in enumerate(bs.ks):
+        if k not in orders:
+            continue
+        even, odd = orders[k]
+        chars = sorted([mathieu_a(m, q) for m in even] + [mathieu_b(m, q) for m in odd])
+        want = np.array(chars[:6]) * n**2 / (8 * I_r) - V0 * a0
+        np.testing.assert_allclose(bs.energies[:, col], want, rtol=0, atol=1e-12)
+        checked += 1
+    assert checked == 1 + (Fraction(n, 2) in bs.ks)
+
+
 def test_band_structure_respects_requested_count(geom22):
     bs = band_structure(geom22, 5)
     assert bs.num_bands == 5
