@@ -1,12 +1,13 @@
 """Wall time of every gearsim subcommand, two source trees side by side.
 
-    python tools/cli_walltime.py BEFORE_SRC AFTER_SRC [--runs 10]
+    python tools/cli_walltime.py BEFORE_SRC AFTER_SRC
 
 Each `configs/<command>_<tag>.json` is run as `python -m gearsim.cli
-<command>` in a fresh interpreter, once per side per round.  The side that
-goes first alternates from round to round, so a drift in machine speed
-falls on both sides alike.  Prints per-command medians (seconds) and the
-number of rounds the second tree was faster, as JSON.  Standard library only.
+<command>` in a fresh interpreter, once per side in each of RUNS rounds.
+The side that goes first alternates from round to round, so a drift in
+machine speed falls on both sides alike.  Prints per-command medians
+(seconds) and the number of rounds the second tree was faster, as JSON.
+Standard library only.
 """
 
 import argparse
@@ -20,6 +21,7 @@ import tempfile
 import time
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
+RUNS = 10
 
 
 def wall_time(src: pathlib.Path, command: str, config: pathlib.Path) -> float:
@@ -37,20 +39,17 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("before", type=pathlib.Path, help="src/ of the reference tree")
     parser.add_argument("after", type=pathlib.Path, help="src/ of the changed tree")
-    parser.add_argument("--runs", type=int, default=10, help="rounds per side (>= 1)")
     args = parser.parse_args(argv)
-    if args.runs < 1:
-        parser.error("--runs must be >= 1")
     sides = (args.before.resolve(), args.after.resolve())
     configs = sorted((ROOT / "configs").glob("*.json"))
     times = {cfg.stem: ([], []) for cfg in configs}
-    for rnd in range(args.runs):
+    for rnd in range(RUNS):
         order = (0, 1) if rnd % 2 == 0 else (1, 0)
         for cfg in configs:
             command = cfg.stem.rsplit("_", 1)[0]
             for side in order:
                 times[cfg.stem][side].append(wall_time(sides[side], command, cfg))
-    report = {"runs": args.runs, "before": str(sides[0]), "after": str(sides[1]),
+    report = {"runs": RUNS, "before": str(sides[0]), "after": str(sides[1]),
               "commands": {}}
     for name, (before, after) in times.items():
         report["commands"][name] = {
