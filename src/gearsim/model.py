@@ -125,13 +125,15 @@ class PotentialSpec:
         return sum(p * p * a for p, a in self.harmonics())
 
     def min_value(self) -> float:
-        """Minimum of u over a period (sampled at 8192 points; exact 0 for
-        the default)."""
-        xs = np.linspace(0.0, 2.0 * math.pi, 8192, endpoint=False)
-        u = np.full(8192, self.a0)
-        for p, a in self.harmonics():
-            u += a * np.cos(p * xs)
-        return float(u.min())
+        """Minimum of u over a period (sampled at 8192 points on the first
+        call and kept; exact 0 for the default)."""
+        if "_min_value" not in self.__dict__:
+            xs = np.linspace(0.0, 2.0 * math.pi, 8192, endpoint=False)
+            u = np.full(8192, self.a0)
+            for p, a in self.harmonics():
+                u += a * np.cos(p * xs)
+            object.__setattr__(self, "_min_value", float(u.min()))
+        return self._min_value
 
 
 @dataclass(frozen=True)

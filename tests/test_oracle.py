@@ -5,10 +5,18 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from gearsim.dynamics import KickProtocol, evolve, observables, run_protocol
+from gearsim import oracle
+from gearsim.dynamics import (
+    KickProtocol,
+    evolve,
+    observables,
+    run_protocol,
+    time_series,
+)
 from gearsim.errors import TruncationBreach
 from gearsim.model import GearConfig, PotentialSpec, derive_geometry
 from gearsim.oracle import (
+    Components,
     LatticeState,
     build_full_hamiltonian,
     oracle_apply_kick,
@@ -61,6 +69,61 @@ def test_ground_energy_matches_banded_solver(cfg22, geom22, cfg42, geom42):
         ground_energy(geom22), abs=1e-8)
     assert ground_energy_of(cfg42, CUTOFF) == pytest.approx(
         ground_energy(geom42), abs=1e-8)
+
+
+def brute_force_ground_amplitudes(config, cutoff):
+    """Every hopping component diagonalised, the lowest eigenvalue taken by
+    min() (first component on a tie), sign fixed as the oracle fixes it."""
+    from scipy.sparse.csgraph import connected_components
+    H = build_full_hamiltonian(config, cutoff)
+    _, labels = connected_components(H, directed=False)
+    order = np.argsort(labels, kind="stable")
+    H = H[order][:, order]
+    blocks, start = [], 0
+    for end in np.cumsum(np.bincount(labels)).tolist():
+        w, v = scipy.linalg.eigh(H[start:end, start:end].toarray())
+        blocks.append((order[start:end], w, v))
+        start = end
+    idx, _, v = min(blocks, key=lambda block: block[1][0])
+    vec = v[:, 0]
+    if vec[np.argmax(np.abs(vec))] < 0:
+        vec = -vec
+    amplitudes = np.zeros(H.shape[0], dtype=complex)
+    amplitudes[idx] = vec
+    return amplitudes
+
+
+@pytest.mark.parametrize("config,cutoff", [
+    pytest.param(GearConfig(2, 2, V0=10.0), CUTOFF, id="22"),
+    pytest.param(GearConfig(4, 2, V0=10.0, potential=SECOND), 20, id="42-second"),
+    pytest.param(GearConfig(1, 3, V0=10.0, potential=THIRD), 26, id="13-third"),
+    # every lattice site is its own component
+    pytest.param(GearConfig(2, 3, V0=0.0), 10, id="23-free"),
+    # no p = 1 term: the p = 2 hops split each p = 1 component in two
+    pytest.param(GearConfig(2, 2, V0=10.0, potential=PotentialSpec(((0, 0.5), (2, 0.5)))),
+                 20, id="22-even-only"),
+])
+def test_pruned_ground_search_matches_brute_force(config, cutoff):
+    want = brute_force_ground_amplitudes(config, cutoff)
+    got = oracle_ground_state(config, cutoff).amplitudes.ravel()
+    assert np.array_equal(got, want)
+
+
+def test_oracle_run_solves_only_the_components_it_needs(monkeypatch):
+    config, cutoff = GearConfig(2, 2, V0=10.0), 24
+    total = Components(config, cutoff).ends.size
+    solves = []
+    eigh = oracle.scipy.linalg.eigh
+
+    def counting_eigh(a, *args, **kwargs):
+        solves.append(a.shape[0])
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(oracle.scipy.linalg, "eigh", counting_eigh)
+    oracle_run(config, KickProtocol(ell=3, num_kicks=1), np.linspace(0.0, 5.0, 11),
+               cutoff=cutoff)
+    assert total == 192
+    assert 0 < len(solves) < total / 4
 
 
 def test_ground_state_is_stationary(cfg22):
@@ -125,6 +188,16 @@ def test_agrees_with_banded_pipeline(config, protocol, cutoff):
         assert series.L1[i] == pytest.approx(obs.L1, abs=1e-8)
         assert series.L2[i] == pytest.approx(obs.L2, abs=1e-8)
         assert series.L2_sq[i] == pytest.approx(obs.L2_sq, abs=1e-8)
+
+
+def test_time_series_agrees_at_large_ell():
+    config, protocol = GearConfig(2, 2, V0=10.0), KickProtocol(ell=100, num_kicks=1)
+    times = np.linspace(0.0, 5.0, 11)
+    series = oracle_run(config, protocol, times, cutoff=130)
+    fast = time_series(run_protocol(derive_geometry(config), protocol), times)
+    for name in ("L1", "L2", "L2_sq"):
+        np.testing.assert_allclose(getattr(series, name), getattr(fast, name),
+                                   rtol=0, atol=1e-8, err_msg=name)
 
 
 @pytest.mark.parametrize("config,cutoff,kick", [

@@ -22,6 +22,7 @@ from gearsim.model import (
 from gearsim.relative import (
     RotorState,
     _fix_signs,
+    _parity_eig,
     band_structure,
     build_hamiltonian,
     eigendecompose,
@@ -181,8 +182,10 @@ def test_band_structure_33():
     assert width[0] < width[1] < width[2]
 
 
-@pytest.mark.parametrize("n1,n2,V0", [(2, 2, 10.0), (3, 3, 20.0), (1, 2, 8.0),
-                                      (4, 2, 10.0), (1, 1, 40.0)])
+MATHIEU_PAIRS = [(2, 2, 10.0), (3, 3, 20.0), (1, 2, 8.0), (4, 2, 10.0), (1, 1, 40.0)]
+
+
+@pytest.mark.parametrize("n1,n2,V0", MATHIEU_PAIRS)
 def test_band_structure_matches_mathieu(n1, n2, V0):
     """For u = a0 + a1 cos x the relative equation is Mathieu's with
     z = n theta / 2, q = 4 I_r V0 a1 / n^2 and E = a n^2 / (8 I_r) - V0 a0:
@@ -207,6 +210,32 @@ def test_band_structure_matches_mathieu(n1, n2, V0):
         np.testing.assert_allclose(bs.energies[:, col], want, rtol=0, atol=1e-12)
         checked += 1
     assert checked == 1 + (Fraction(n, 2) in bs.ks)
+
+
+@pytest.mark.parametrize("n1,n2,V0", MATHIEU_PAIRS)
+def test_parity_parts_are_mathieu_a_and_b(n1, n2, V0):
+    """The even and odd parts of the k = 0 and k = n/2 windows separate the
+    Mathieu characteristic values.  At k = 0 the even part is a_2r and the
+    odd part b_2r+2.  At k = n/2 the coupling -V0 a1 / 2 flips the sign of q,
+    which swaps a_2r+1 and b_2r+1: the even part is b_2r+1, the odd a_2r+1."""
+    from scipy.special import mathieu_a, mathieu_b
+
+    geom = derive_geometry(GearConfig(n1, n2, V0=V0))
+    n, I_r = geom.n, geom.I_r
+    q = 4 * I_r * V0 * 0.5 / n**2
+    r = range(3)
+    parts = {Fraction(0): ([mathieu_a(2 * i, q) for i in r],
+                           [mathieu_b(2 * i + 2, q) for i in r]),
+             Fraction(n, 2): ([mathieu_b(2 * i + 1, q) for i in r],
+                              [mathieu_a(2 * i + 1, q) for i in r])}
+    for k, (even, odd) in parts.items():
+        ham = build_hamiltonian(geom, GridSpec(k, Fraction(n), 16))
+        assert ham.couplings == ((1, -V0 * 0.5 / 2),)
+        w, _ = _parity_eig(ham.diag, ham.couplings, 1)
+        size = (ham.diag.size + 1) // 2   # the even part holds an odd window's centre
+        for got, chars in ((w[:size], even), (w[size:], odd)):
+            want = np.array(chars) * n**2 / (8 * I_r) - V0 * 0.5
+            np.testing.assert_allclose(got[:3], want, rtol=0, atol=1e-12)
 
 
 def test_band_structure_respects_requested_count(geom22):
