@@ -90,7 +90,8 @@ class KickProtocol:
         if not isinstance(self.ell, int) or isinstance(self.ell, bool):
             raise ValueError("ell must be an integer")
         if self.num_kicks is not None:
-            if not isinstance(self.num_kicks, int) or self.num_kicks < 1:
+            if (not isinstance(self.num_kicks, int) or isinstance(self.num_kicks, bool)
+                    or self.num_kicks < 1):
                 raise ValueError("num_kicks must be a positive integer")
             if self.ell % self.num_kicks != 0:
                 raise ValueError(
@@ -98,7 +99,7 @@ class KickProtocol:
                 )
         if not (self.delta_t >= 0 and math.isfinite(self.delta_t)):
             raise ValueError("delta_t must be finite and >= 0")
-        if self.target_gear not in (1, 2):
+        if isinstance(self.target_gear, bool) or self.target_gear not in (1, 2):
             raise ValueError("target_gear must be 1 or 2")
 
     def resolved_num_kicks(self) -> int:
@@ -125,7 +126,7 @@ class KickShift:
     without coupling every mu_r is conserved, and only dmu_r = 0 counts).
     enhanced means 2 * dmu_r is a multiple of P: the kick takes the ground
     state into a sector that mu_r -> -mu_r maps onto itself, where the
-    long-time transmission is exactly the classical ratio.
+    long-time transmission is exactly n1 n2 I2/(n1^2 I2 + n2^2 I1).
     """
 
     dmu_c: Fraction

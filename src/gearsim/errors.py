@@ -11,7 +11,8 @@ class NonPhysicalError(GearsError, ValueError):
 
 
 class UnsupportedInertiaError(GearsError, ValueError):
-    """Operation requires equal moments of inertia (I1 == I2)."""
+    """The inertia ratio gives band_structure more Bloch residues than it
+    solves (relative.MAX_BAND_RESIDUES)."""
 
 
 class ConvergenceFailure(GearsError, RuntimeError):

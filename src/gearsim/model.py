@@ -25,7 +25,7 @@ from numbers import Rational
 
 import numpy as np
 
-from .errors import NonPhysicalError, UnsupportedInertiaError
+from .errors import NonPhysicalError
 
 __all__ = [
     "PotentialSpec",
@@ -171,10 +171,6 @@ class GearConfig:
         if not isinstance(self.potential, PotentialSpec):
             raise ValueError("potential must be a PotentialSpec")
 
-    @property
-    def equal_inertia(self) -> bool:
-        return self.I1 == self.I2
-
 
 @dataclass(frozen=True)
 class CollectiveMomentum:
@@ -256,7 +252,8 @@ class DerivedGeometry:
     I_r: float             # relative moment of inertia
     nu: Fraction           # (M1^2 I1 + M2^2 I2) / ((M1 + M2) I), exact
     grid_spacing: int      # M1 + M2 = n/g, relative-lattice step at fixed mu_c
-    r_cl: Fraction         # classical transmission benchmark n1 n2/(n1^2+n2^2)
+    r_cl: Fraction         # equal-inertia classical ratio n1 n2/(n1^2+n2^2); for
+                           # I1 != I2 see classical_transmission
     tau_c: float           # center-of-mass revival time 4 pi (M1^2 I1 + M2^2 I2)
     omega0: float          # n sqrt(V0/I_r)
     omega0_harmonic: float  # small-oscillation frequency in the actual well
@@ -269,10 +266,6 @@ class DerivedGeometry:
     _mu_r_factor: Fraction  # I_c/(n I^2):  mu_r = _mu_r_factor*(n1 I2 m1 - n2 I1 m2)
     _lc_to_l1: Fraction     # n2 I1/(n I):  L1 = _lc_to_l1*L_c + (n1/n) L_r
     _lc_to_l2: Fraction     # n1 I2/(n I):  L2 = _lc_to_l2*L_c - (n2/n) L_r
-
-    @property
-    def equal_inertia(self) -> bool:
-        return self.config.equal_inertia
 
 
 def derive_geometry(config: GearConfig) -> DerivedGeometry:
@@ -377,18 +370,13 @@ def is_physical_mu_c(geom: DerivedGeometry, mu_c) -> bool:
 def allowed_relative_grid(geom: DerivedGeometry, mu_c, half_width: int = 32) -> GridSpec:
     """The mu_r lattice compatible with a fixed physical mu_c.
 
-    The allowed values form an arithmetic progression with exact spacing
-    n/gcd(n1, n2); the returned window is built on the representative
+    At fixed A = n2 m1 + n1 m2 the integer solutions form the chain
+    (m1 + n1/g, m2 - n2/g), along which mu_r steps by exactly n/g for any
+    inertias, so the allowed values form an arithmetic progression with
+    that spacing.  The returned window is built on the representative
     offset reduced into (-spacing/2, spacing/2], so (see GridSpec.lo) it is
     symmetric under mu_r -> -mu_r whenever the lattice itself is.
-
-    Equal moments of inertia only (the fixed-mu_c lattice is not a single
-    arithmetic progression otherwise).
     """
-    if not geom.equal_inertia:
-        raise UnsupportedInertiaError(
-            "fixed-mu_c relative grid requires I1 == I2"
-        )
     n1, n2 = geom.config.n1, geom.config.n2
     A = _integer_A(geom, mu_c)
     g, x, y = _xgcd(n2, n1)   # n2 x + n1 y = g

@@ -18,7 +18,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import ceil, gcd, isfinite
+from math import ceil, gcd, isfinite, lcm
 
 import numpy as np
 import scipy.linalg
@@ -29,6 +29,7 @@ from .model import (
     GridSpec,
     allowed_relative_grid,
     bloch_label,
+    momenta_to_collective,
 )
 
 __all__ = [
@@ -58,6 +59,10 @@ SUPPORT_EPS = 1e-28
 # Eigensystems kept by eigensystem_for.  One transmission sweep point adds
 # at most 22 windows and `gearsim verify` needs 26.
 EIGEN_CACHE_SIZE = 64
+# Bloch residues band_structure solves at most, one window each.  Binary
+# float inertias such as 0.7 and 1.3 give ~1e16, which would never finish;
+# equal inertias give (n1^2 + n2^2)/g, below this for all n1, n2 <= 256.
+MAX_BAND_RESIDUES = 2 * 256**2
 
 
 @dataclass(frozen=True)
@@ -91,8 +96,6 @@ def build_hamiltonian(geom: DerivedGeometry, grid: GridSpec) -> BandedHamiltonia
     Diagonal: mu_r^2/(2 I_r) - V0 a0.  Harmonic p of the profile couples
     mu_r to mu_r +/- p*n with strength -V0 a_p / 2.
     """
-    if not geom.equal_inertia:
-        raise UnsupportedInertiaError("relative Hamiltonian requires I1 == I2")
     cfg = geom.config
     mu = grid.values()
     diag = mu * mu / (2.0 * geom.I_r) - cfg.V0 * cfg.potential.a0
@@ -395,16 +398,22 @@ class BandStructure:
 
 def band_structure(geom: DerivedGeometry, num_bands: int = 3) -> BandStructure:
     """Diagonalize each Bloch sector mu_r = k + n*m over the physical
-    residues k and collect the lowest `num_bands` energies."""
-    if not geom.equal_inertia:
-        raise UnsupportedInertiaError("band structure requires I1 == I2")
+    residues k and collect the lowest `num_bands` energies.  Inertias that
+    give more than MAX_BAND_RESIDUES residues raise UnsupportedInertiaError
+    before any eigensolve."""
     if num_bands < 1:
         raise ValueError("num_bands must be >= 1")
-    # physical mu_r values over all mu_c form the lattice (1/nu) * Z
-    step = 1 / geom.nu
-    count = Fraction(geom.n) / step
-    assert count.denominator == 1
-    residues = sorted({bloch_label(geom, step * t) for t in range(int(count))})
+    # physical mu_r form step * Z, step = gcd(mu_r(1, 0), mu_r(0, 1)) (1/nu
+    # if I1 == I2); the hop (n1, -n2) moves mu_r by n, so n/step is an integer
+    u, v = (momenta_to_collective(geom, *m).mu_r for m in ((1, 0), (0, 1)))
+    den = lcm(u.denominator, v.denominator)
+    step = Fraction(gcd(int(u * den), int(v * den)), den)
+    count = int(geom.n / step)
+    if count > MAX_BAND_RESIDUES:
+        raise UnsupportedInertiaError(
+            f"I1={geom.config.I1!r}, I2={geom.config.I2!r} give {count} Bloch "
+            f"residues; band structure solves at most {MAX_BAND_RESIDUES}")
+    residues = sorted({bloch_label(geom, step * t) for t in range(count)})
     Js = max(16, num_bands + 12)
     energies = np.empty((num_bands, len(residues)))
     for col, k in enumerate(residues):

@@ -208,6 +208,26 @@ def test_profile_without_a_well_is_one_error_line(tmp_path, capsys, command):
     assert not out.exists()
 
 
+def test_transmission_with_unequal_inertias(tmp_path):
+    doc = {"gears": {"n1": 2, "n2": 2, "I1": 1.0, "I2": 2.0, "V0": 10.0},
+           "protocol": {"num_kicks": 1}, "sweep": {"ell": [3]}}
+    code, out = run(tmp_path, "transmission", doc)
+    assert code == 0
+    _, rows = read_csv(out / "transmission.csv")
+    # a self-conjugate kick: r = n1 n2 I2 / (n1^2 I2 + n2^2 I1)
+    assert float(rows[0][1]) == pytest.approx(2 / 3, abs=1e-12)
+
+
+def test_bands_refusal_is_one_error_line(tmp_path, capsys):
+    doc = {"gears": {"n1": 2, "n2": 2, "I1": 0.7, "I2": 1.3, "V0": 10.0}}
+    code, out = run(tmp_path, "bands", doc)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: I1=0.7, I2=1.3 give") and "Bloch residues" in err
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_verify_subset(tmp_path, capsys):
     code = main(["verify", "--only", "8"])
     out = capsys.readouterr().out

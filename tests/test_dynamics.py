@@ -93,6 +93,12 @@ def test_protocol_rejects_bad_delay(delta_t):
         KickProtocol(ell=2, delta_t=delta_t)
 
 
+@pytest.mark.parametrize("field", ["ell", "num_kicks", "target_gear"])
+def test_protocol_rejects_bool_counts(field):
+    with pytest.raises(ValueError, match=field):
+        KickProtocol(**{"ell": 2, field: True})
+
+
 def test_multi_kick_requires_unit_kicks(cfg22):
     with pytest.raises(ValueError):
         multi_kick(cfg22, KickProtocol(ell=6, num_kicks=3, delta_t=1.0))
@@ -291,12 +297,14 @@ def test_revival_phase_defect_rejects_off_lattice(geom42):
 
 # ----------------------------------------------- self-conjugate sectors ---
 
-# (n1, n2, ell) with 2 ell n1 / (n1^2 + n2^2) an integer: a kick on gear 1
-# that lands in a sector mu_r -> -mu_r maps onto itself (k = 0 or n/2)
-SELF_CONJUGATE = [(n1, n2, ell)
+# (n1, n2, ell, I1, I2) with 2 ell n1 I2 / (n1^2 I2 + n2^2 I1) an integer: a
+# kick on gear 1 that lands in a sector mu_r -> -mu_r maps onto itself
+# (k = 0 or n/2).  The inertias are exact binary floats, so % is exact.
+INERTIAS = [(1.0, 1.0), (1.0, 2.0), (2.0, 1.0), (1.0, 1.5), (2.0, 3.0), (1.0, 3.0)]
+SELF_CONJUGATE = [(n1, n2, ell, I1, I2)
                   for n1 in range(1, 6) for n2 in range(1, 6)
-                  for ell in range(1, 13)
-                  if Fraction(2 * ell * n1, n1 * n1 + n2 * n2).denominator == 1]
+                  for ell in range(1, 13) for I1, I2 in INERTIAS
+                  if (2 * ell * n1 * I2) % (n1 * n1 * I2 + n2 * n2 * I1) == 0]
 
 
 @settings(max_examples=60, derandomize=True, database=None, deadline=None)
@@ -306,19 +314,21 @@ SELF_CONJUGATE = [(n1, n2, ell)
                          st.sampled_from([0.0, 0.05, 0.1, 0.2]),
                          st.sampled_from([0.0, 0.05])))
 # the k = n/2 sector half a grid step off mu_r = 0, and a 3:1 kick
-@example(kick=(1, 1, 11), V0=16.08583582949375, fourier=(0.4, 0.1, 0.0))
-@example(kick=(1, 1, 7), V0=35.38, fourier=(0.4, 0.1, 0.0))
-@example(kick=(1, 1, 9), V0=35.38, fourier=(0.4, 0.1, 0.0))
-@example(kick=(1, 1, 11), V0=35.38, fourier=(0.4, 0.1, 0.0))
-@example(kick=(3, 1, 5), V0=25.0, fourier=(0.4, 0.1, 0.0))
+@example(kick=(1, 1, 11, 1.0, 1.0), V0=16.08583582949375, fourier=(0.4, 0.1, 0.0))
+@example(kick=(1, 1, 7, 1.0, 1.0), V0=35.38, fourier=(0.4, 0.1, 0.0))
+@example(kick=(1, 1, 9, 1.0, 1.0), V0=35.38, fourier=(0.4, 0.1, 0.0))
+@example(kick=(1, 1, 11, 1.0, 1.0), V0=35.38, fourier=(0.4, 0.1, 0.0))
+@example(kick=(3, 1, 5, 1.0, 1.0), V0=25.0, fourier=(0.4, 0.1, 0.0))
+# unequal inertias: a 2:2 pair with I2 = 2 I1 transmits 2/3
+@example(kick=(2, 2, 3, 1.0, 2.0), V0=10.0, fourier=(0.5, 0.0, 0.0))
 def test_self_conjugate_kicks_transmit_exactly_r_cl(kick, V0, fourier):
-    n1, n2, ell = kick
+    n1, n2, ell, I1, I2 = kick
     a1, a2, a3 = fourier
     profile = PotentialSpec(((0, 0.5), (1, a1), (2, a2), (3, a3)))
-    config = GearConfig(n1, n2, V0=V0, potential=profile)
+    config = GearConfig(n1, n2, I1=I1, I2=I2, V0=V0, potential=profile)
     assert kick_shift(derive_geometry(config), ell, 0).enhanced
     res = transmission_ratio(config, KickProtocol(ell=ell, num_kicks=1))
-    assert abs(res.r - n1 * n2 / (n1 * n1 + n2 * n2)) <= 1e-9
+    assert abs(res.r - n1 * n2 * I2 / (n1 * n1 * I2 + n2 * n2 * I1)) <= 1e-9
 
 
 def projector_average_L_r(state):

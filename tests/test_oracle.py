@@ -4,8 +4,10 @@ while sharing none of its machinery."""
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from gearsim import oracle
+from gearsim import dynamics, oracle
 from gearsim.dynamics import (
     KickProtocol,
     evolve,
@@ -198,6 +200,46 @@ def test_time_series_agrees_at_large_ell():
     for name in ("L1", "L2", "L2_sq"):
         np.testing.assert_allclose(getattr(series, name), getattr(fast, name),
                                    rtol=0, atol=1e-8, err_msg=name)
+
+
+PROFILES = [PotentialSpec(), SECOND, THIRD, PotentialSpec(((0, 0.5), (2, 0.5)))]
+INERTIAS = [0.5, 0.7, 1.0, 1.3, 1.5, 2.0]
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(n=st.tuples(st.integers(1, 5), st.integers(1, 5)),
+       inertia=st.tuples(st.sampled_from(INERTIAS), st.sampled_from(INERTIAS)),
+       V0=st.sampled_from([0.0, 4.0, 10.0, 20.0]),
+       profile=st.sampled_from(PROFILES),
+       train=st.tuples(st.integers(-3, 3), st.integers(1, 3),
+                       st.sampled_from([0.0, 0.4, 1.3]), st.sampled_from([1, 2])))
+@example(n=(2, 1), inertia=(0.7, 1.3), V0=10.0, profile=SECOND, train=(2, 2, 0.4, 1))
+@example(n=(3, 2), inertia=(1.0, 2.0), V0=0.0, profile=PROFILES[0], train=(3, 1, 0.0, 1))
+@example(n=(1, 3), inertia=(1.5, 0.5), V0=20.0, profile=THIRD, train=(-2, 3, 1.3, 2))
+def test_pipeline_matches_oracle(n, inertia, V0, profile, train):
+    """time_series L1, L2, L2^2 and the gear-2 distribution of the kernel
+    against the raw lattice, for any inertias.  The oracle cutoff is the
+    largest |m| the fast state occupies (|c|^2 > 1e-16 at some sample)
+    plus 2 (n1 + n2) + 4."""
+    (n1, n2), (I1, I2), (per, num, delta_t, gear) = n, inertia, train
+    config = GearConfig(n1, n2, I1=I1, I2=I2, V0=V0, potential=profile)
+    protocol = KickProtocol(ell=per * num, num_kicks=num, delta_t=delta_t,
+                            target_gear=gear)
+    times = np.array([0.0, 0.9, 2.5, 7.0])
+    state = run_protocol(derive_geometry(config), protocol)
+    window, C = dynamics._amplitudes(state, times)
+    m1, m2 = window.momentum_pairs()
+    P = np.abs(C) ** 2
+    seen = P.max(axis=0) > 1e-16
+    reach = max(np.abs(m1[seen]).max(), np.abs(m2[seen]).max())
+    cutoff = int(reach) + 2 * (n1 + n2) + 4
+    series = oracle_run(config, protocol, times, cutoff=cutoff)
+    fast = time_series(state, times)
+    for name in ("L1", "L2", "L2_sq"):
+        np.testing.assert_allclose(getattr(series, name), getattr(fast, name),
+                                   rtol=0, atol=1e-8, err_msg=name)
+    gear2 = P @ (m2[:, None] == series.m_values[None, :])
+    np.testing.assert_allclose(series.gear2, gear2, rtol=0, atol=1e-8)
 
 
 @pytest.mark.parametrize("config,cutoff,kick", [

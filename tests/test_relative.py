@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gearsim import model
+from gearsim import model, relative
 from gearsim.errors import (
     InternalInconsistency,
     NonPhysicalError,
@@ -15,6 +15,7 @@ from gearsim.model import (
     GearConfig,
     GridSpec,
     allowed_relative_grid,
+    bloch_label,
     collective_to_momenta,
     derive_geometry,
     momenta_to_collective,
@@ -143,12 +144,6 @@ def test_eigensystem_cache_is_bounded():
     assert eigensystem_for.cache_info().hits == hits + 1
 
 
-def test_unequal_inertia_unsupported():
-    geom = derive_geometry(GearConfig(2, 2, I1=1.0, I2=2.0, V0=10.0))
-    with pytest.raises(UnsupportedInertiaError):
-        build_hamiltonian(geom, allowed_relative_grid(geom, Fraction(0)))
-
-
 def test_window_must_cover_coupling(geom22):
     with pytest.raises(ValueError):
         build_hamiltonian(geom22, GridSpec(Fraction(0), Fraction(2), 1))
@@ -182,18 +177,25 @@ def test_band_structure_33():
     assert width[0] < width[1] < width[2]
 
 
-MATHIEU_PAIRS = [(2, 2, 10.0), (3, 3, 20.0), (1, 2, 8.0), (4, 2, 10.0), (1, 1, 40.0)]
+# (n1, n2, V0, I1, I2); the Mathieu map depends on the inertias through I_r
+MATHIEU_PAIRS = [
+    *(pytest.param(n1, n2, V0, 1.0, 1.0, id=f"{n1}-{n2}-{V0}")
+      for n1, n2, V0 in [(2, 2, 10.0), (3, 3, 20.0), (1, 2, 8.0), (4, 2, 10.0),
+                         (1, 1, 40.0)]),
+    (2, 2, 10.0, 1.0, 2.0), (1, 2, 8.0, 1.0, 1.5), (3, 2, 10.0, 2.0, 3.0),
+    (2, 2, 10.0, 1.0, 3.0),
+]
 
 
-@pytest.mark.parametrize("n1,n2,V0", MATHIEU_PAIRS)
-def test_band_structure_matches_mathieu(n1, n2, V0):
+@pytest.mark.parametrize("n1,n2,V0,I1,I2", MATHIEU_PAIRS)
+def test_band_structure_matches_mathieu(n1, n2, V0, I1, I2):
     """For u = a0 + a1 cos x the relative equation is Mathieu's with
     z = n theta / 2, q = 4 I_r V0 a1 / n^2 and E = a n^2 / (8 I_r) - V0 a0:
     the periodic (k = 0) and antiperiodic (k = n/2) sectors are the sorted
     characteristic values {a_2r, b_2r+2} and {a_2r+1, b_2r+1}."""
     from scipy.special import mathieu_a, mathieu_b
 
-    geom = derive_geometry(GearConfig(n1, n2, V0=V0))
+    geom = derive_geometry(GearConfig(n1, n2, I1=I1, I2=I2, V0=V0))
     a0, a1 = 0.5, 0.5
     n, I_r = geom.n, geom.I_r
     q = 4 * I_r * V0 * a1 / n**2
@@ -212,15 +214,15 @@ def test_band_structure_matches_mathieu(n1, n2, V0):
     assert checked == 1 + (Fraction(n, 2) in bs.ks)
 
 
-@pytest.mark.parametrize("n1,n2,V0", MATHIEU_PAIRS)
-def test_parity_parts_are_mathieu_a_and_b(n1, n2, V0):
+@pytest.mark.parametrize("n1,n2,V0,I1,I2", MATHIEU_PAIRS)
+def test_parity_parts_are_mathieu_a_and_b(n1, n2, V0, I1, I2):
     """The even and odd parts of the k = 0 and k = n/2 windows separate the
     Mathieu characteristic values.  At k = 0 the even part is a_2r and the
     odd part b_2r+2.  At k = n/2 the coupling -V0 a1 / 2 flips the sign of q,
     which swaps a_2r+1 and b_2r+1: the even part is b_2r+1, the odd a_2r+1."""
     from scipy.special import mathieu_a, mathieu_b
 
-    geom = derive_geometry(GearConfig(n1, n2, V0=V0))
+    geom = derive_geometry(GearConfig(n1, n2, I1=I1, I2=I2, V0=V0))
     n, I_r = geom.n, geom.I_r
     q = 4 * I_r * V0 * 0.5 / n**2
     r = range(3)
@@ -236,6 +238,35 @@ def test_parity_parts_are_mathieu_a_and_b(n1, n2, V0):
         for got, chars in ((w[:size], even), (w[size:], odd)):
             want = np.array(chars) * n**2 / (8 * I_r) - V0 * 0.5
             np.testing.assert_allclose(got[:3], want, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n1,n2,I1,I2,count", [
+    (3, 3, 1.0, 1.0, 6), (4, 2, 1.0, 1.0, 10), (1, 3, 2.0, 2.0, 10),
+    (2, 2, 1.0, 2.0, 6), (1, 2, 1.0, 1.5, 11), (3, 2, 2.0, 3.0, 35),
+    (2, 2, 1.0, 3.0, 8),
+])
+def test_band_residues_are_the_physical_classes(n1, n2, I1, I2, count):
+    """The ks are exactly the Bloch labels that integer (m1, m2) reach."""
+    geom = derive_geometry(GearConfig(n1, n2, I1=I1, I2=I2, V0=10.0))
+    box = range(-20, 21)
+    brute = {bloch_label(geom, momenta_to_collective(geom, m1, m2).mu_r)
+             for m1 in box for m2 in box}
+    ks = band_structure(geom, 1).ks
+    assert list(ks) == sorted(brute)
+    assert len(ks) == count
+
+
+def test_band_structure_refuses_a_huge_residue_set(monkeypatch):
+    """Binary-float inertias 0.7 and 1.3 give ~1.8e16 residues: one typed
+    error, before any eigensolve."""
+    def no_eigensolve(geom, grid):
+        raise AssertionError("eigensolve before the residue bound")
+
+    monkeypatch.setattr(relative, "eigensystem_for", no_eigensolve)
+    geom = derive_geometry(GearConfig(2, 2, I1=0.7, I2=1.3, V0=10.0))
+    with pytest.raises(UnsupportedInertiaError,
+                       match="18014398509481984 Bloch residues"):
+        band_structure(geom)
 
 
 def test_band_structure_respects_requested_count(geom22):
