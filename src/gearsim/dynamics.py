@@ -30,8 +30,8 @@ from .model import (
     DerivedGeometry,
     GearConfig,
     GridSpec,
+    _centred_divmod,
     angular_momentum_split,
-    bloch_label,
     derive_geometry,
     is_physical_mu_c,
     momenta_to_collective,
@@ -45,6 +45,7 @@ from .relative import (
     RotorState,
     _check_growth,
     _edges,
+    _start_half_width,
     build_hamiltonian,
     eigensystem_for,
     ground_state,
@@ -139,36 +140,30 @@ class KickShift:
 def kick_shift(geom: DerivedGeometry, l1: int, l2: int) -> KickShift:
     """How a momentum kick (l1, l2) moves the collective coordinates."""
     shift = momenta_to_collective(geom, l1, l2)
-    dk = bloch_label(geom, shift.mu_r)
-    dm_r = (shift.mu_r - dk) / geom.n
-    assert dm_r.denominator == 1
+    dm_r, dk = _centred_divmod(shift.mu_r, geom.n)
     cfg = geom.config
     harmonics = [p for p, _ in cfg.potential.harmonics()] if cfg.V0 else []
     period = geom.n * math.gcd(*harmonics)   # 0 when nothing couples
     enhanced = (2 * shift.mu_r) % period == 0 if period else shift.mu_r == 0
-    return KickShift(shift.mu_c, shift.mu_r, int(dm_r), dk, enhanced)
+    return KickShift(shift.mu_c, shift.mu_r, dm_r, dk, enhanced)
 
 
 def _refit_grid(state: RotorState, shift: CollectiveMomentum) -> RotorState:
     """The state moved by a kick's collective shift, on the window built on
-    the canonical offset and sized to the occupied support plus margin.
-    Drops only amplitudes below SUPPORT_EPS."""
+    the canonical offset and sized to the occupied support plus margin, but
+    no narrower than a new window starts.  Drops only amplitudes below
+    SUPPORT_EPS."""
     grid = state.grid
-    s = grid.spacing
-    moved = grid.mu_r_offset + shift.mu_r
-    offset = moved % s
-    if offset > s / 2:
-        offset -= s
-    k = (moved - offset) / s
-    assert k.denominator == 1
+    k, offset = _centred_divmod(grid.mu_r_offset + shift.mu_r, grid.spacing)
 
     occupied = np.flatnonzero(np.abs(state.amplitudes) ** 2 > SUPPORT_EPS)
     if occupied.size == 0:
         occupied = np.array([-grid.lo])
     # signed index of each occupied point on the new offset
-    j = occupied + grid.lo + int(k)
-    new_J = max(MIN_HALF_WIDTH, int(np.max(np.abs(j))) + MARGIN_STEPS)
-    new_grid = GridSpec(offset, s, new_J)
+    j = occupied + grid.lo + k
+    new_J = max(_start_half_width(state.geom, grid.spacing, MIN_HALF_WIDTH),
+                int(np.max(np.abs(j))) + MARGIN_STEPS)
+    new_grid = GridSpec(offset, grid.spacing, new_J)
     amps = np.zeros(new_grid.size, dtype=complex)
     amps[j - new_grid.lo] = state.amplitudes[occupied]
     return RotorState(state.geom, state.mu_c + shift.mu_c, new_grid, amps,

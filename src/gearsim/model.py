@@ -19,7 +19,7 @@ divisibility tests that float arithmetic would corrupt.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from numbers import Rational
 
@@ -58,17 +58,16 @@ def _as_fraction(x, what: str) -> Fraction:
     raise TypeError(f"{what} must be a rational number, got {type(x).__name__}")
 
 
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """Extended Euclid: returns (g, x, y) with a*x + b*y = g = gcd(a, b)."""
-    old_r, r = a, b
-    old_x, x = 1, 0
-    old_y, y = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_x, x = x, old_x - q * x
-        old_y, y = y, old_y - q * y
-    return old_r, old_x, old_y
+def _centred_divmod(x: Fraction, step) -> tuple[int, Fraction]:
+    """Exact centred division: x = q * step + r with r in (-step/2, step/2].
+
+    The one rule that reduces a lattice value to its representative: grid
+    offsets, Bloch residues and the index shift of a kick all come from it.
+    """
+    q, r = divmod(x, step)
+    if 2 * r > step:
+        return int(q) + 1, r - step
+    return int(q), r
 
 
 @dataclass(frozen=True)
@@ -86,6 +85,12 @@ class PotentialSpec:
         seen = set()
         for item in self.fourier:
             p, a = item
+            try:
+                whole = not isinstance(p, (bool, np.bool_)) and int(p) == p
+            except (TypeError, ValueError, OverflowError):
+                whole = False
+            if not whole:
+                raise ValueError(f"harmonic index must be a whole number, got {p!r}")
             p = int(p)
             if p < 0:
                 raise ValueError(f"harmonic index must be >= 0, got {p}")
@@ -185,33 +190,33 @@ class GridSpec:
     """Window of the allowed relative-momentum lattice.
 
     Grid points are mu_r = mu_r_offset + spacing * j for j in
-    [lo, half_width].  lo is -half_width - 1 when the offset is half a step
-    (2 * mu_r_offset == spacing) and -half_width otherwise, so a window on a
-    lattice that mu_r -> -mu_r maps onto itself is mirror-symmetric.
-    Offset and spacing are exact.
+    [lo, half_width].  Offset and spacing are exact; lo, size and mirrored
+    are fixed when the window is built.  mirrored means mu_r -> -mu_r maps
+    the window onto itself, which holds exactly when the offset is 0 or half
+    a step: lo is -half_width - 1 when it is half a step and -half_width
+    otherwise, so every window on a lattice that the reflection maps onto
+    itself is mirror-symmetric.
     """
 
     mu_r_offset: Fraction
     spacing: Fraction
     half_width: int
+    lo: int = field(init=False, compare=False, repr=False)
+    size: int = field(init=False, compare=False, repr=False)
+    mirrored: bool = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "mu_r_offset", Fraction(self.mu_r_offset))
-        object.__setattr__(self, "spacing", Fraction(self.spacing))
-        if self.spacing <= 0:
+        offset, spacing = Fraction(self.mu_r_offset), Fraction(self.spacing)
+        if spacing <= 0:
             raise ValueError("grid spacing must be positive")
         if not isinstance(self.half_width, int) or self.half_width < 0:
             raise ValueError("half_width must be a non-negative integer")
-
-    @property
-    def lo(self) -> int:
-        """Lowest signed grid index."""
-        half_step = 2 * self.mu_r_offset == self.spacing
-        return -self.half_width - 1 if half_step else -self.half_width
-
-    @property
-    def size(self) -> int:
-        return self.half_width - self.lo + 1
+        half_step = 2 * offset == spacing
+        lo = -self.half_width - 1 if half_step else -self.half_width
+        fixed = dict(mu_r_offset=offset, spacing=spacing, lo=lo,
+                     size=self.half_width - lo + 1, mirrored=half_step or offset == 0)
+        for name, v in fixed.items():
+            object.__setattr__(self, name, v)
 
     def value(self, j: int) -> Fraction:
         """Exact mu_r at signed grid index j (j=0 is the offset itself)."""
@@ -221,17 +226,6 @@ class GridSpec:
         """All grid mu_r values as floats, ascending."""
         j = np.arange(self.lo, self.half_width + 1, dtype=float)
         return float(self.mu_r_offset) + float(self.spacing) * j
-
-    def index_of(self, mu_r) -> int:
-        """Signed index of an exact mu_r; NonPhysicalError if off-lattice
-        or outside the window."""
-        j = (Fraction(mu_r) - self.mu_r_offset) / self.spacing
-        if j.denominator != 1:
-            raise NonPhysicalError(f"mu_r={mu_r} not on grid {self}")
-        j = int(j)
-        if not self.lo <= j <= self.half_width:
-            raise NonPhysicalError(f"mu_r={mu_r} outside grid window {self}")
-        return j
 
 
 @dataclass(frozen=True)
@@ -374,29 +368,19 @@ def allowed_relative_grid(geom: DerivedGeometry, mu_c, half_width: int = 32) -> 
     (m1 + n1/g, m2 - n2/g), along which mu_r steps by exactly n/g for any
     inertias, so the allowed values form an arithmetic progression with
     that spacing.  The returned window is built on the representative
-    offset reduced into (-spacing/2, spacing/2], so (see GridSpec.lo) it is
+    offset reduced into (-spacing/2, spacing/2], so (see GridSpec) it is
     symmetric under mu_r -> -mu_r whenever the lattice itself is.
     """
-    n1, n2 = geom.config.n1, geom.config.n2
-    A = _integer_A(geom, mu_c)
-    g, x, y = _xgcd(n2, n1)   # n2 x + n1 y = g
-    assert g == geom.g
-    t = A // g
-    m1_0, m2_0 = x * t, y * t  # one integer solution of n2 m1 + n1 m2 = A
-    mu_r0 = momenta_to_collective(geom, m1_0, m2_0).mu_r
-    spacing = Fraction(geom.grid_spacing)
-    offset = mu_r0 % spacing
-    if offset > spacing / 2:
-        offset -= spacing
-    return GridSpec(mu_r_offset=offset, spacing=spacing, half_width=half_width)
+    t = _integer_A(geom, mu_c) // geom.g   # = M1 m1 + M2 m2
+    m1 = t * pow(geom.M1, -1, geom.M2) % geom.M2
+    mu_r0 = momenta_to_collective(geom, m1, (t - geom.M1 * m1) // geom.M2).mu_r
+    _, offset = _centred_divmod(mu_r0, geom.grid_spacing)
+    return GridSpec(mu_r_offset=offset, spacing=geom.grid_spacing, half_width=half_width)
 
 
 def bloch_label(geom: DerivedGeometry, mu_r) -> Fraction:
     """Conserved residue k = mu_r mod n, reduced into (-n/2, n/2]."""
-    k = _as_fraction(mu_r, "mu_r") % geom.n
-    if k > Fraction(geom.n, 2):
-        k -= geom.n
-    return k
+    return _centred_divmod(_as_fraction(mu_r, "mu_r"), geom.n)[1]
 
 
 def angular_momentum_split(geom: DerivedGeometry, L_c: float, L_r: float) -> tuple[float, float]:

@@ -8,9 +8,9 @@ sectors, each carrying one conserved Bloch residue k = mu_r mod n; each
 sector is diagonalized on its own, which keeps exactly degenerate partners
 from different sectors from being mixed by the eigensolver.  Every window on
 a lattice that mu_r -> -mu_r maps onto itself is mirror-symmetric (see
-GridSpec.lo), and a sector that the reflection maps onto itself (k = 0 or
-k = n/2) is diagonalized in its even and odd parts, so its eigenvectors are
-reflection-definite by construction.
+GridSpec.mirrored), and a sector that the reflection maps onto itself
+(k = 0 or k = n/2) is diagonalized in its even and odd parts, so its
+eigenvectors are reflection-definite by construction.
 """
 
 from __future__ import annotations
@@ -217,7 +217,6 @@ def eigendecompose(ham: BandedHamiltonian) -> EigenSystem:
     stride = gcd(*steps) if steps else dim
     bw = max(steps, default=0) // stride
     couplings = [(s // stride, strength) for s, strength in ham.couplings]
-    mirrored = grid.value(grid.lo) == -grid.value(grid.half_width)
 
     energies = np.empty(dim)
     vectors = np.zeros((dim, dim))
@@ -228,7 +227,7 @@ def eigendecompose(ham: BandedHamiltonian) -> EigenSystem:
         idx = np.arange(c, dim, stride)
         m = idx.size
         diag = ham.diag[idx]
-        if mirrored and m > 1 and idx[0] + idx[-1] == dim - 1:
+        if grid.mirrored and m > 1 and idx[0] + idx[-1] == dim - 1:
             w, v = _parity_eig(diag, couplings, bw)
         else:
             w, v = _eig(_band(diag, couplings, bw))
@@ -335,6 +334,21 @@ def _check_growth(grid: GridSpec, tail: float) -> None:
         )
 
 
+def _start_half_width(geom: DerivedGeometry, spacing, floor: int) -> int:
+    """Half-width a new window of this spacing starts at: `floor`, or twice
+    the longest coupling step (p_max n / spacing grid steps) if that is more.
+    Raises ConvergenceFailure, before any eigensolve, when that is past
+    MAX_HALF_WIDTH."""
+    cfg = geom.config
+    p_max = max((p for p, _ in cfg.potential.harmonics()), default=0) if cfg.V0 else 0
+    need = 2 * p_max * geom.n // spacing
+    if need > MAX_HALF_WIDTH:
+        raise ConvergenceFailure(
+            f"harmonic {p_max} needs a window of half-width {need} (twice its "
+            f"coupling step); windows stop at {MAX_HALF_WIDTH}")
+    return max(floor, need)
+
+
 def widen(state: RotorState) -> RotorState:
     """Same state on the window `_wider` grows its window to (same offset
     and spacing)."""
@@ -352,7 +366,8 @@ def ground_state(geom: DerivedGeometry) -> RotorState:
     MAX_HALF_WIDTH.  The global phase is fixed by making the
     largest-magnitude amplitude real positive.
     """
-    grid = allowed_relative_grid(geom, 0, half_width=MIN_HALF_WIDTH)
+    start = _start_half_width(geom, geom.grid_spacing, MIN_HALF_WIDTH)
+    grid = allowed_relative_grid(geom, 0, half_width=start)
     while True:
         es = eigensystem_for(geom, grid)
         v0 = es.vectors[:, 0]
@@ -414,7 +429,7 @@ def band_structure(geom: DerivedGeometry, num_bands: int = 3) -> BandStructure:
             f"I1={geom.config.I1!r}, I2={geom.config.I2!r} give {count} Bloch "
             f"residues; band structure solves at most {MAX_BAND_RESIDUES}")
     residues = sorted({bloch_label(geom, step * t) for t in range(count)})
-    Js = max(16, num_bands + 12)
+    Js = _start_half_width(geom, geom.n, max(16, num_bands + 12))
     energies = np.empty((num_bands, len(residues)))
     for col, k in enumerate(residues):
         grid = GridSpec(mu_r_offset=k, spacing=Fraction(geom.n), half_width=Js)

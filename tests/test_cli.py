@@ -228,6 +228,31 @@ def test_bands_refusal_is_one_error_line(tmp_path, capsys):
     assert not out.exists()
 
 
+HIGH_HARMONIC = dict(BASE, sweep={"ell": [1, 2]}, protocol={"ell": 2, "num_kicks": 1},
+                     times={"start": 0.0, "stop": 2.0, "num": 3})
+
+
+@pytest.mark.parametrize("command", ["transmission", "evolve", "bands"])
+def test_high_harmonic_profile_runs(tmp_path, command):
+    """Harmonic 20 couples points 40 grid steps apart, past the default
+    start windows; each window starts at twice the longest step instead."""
+    doc = dict(HIGH_HARMONIC, potential={"fourier": [[0, 0.5], [1, 0.4], [20, 0.1]]})
+    code, out = run(tmp_path, command, doc)
+    assert code == 0
+    assert (out / f"{command}.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["transmission", "evolve", "bands"])
+def test_harmonic_past_the_window_limit_is_one_error_line(tmp_path, capsys, command):
+    doc = dict(HIGH_HARMONIC, potential={"fourier": [[0, 0.5], [1, 0.4], [600, 0.1]]})
+    code, out = run(tmp_path, command, doc)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: harmonic 600 needs a window of half-width")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_verify_subset(tmp_path, capsys):
     code = main(["verify", "--only", "8"])
     out = capsys.readouterr().out

@@ -229,10 +229,21 @@ def test_evolve_is_the_kernel_row(geom22):
 
 # ------------------------------------------------------ long-time averages ---
 
-def test_resonant_kick_transmits_exactly_half(cfg22):
-    res = transmission_ratio(cfg22, KickProtocol(ell=4, num_kicks=1))
+@pytest.mark.parametrize("ell", [4, 400])
+def test_resonant_kick_transmits_exactly_half(cfg22, ell):
+    res = transmission_ratio(cfg22, KickProtocol(ell=ell, num_kicks=1))
     assert abs(res.r - 0.5) < 1e-12
-    assert res.L1_bar + res.L2_bar == pytest.approx(4.0, abs=1e-12)
+    assert res.L1_bar + res.L2_bar == pytest.approx(ell, abs=1e-12)
+
+
+def test_high_harmonic_resonant_kick_transmits_exactly_half():
+    """Harmonic 20 couples points 40 steps apart on 2:2, so the ground
+    state and every kicked window start at half-width 80, not 32."""
+    config = GearConfig(2, 2, V0=10.0,
+                        potential=PotentialSpec(((0, 0.5), (1, 0.4), (20, 0.1))))
+    assert relative._start_half_width(derive_geometry(config), 2, 32) == 80
+    res = transmission_ratio(config, KickProtocol(ell=2, num_kicks=1))
+    assert abs(res.r - 0.5) < 1e-12
 
 
 @pytest.mark.parametrize("ell", sorted(R_ODD))

@@ -5,12 +5,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gearsim.errors import NonPhysicalError
 from gearsim.model import (
     GearConfig,
     GridSpec,
     PotentialSpec,
+    _centred_divmod,
     allowed_relative_grid,
     angular_momentum_split,
     bloch_label,
@@ -44,6 +47,14 @@ def test_potential_validation():
         PotentialSpec(((1, 0.5), (1, 0.25)))  # duplicate harmonic
     with pytest.raises(ValueError):
         PotentialSpec(((-1, 0.5),))
+    # an index int() would change is refused, never truncated
+    for p in (1.5, True, np.True_, "1", math.inf, math.nan):
+        with pytest.raises(ValueError):
+            PotentialSpec(((0, 0.5), (p, 0.5)))
+    # whole floats and numpy integers are whole numbers
+    u = PotentialSpec(((0, 0.5), (1.0, 0.25), (np.int64(2), 0.25)))
+    assert u.fourier == ((0, 0.5), (1, 0.25), (2, 0.25))
+    assert all(type(p) is int for p, _ in u.fourier)
 
 
 def test_two_harmonic_potential():
@@ -209,13 +220,35 @@ def test_grid_spec_indexing(geom22):
         assert len(values) == grid.size == J - grid.lo + 1
         assert values[-grid.lo] == pytest.approx(float(grid.mu_r_offset))
         for j in range(grid.lo, J + 1):
-            v = grid.value(j)
-            assert grid.index_of(v) == j
-            assert values[j - grid.lo] == pytest.approx(float(v))
-        for j in (grid.lo - 1, J + 1):
-            with pytest.raises(NonPhysicalError):
-                grid.index_of(grid.value(j))
+            assert values[j - grid.lo] == pytest.approx(float(grid.value(j)))
         assert np.all(np.diff(values) == pytest.approx(float(grid.spacing)))
         # both windows on this mirror-symmetric lattice are mirror-symmetric
         assert np.array_equal(values, -values[::-1])
     assert half_steps == {False, True}
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(x=st.fractions(max_denominator=60), step=st.integers(1, 40))
+def test_centred_divmod(x, step):
+    q, r = _centred_divmod(x, step)
+    assert type(q) is int and isinstance(r, Fraction)
+    assert x == q * step + r
+    assert -Fraction(step, 2) < r <= Fraction(step, 2)
+
+
+def test_mirrored_is_the_reflection_rule(geom22, geom42):
+    """grid.mirrored, fixed when the window is built, says exactly whether
+    the window's lowest point is minus its highest."""
+    grids = [allowed_relative_grid(geom, momenta_to_collective(geom, m1, 0).mu_c, J)
+             for geom in (geom22, geom42) for m1 in range(4) for J in (0, 5)]
+    # hand-built: band_structure's GridSpec(k, n, J), and the same offsets
+    # moved by half a step
+    for k in (Fraction(-1), Fraction(0), Fraction(1, 3), Fraction(2), Fraction(-2)):
+        grids += [GridSpec(off, Fraction(4), J) for off in (k, k + 2) for J in (0, 7)]
+    kinds = set()
+    for grid in grids:
+        rule = grid.value(grid.lo) == -grid.value(grid.half_width)
+        assert grid.mirrored == rule, grid
+        kinds.add((grid.mirrored, grid.lo == -grid.half_width))
+    # centred, half-step, and off-centre windows all occur
+    assert kinds == {(True, True), (True, False), (False, True)}

@@ -154,10 +154,12 @@ def test_widen_embeds_amplitudes(geom22):
     wide = widen(state)
     assert wide.grid.half_width > state.grid.half_width
     assert wide.norm() == pytest.approx(1.0, abs=1e-12)
-    j0 = wide.grid.index_of(state.grid.value(0))
-    hw = state.grid.half_width
-    inner = slice(j0 - hw + wide.grid.half_width, j0 + hw + 1 + wide.grid.half_width)
-    assert np.allclose(wide.amplitudes[inner], state.amplitudes, atol=0)
+    # the old window sits inside the new one where its mu_r values are
+    start = int(np.flatnonzero(wide.grid.values() == state.grid.values()[0])[0])
+    inner = slice(start, start + state.grid.size)
+    assert np.array_equal(wide.grid.values()[inner], state.grid.values())
+    assert np.array_equal(wide.amplitudes[inner], state.amplitudes)
+    assert not np.any(np.delete(wide.amplitudes, np.arange(inner.start, inner.stop)))
 
 
 def test_band_structure_33():

@@ -24,7 +24,9 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 RUNS = 10
 
 
-def wall_time(src: pathlib.Path, command: str, config: pathlib.Path) -> float:
+def wall_time(src: pathlib.Path, command: str,
+              config: pathlib.Path) -> tuple[float, dict[str, bytes]]:
+    """Seconds one run takes, and the bytes of each CSV it wrote."""
     env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1",
                OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     with tempfile.TemporaryDirectory() as out:
@@ -32,7 +34,8 @@ def wall_time(src: pathlib.Path, command: str, config: pathlib.Path) -> float:
                 "--config", str(config), "--out", out]
         t0 = time.perf_counter()
         subprocess.run(argv, env=env, check=True, stdout=subprocess.DEVNULL)
-        return time.perf_counter() - t0
+        elapsed = time.perf_counter() - t0
+        return elapsed, {p.name: p.read_bytes() for p in pathlib.Path(out).glob("*.csv")}
 
 
 def main(argv=None) -> int:
@@ -43,12 +46,18 @@ def main(argv=None) -> int:
     sides = (args.before.resolve(), args.after.resolve())
     configs = sorted((ROOT / "configs").glob("*.json"))
     times = {cfg.stem: ([], []) for cfg in configs}
+    differ = set()
     for rnd in range(RUNS):
         order = (0, 1) if rnd % 2 == 0 else (1, 0)
         for cfg in configs:
             command = cfg.stem.rsplit("_", 1)[0]
+            csvs = [None, None]
             for side in order:
-                times[cfg.stem][side].append(wall_time(sides[side], command, cfg))
+                elapsed, csvs[side] = wall_time(sides[side], command, cfg)
+                times[cfg.stem][side].append(elapsed)
+            for name in csvs[0].keys() | csvs[1].keys():
+                if csvs[0].get(name) != csvs[1].get(name):
+                    differ.add(f"{cfg.name}: {name}")
     report = {"runs": RUNS, "before": str(sides[0]), "after": str(sides[1]),
               "commands": {}}
     for name, (before, after) in times.items():
@@ -58,7 +67,9 @@ def main(argv=None) -> int:
             "after_wins": sum(a < b for a, b in zip(after, before)),
         }
     print(json.dumps(report, indent=1))
-    return 0
+    for name in sorted(differ):
+        print(f"outputs differ: {name}", file=sys.stderr)
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":
