@@ -40,13 +40,11 @@ from .relative import (
     build_hamiltonian,
     eigendecompose,
     eigensystem_for,
-    ground_energy,
     ground_state,
 )
 from .dynamics import (
     KickProtocol,
     KickShift,
-    Observables,
     TimeSeries,
     TransmissionResult,
     apply_kick,
@@ -56,7 +54,6 @@ from .dynamics import (
     kick_shift,
     long_time_average,
     multi_kick,
-    observables,
     revival_phase_defect,
     run_protocol,
     time_series,

@@ -8,7 +8,8 @@ pushes probability toward an edge.  `_ensure_window` fits the window and
 projects the state onto its eigenstates once; the propagation kernel
 `_amplitudes` turns that into the amplitudes at all T sample times as one
 (T, dim) matrix, by two real products with the eigenvectors.  `evolve`,
-`evolved_states`, `time_series` and `ergotropy_time_series` read its rows.
+`evolved_states`, `time_series` and `ergotropy_time_series` read its rows;
+`time_series` checks every sample's L1 and L2 two independent ways.
 
 The infinite-time average of any observable is its diagonal-ensemble value,
 taken in the symmetry-resolved eigenbasis of `relative.eigendecompose`:
@@ -55,14 +56,12 @@ from .relative import (
 __all__ = [
     "KickProtocol",
     "KickShift",
-    "Observables",
     "TimeSeries",
     "TransmissionResult",
     "kick_shift",
     "apply_kick",
     "evolve",
     "evolved_states",
-    "observables",
     "time_series",
     "long_time_average",
     "run_protocol",
@@ -166,8 +165,7 @@ def _refit_grid(state: RotorState, shift: CollectiveMomentum) -> RotorState:
     new_grid = GridSpec(offset, grid.spacing, new_J)
     amps = np.zeros(new_grid.size, dtype=complex)
     amps[j - new_grid.lo] = state.amplitudes[occupied]
-    return RotorState(state.geom, state.mu_c + shift.mu_c, new_grid, amps,
-                      state.com_phase)
+    return RotorState(state.geom, state.mu_c + shift.mu_c, new_grid, amps)
 
 
 def apply_kick(state: RotorState, l1: int = 0, l2: int = 0) -> RotorState:
@@ -214,8 +212,7 @@ def _ensure_window(state: RotorState) -> tuple[RotorState, EigenSystem, np.ndarr
 
 
 def evolve(state: RotorState, t: float) -> RotorState:
-    """Free evolution for time t under the relative Hamiltonian, plus the
-    closed-form center-of-mass phase."""
+    """Free evolution for time t under the relative Hamiltonian."""
     if t == 0:
         return state.copy()
     return evolved_states(state, [t])[0]
@@ -237,56 +234,12 @@ def _amplitudes(state: RotorState, times) -> tuple[RotorState, np.ndarray]:
 def evolved_states(state: RotorState, times) -> list[RotorState]:
     """The state at each requested time, sharing one eigendecomposition."""
     state, C = _amplitudes(state, times)
-    mu_c2 = float(state.mu_c) ** 2
-    return [RotorState(state.geom, state.mu_c, state.grid, c,
-                       state.com_phase - mu_c2 * t / (2.0 * state.geom.I_c))
-            for t, c in zip(np.asarray(times, dtype=float), C)]
-
-
-@dataclass(frozen=True)
-class Observables:
-    """One-time expectation values of a state."""
-
-    L1: float
-    L2: float
-    L2_sq: float
-    energy_r: float
-    norm: float
-
-
-def observables(state: RotorState) -> Observables:
-    """Expectation values, computed two redundant ways.
-
-    The per-gear momenta come from the exact integer (m1, m2) behind each
-    grid point and, independently, from the collective split formula; the
-    two must agree to 1e-12 or the state bookkeeping is corrupt.
-    """
-    p = np.abs(state.amplitudes) ** 2
-    norm = float(p.sum())
-    m1, m2 = state.momentum_pairs()
-    L1 = float(p @ m1)
-    L2 = float(p @ m2)
-    L2_sq = float(p @ (m2.astype(float) ** 2))
-
-    mu = state.grid.values()
-    L_r = float(p @ mu)
-    L1_split, L2_split = angular_momentum_split(
-        state.geom, norm * float(state.mu_c), L_r
-    )
-    for a, b in ((L1, L1_split), (L2, L2_split)):
-        if abs(a - b) > 1e-12 * max(1.0, abs(a)):
-            raise InternalInconsistency(
-                f"momentum split mismatch: {a!r} vs {b!r}"
-            )
-
-    ham = build_hamiltonian(state.geom, state.grid)
-    energy = float(np.real(np.vdot(state.amplitudes, ham.matvec(state.amplitudes))))
-    return Observables(L1, L2, L2_sq, energy, norm)
+    return [RotorState(state.geom, state.mu_c, state.grid, c) for c in C]
 
 
 @dataclass(frozen=True)
 class TimeSeries:
-    """Observables sampled on a time grid."""
+    """Expectation values sampled on a time grid."""
 
     times: np.ndarray
     L1: np.ndarray
@@ -299,16 +252,28 @@ class TimeSeries:
 def time_series(state: RotorState, times) -> TimeSeries:
     """Evolve and record observables at each time, all samples at once.
     The energy is measured on every evolved sample, <c|H c>, so its spread
-    tests the propagation rather than restating it."""
+    tests the propagation rather than restating it.  L1 and L2 come from the
+    exact integer (m1, m2) behind each grid point and, independently, from
+    the collective split formula; the two must agree to 1e-12 at every
+    sample or the state bookkeeping is corrupt."""
     times = np.asarray(times, dtype=float)
     state, C = _amplitudes(state, times)
     m1, m2 = state.momentum_pairs()
     m2 = m2.astype(float)
     P = np.abs(C) ** 2
+    L1, L2, norm = P @ m1.astype(float), P @ m2, P.sum(axis=1)
+    split = angular_momentum_split(state.geom, norm * float(state.mu_c),
+                                   P @ state.grid.values())
+    for exact, other in zip((L1, L2), split):
+        bad = np.abs(exact - other) > 1e-12 * np.maximum(1.0, np.abs(exact))
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise InternalInconsistency(
+                f"momentum split mismatch at t={float(times[i])!r}: "
+                f"{float(exact[i])!r} vs {float(other[i])!r}")
     HC = build_hamiltonian(state.geom, state.grid).matvec(C)
     energy = np.einsum("ij,ij->i", C.conj(), HC).real
-    return TimeSeries(times, P @ m1.astype(float), P @ m2, P @ (m2 * m2),
-                      energy, P.sum(axis=1))
+    return TimeSeries(times, L1, L2, P @ (m2 * m2), energy, norm)
 
 
 def eigen_occupations(state: RotorState) -> tuple[EigenSystem, np.ndarray]:
@@ -323,16 +288,15 @@ class TransmissionResult:
     """Infinite-time averages after a kick protocol.
 
     r is the transmission ratio <L2>_bar / ell, or None when ell == 0.
-    occupations are the eigenstate probabilities of the averaged state and
     period_estimate is 2*pi over the gap between the two most occupied
-    eigenstates (the dominant beat in the transient).
+    eigenstates (the dominant beat in the transient); the occupations
+    themselves come from `eigen_occupations`.
     """
 
     r: float | None
     L1_bar: float
     L2_bar: float
     L_r_bar: float
-    occupations: np.ndarray
     period_estimate: float
 
 
@@ -364,7 +328,7 @@ def long_time_average(state: RotorState, ell: int | None = None) -> Transmission
     r = None
     if ell:
         r = L2_bar / ell
-    return TransmissionResult(r, L1_bar, L2_bar, L_r_bar, occ, period)
+    return TransmissionResult(r, L1_bar, L2_bar, L_r_bar, period)
 
 
 def run_protocol(geom: DerivedGeometry, protocol: KickProtocol) -> RotorState:

@@ -65,19 +65,6 @@ class MomentumDistribution:
             raise ValueError(f"probabilities sum to {total}, expected 1")
         object.__setattr__(self, "probs", tuple(sorted(clean)))
 
-    def kinetic(self) -> float:
-        """<L^2>/(2 I)."""
-        return sum(m * m * p for m, p in self.probs) / (2.0 * self.inertia)
-
-    def mean(self) -> float:
-        """<L>."""
-        return sum(m * p for m, p in self.probs)
-
-    def net_kinetic(self) -> float:
-        """<L>^2/(2 I): the directional part of the kinetic energy."""
-        mean = self.mean()
-        return mean * mean / (2.0 * self.inertia)
-
 
 def reduced_gear2(state: RotorState) -> MomentumDistribution:
     """Gear 2's reduced (diagonal) state."""

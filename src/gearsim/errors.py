@@ -6,8 +6,9 @@ class GearsError(Exception):
 
 
 class NonPhysicalError(GearsError, ValueError):
-    """A collective momentum has no integer (m1, m2) preimage, or the tooth
-    profile has no well at the aligned configuration."""
+    """A collective momentum has no integer (m1, m2) preimage, the tooth
+    profile has no well at the aligned configuration, or a hand-built window
+    the profile's couplings do not fit."""
 
 
 class UnsupportedInertiaError(GearsError, ValueError):

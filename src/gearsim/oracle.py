@@ -229,7 +229,7 @@ def _moments(p: np.ndarray, m: np.ndarray):
 
 @dataclass(frozen=True)
 class OracleSeries:
-    """Observables (and gear-2 distributions) on a time grid."""
+    """Expectation values (and gear-2 distributions) on a time grid."""
 
     times: np.ndarray
     L1: np.ndarray

@@ -10,7 +10,8 @@ from different sectors from being mixed by the eigensolver.  Every window on
 a lattice that mu_r -> -mu_r maps onto itself is mirror-symmetric (see
 GridSpec.mirrored), and a sector that the reflection maps onto itself
 (k = 0 or k = n/2) is diagonalized in its even and odd parts, so its
-eigenvectors are reflection-definite by construction.
+eigenvectors are reflection-definite by construction.  Eigenvector signs
+are arbitrary: every consumer pairs v^T c with its own v or squares it.
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ from math import ceil, gcd, isfinite, lcm
 import numpy as np
 import scipy.linalg
 
-from .errors import ConvergenceFailure, InternalInconsistency, UnsupportedInertiaError
+from .errors import (ConvergenceFailure, InternalInconsistency, NonPhysicalError,
+                     UnsupportedInertiaError)
 from .model import (
     DerivedGeometry,
     GridSpec,
@@ -105,7 +107,7 @@ def build_hamiltonian(geom: DerivedGeometry, grid: GridSpec) -> BandedHamiltonia
         if step_exact.denominator != 1:
             # a coupling that does not hit the lattice cannot occur for
             # grids built by allowed_relative_grid; guard anyway
-            raise ValueError(
+            raise NonPhysicalError(
                 f"harmonic {p} step {p * geom.n} is not a multiple of grid spacing"
             )
         step = int(step_exact)
@@ -113,7 +115,7 @@ def build_hamiltonian(geom: DerivedGeometry, grid: GridSpec) -> BandedHamiltonia
             couplings.append((step, -cfg.V0 * a_p / 2.0))
     max_step = max((s for s, _ in couplings), default=0)
     if grid.half_width < 2 * max_step:
-        raise ValueError(
+        raise NonPhysicalError(
             f"half_width {grid.half_width} too small for coupling step {max_step}"
             " (need at least twice the longest step)"
         )
@@ -126,7 +128,8 @@ class EigenSystem:
 
     States are sorted by (energy, Bloch label); each eigenvector lives in
     one index sector of the grid and, in a sector that mu_r -> -mu_r maps
-    onto itself, is even or odd under that reflection.
+    onto itself, is even or odd under that reflection.  Eigenvector signs
+    are arbitrary.
     """
 
     geom: DerivedGeometry
@@ -138,17 +141,6 @@ class EigenSystem:
     @property
     def dim(self) -> int:
         return self.grid.size
-
-
-def _fix_signs(vectors: np.ndarray) -> None:
-    """Deterministic gauge: first entry of visible magnitude is positive.
-    All-zero columns are left as they are."""
-    mag = np.abs(vectors)
-    visible = mag > 1e-12 * mag.max(axis=0)
-    first = np.argmax(visible, axis=0)
-    cols = np.arange(vectors.shape[1])
-    flip = visible[first, cols] & (vectors[first, cols] < 0)
-    vectors[:, flip] = -vectors[:, flip]
 
 
 def _band(diag: np.ndarray, couplings, bw: int) -> np.ndarray:
@@ -241,7 +233,6 @@ def eigendecompose(ham: BandedHamiltonian) -> EigenSystem:
     energies = energies[order]
     vectors = vectors[:, order]
     labels = tuple(sector_labels[c] for c in sector_of[order].tolist())
-    _fix_signs(vectors)
     return EigenSystem(geom, grid, energies, vectors, labels)
 
 
@@ -258,14 +249,14 @@ def eigensystem_for(geom: DerivedGeometry, grid: GridSpec) -> EigenSystem:
 
 @dataclass
 class RotorState:
-    """Pure state of the pair: fixed exact mu_c, complex amplitudes over a
-    relative-momentum window, and the accumulated center-of-mass phase."""
+    """Pure state of the pair: fixed exact mu_c and complex amplitudes over
+    a relative-momentum window.  The center-of-mass phase is global and not
+    carried (revivals: dynamics.revival_phase_defect)."""
 
     geom: DerivedGeometry
     mu_c: Fraction
     grid: GridSpec
     amplitudes: np.ndarray
-    com_phase: float = 0.0
 
     def norm(self) -> float:
         return float(np.sum(np.abs(self.amplitudes) ** 2))
@@ -356,7 +347,7 @@ def widen(state: RotorState) -> RotorState:
     start = state.grid.lo - new_grid.lo
     amps = np.zeros(new_grid.size, dtype=complex)
     amps[start:start + state.grid.size] = state.amplitudes
-    return RotorState(state.geom, state.mu_c, new_grid, amps, state.com_phase)
+    return RotorState(state.geom, state.mu_c, new_grid, amps)
 
 
 def ground_state(geom: DerivedGeometry) -> RotorState:
@@ -384,14 +375,7 @@ def ground_state(geom: DerivedGeometry) -> RotorState:
     peak = int(np.argmax(np.abs(amps)))
     if amps[peak].real < 0:
         amps = -amps
-    return RotorState(geom, Fraction(0), grid, amps, com_phase=0.0)
-
-
-def ground_energy(geom: DerivedGeometry) -> float:
-    """Energy of the interlocked ground state (relative part)."""
-    state = ground_state(geom)
-    es = eigensystem_for(geom, state.grid)
-    return float(es.energies[0])
+    return RotorState(geom, Fraction(0), grid, amps)
 
 
 @dataclass(frozen=True)

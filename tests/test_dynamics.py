@@ -18,14 +18,14 @@ from gearsim.dynamics import (
     kick_shift,
     long_time_average,
     multi_kick,
-    observables,
     revival_phase_defect,
     run_protocol,
     time_series,
     transmission_ratio,
 )
-from gearsim.errors import ConvergenceFailure
+from gearsim.errors import ConvergenceFailure, InternalInconsistency
 from gearsim.model import GearConfig, PotentialSpec, derive_geometry
+from gearsim.ergotropy import ergotropy_time_series
 from gearsim.relative import build_hamiltonian, ground_state
 
 # frozen sub-threshold transmissions, 2:2 pair at V0 = 10
@@ -63,18 +63,16 @@ def test_kick_shift_additive(geom42):
 
 
 def test_kick_adds_momentum_exactly(geom22):
-    state = apply_kick(ground_state(geom22), l1=6)
-    obs = observables(state)
-    assert obs.L1 == pytest.approx(6.0, abs=1e-12)
-    assert obs.L2 == pytest.approx(0.0, abs=1e-12)
-    assert obs.norm == pytest.approx(1.0, abs=1e-12)
+    ts = time_series(apply_kick(ground_state(geom22), l1=6), [0.0])
+    assert ts.L1[0] == pytest.approx(6.0, abs=1e-12)
+    assert ts.L2[0] == pytest.approx(0.0, abs=1e-12)
+    assert ts.norm[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_kick_on_second_gear(geom22):
-    state = apply_kick(ground_state(geom22), l2=4)
-    obs = observables(state)
-    assert obs.L1 == pytest.approx(0.0, abs=1e-12)
-    assert obs.L2 == pytest.approx(4.0, abs=1e-12)
+    ts = time_series(apply_kick(ground_state(geom22), l2=4), [0.0])
+    assert ts.L1[0] == pytest.approx(0.0, abs=1e-12)
+    assert ts.L2[0] == pytest.approx(4.0, abs=1e-12)
 
 
 def test_protocol_kick_count(geom22):
@@ -84,7 +82,7 @@ def test_protocol_kick_count(geom22):
     with pytest.raises(ValueError):
         KickProtocol(ell=5, num_kicks=2)  # 5 not divisible by 2
     state = run_protocol(geom22, KickProtocol(ell=6, num_kicks=1))
-    assert observables(state).L1 == pytest.approx(6.0, abs=1e-12)
+    assert time_series(state, [0.0]).L1[0] == pytest.approx(6.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("delta_t", [-1.0, math.inf, math.nan])
@@ -108,13 +106,13 @@ def test_multi_kick_requires_unit_kicks(cfg22):
 
 def test_evolution_conserves_norm_energy_and_drive(geom22):
     state = apply_kick(ground_state(geom22), l1=3)
-    e0 = observables(state).energy_r
+    e0 = time_series(state, [0.0]).energy_r[0]
     drive = []
     for t in (0.0, 0.7, 3.1, 12.0):
-        obs = observables(evolve(state, t))
-        assert obs.norm == pytest.approx(1.0, abs=1e-13)
-        assert obs.energy_r == pytest.approx(e0, abs=1e-11)
-        drive.append(geom22.config.n2 * obs.L1 + geom22.config.n1 * obs.L2)
+        ts = time_series(state, [t])
+        assert ts.norm[0] == pytest.approx(1.0, abs=1e-13)
+        assert ts.energy_r[0] == pytest.approx(e0, abs=1e-11)
+        drive.append(geom22.config.n2 * ts.L1[0] + geom22.config.n1 * ts.L2[0])
     assert np.ptp(drive) < 1e-11
 
 
@@ -171,10 +169,18 @@ def test_time_series_matches_pointwise(geom22):
     times = np.array([0.0, 1.5, 4.0])
     ts = time_series(state, times)
     for i, t in enumerate(times):
-        obs = observables(evolve(state, t))
-        assert ts.L1[i] == pytest.approx(obs.L1, abs=1e-12)
-        assert ts.L2[i] == pytest.approx(obs.L2, abs=1e-12)
-        assert ts.L2_sq[i] == pytest.approx(obs.L2_sq, abs=1e-12)
+        one = time_series(evolve(state, t), [0.0])
+        assert ts.L1[i] == pytest.approx(one.L1[0], abs=1e-12)
+        assert ts.L2[i] == pytest.approx(one.L2[0], abs=1e-12)
+        assert ts.L2_sq[i] == pytest.approx(one.L2_sq[0], abs=1e-12)
+
+
+def test_time_series_checks_the_momentum_split(geom22, monkeypatch):
+    split = dynamics.angular_momentum_split
+    monkeypatch.setattr(dynamics, "angular_momentum_split",
+                        lambda *args: tuple(L + 1e-9 for L in split(*args)))
+    with pytest.raises(InternalInconsistency, match="momentum split mismatch"):
+        time_series(apply_kick(ground_state(geom22), l1=2), [0.0, 1.5])
 
 
 def test_time_series_of_no_times_is_empty(geom22):
@@ -223,8 +229,50 @@ def test_evolve_is_the_kernel_row(geom22):
         one = evolve(state, t)
         row = evolved_states(state, [t])[0]
         assert np.array_equal(one.amplitudes, row.amplitudes)
-        assert (one.grid, one.mu_c, one.com_phase) == (row.grid, row.mu_c,
-                                                       row.com_phase)
+        assert (one.grid, one.mu_c) == (row.grid, row.mu_c)
+
+
+@pytest.mark.parametrize("config, protocol", [
+    pytest.param(GearConfig(2, 2, V0=10.0),
+                 KickProtocol(ell=3, num_kicks=3, delta_t=0.5), id="22-ell3"),
+    pytest.param(GearConfig(1, 3, V0=6.0, potential=THIRD),
+                 KickProtocol(ell=3, num_kicks=3, delta_t=0.7, target_gear=2),
+                 id="13-third-train"),
+    pytest.param(GearConfig(1, 1, V0=16.08583582949375, potential=SMALL_SECOND),
+                 KickProtocol(ell=11, num_kicks=1), id="11-half-step"),
+])
+def test_outputs_ignore_eigenvector_signs(config, protocol, monkeypatch):
+    """Every output pairs v^T c with its own v or squares it, so negating
+    any eigenvector columns changes no bit of it."""
+    times = [0.0, 0.3, 1.7, 4.0, 12.5]
+
+    def outputs():
+        state = run_protocol(derive_geometry(config), protocol)
+        ts = time_series(state, times)
+        es, occ = eigen_occupations(state)
+        res = transmission_ratio(config, protocol)
+        return ([ts.L1, ts.L2, ts.L2_sq, ts.energy_r, ts.norm, es.energies, occ],
+                (ergotropy_time_series(config, protocol, times), res.r,
+                 res.L1_bar, res.L2_bar, res.L_r_bar, res.period_estimate))
+
+    rng = np.random.default_rng(11)
+    unflipped = relative.eigendecompose
+
+    def flipped(ham):
+        es = unflipped(ham)
+        es.vectors[:, rng.random(es.dim) < 0.5] *= -1.0
+        return es
+
+    relative.eigensystem_for.cache_clear()
+    try:
+        arrays, scalars = outputs()
+        monkeypatch.setattr(relative, "eigendecompose", flipped)
+        relative.eigensystem_for.cache_clear()
+        arrays_flipped, scalars_flipped = outputs()
+    finally:
+        relative.eigensystem_for.cache_clear()
+    assert all(np.array_equal(a, b) for a, b in zip(arrays, arrays_flipped))
+    assert scalars == scalars_flipped
 
 
 # ------------------------------------------------------ long-time averages ---

@@ -10,8 +10,8 @@ from gearsim.dynamics import (
     apply_kick,
     evolve,
     evolved_states,
-    observables,
     run_protocol,
+    time_series,
 )
 from gearsim.errors import InternalInconsistency
 from gearsim.ergotropy import (
@@ -88,13 +88,14 @@ def test_resting_gear_has_no_work_content():
 
 
 def test_reduced_distribution_matches_observables(geom22):
-    state = evolve(apply_kick(ground_state(geom22), l1=3), 2.5)
-    d = reduced_gear2(state)
-    obs = observables(state)
-    I2 = geom22.config.I2
+    kicked = apply_kick(ground_state(geom22), l1=3)
+    d = reduced_gear2(evolve(kicked, 2.5))
+    rep = ergotropy(d)
+    ts = time_series(kicked, [2.5])
+    two_I2 = 2.0 * geom22.config.I2
     assert sum(p for _, p in d.probs) == pytest.approx(1.0, abs=1e-12)
-    assert d.mean() == pytest.approx(obs.L2, abs=1e-10)
-    assert d.kinetic() == pytest.approx(obs.L2_sq / (2.0 * I2), abs=1e-10)
+    assert rep.kinetic == pytest.approx(ts.L2_sq[0] / two_I2, abs=1e-10)
+    assert rep.net_kinetic == pytest.approx(ts.L2[0] ** 2 / two_I2, abs=1e-10)
 
 
 def test_ergotropy_exceeds_directed_energy_after_kick(cfg22, geom22):

@@ -22,13 +22,11 @@ from gearsim.model import (
 )
 from gearsim.relative import (
     RotorState,
-    _fix_signs,
     _parity_eig,
     band_structure,
     build_hamiltonian,
     eigendecompose,
     eigensystem_for,
-    ground_energy,
     ground_state,
     tail_mass,
     widen,
@@ -93,9 +91,14 @@ def test_free_rotor_spectrum():
         assert support[0] ** 2 / (2.0 * geom.I_r) == pytest.approx(es.energies[i], abs=1e-12)
 
 
+def _e0(geom):
+    """Energy of the interlocked ground state (relative part)."""
+    return eigensystem_for(geom, ground_state(geom).grid).energies[0]
+
+
 def test_ground_state_frozen_energy(geom22, geom42):
-    assert ground_energy(geom22) == pytest.approx(E0_22, abs=1e-12)
-    assert ground_energy(geom42) == pytest.approx(E0_42, abs=1e-12)
+    assert _e0(geom22) == pytest.approx(E0_22, abs=1e-12)
+    assert _e0(geom42) == pytest.approx(E0_42, abs=1e-12)
 
 
 def test_ground_state_properties(geom22):
@@ -104,7 +107,7 @@ def test_ground_state_properties(geom22):
     assert state.norm() == pytest.approx(1.0, abs=1e-12)
     assert tail_mass(state.amplitudes) < 1e-12
     # bound well below the free ground state, above the well bottom
-    e0 = ground_energy(geom22)
+    e0 = _e0(geom22)
     assert -geom22.config.V0 < e0 < 0.0
     # harmonic estimate around the well bottom is good to a few percent
     harmonic = -geom22.config.V0 + 0.5 * geom22.omega0_harmonic
@@ -120,9 +123,9 @@ def test_ground_energy_truncation_stable(geom22):
 
 
 def test_deeper_well_binds_harder():
-    e_shallow = ground_energy(derive_geometry(GearConfig(2, 2, V0=5.0)))
-    e_deep = ground_energy(derive_geometry(GearConfig(2, 2, V0=40.0)))
-    assert e_deep < e_shallow
+    shallow = derive_geometry(GearConfig(2, 2, V0=5.0))
+    deep = derive_geometry(GearConfig(2, 2, V0=40.0))
+    assert _e0(deep) < _e0(shallow)
 
 
 def test_eigensystem_cache_returns_same_object(geom22):
@@ -145,8 +148,11 @@ def test_eigensystem_cache_is_bounded():
 
 
 def test_window_must_cover_coupling(geom22):
-    with pytest.raises(ValueError):
+    with pytest.raises(NonPhysicalError, match="too small"):
         build_hamiltonian(geom22, GridSpec(Fraction(0), Fraction(2), 1))
+    # harmonic 1 couples mu_r to mu_r +- 4 on 2:2, off a lattice of spacing 3
+    with pytest.raises(NonPhysicalError, match="not a multiple"):
+        build_hamiltonian(geom22, GridSpec(Fraction(0), Fraction(3), 8))
 
 
 def test_widen_embeds_amplitudes(geom22):
@@ -334,32 +340,6 @@ def test_momentum_pairs_solves_three_points_and_checks_the_last(
     monkeypatch.setattr(model, "collective_to_momenta", wrong_at_the_end)
     with pytest.raises(InternalInconsistency):
         _state(geom42, 0, grid).momentum_pairs()
-
-
-def _fix_signs_by_column(vectors):
-    for i in range(vectors.shape[1]):
-        v = vectors[:, i]
-        nz = np.flatnonzero(np.abs(v) > 1e-12 * np.abs(v).max())
-        if nz.size and v[nz[0]] < 0:
-            vectors[:, i] = -v
-
-
-def test_fix_signs_matches_the_column_loop():
-    rng = np.random.default_rng(3)
-    for _ in range(50):
-        rows, cols = rng.integers(1, 12, size=2)
-        v = rng.normal(size=(rows, cols))
-        v[:, rng.random(cols) < 0.2] = 0.0                 # all-zero columns
-        v[rng.random((rows, cols)) < 0.3] = 0.0            # exact zeros
-        if rows > 1:
-            for c in range(cols):                          # near the threshold
-                scale = rng.choice([1 - 1e-6, 1 + 1e-6, 1.0]) * 1e-12
-                peak = np.abs(v[1:, c]).max()
-                v[0, c] = rng.choice([-1, 1]) * scale * peak
-        want = v.copy()
-        _fix_signs_by_column(want)
-        _fix_signs(v)
-        assert v.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("n1, n2, fourier, l1, J, half_step", [

@@ -7,6 +7,8 @@ Each `configs/<command>_<tag>.json` is run as `python -m gearsim.cli
 The side that goes first alternates from round to round, so a drift in
 machine speed falls on both sides alike.  Prints per-command medians
 (seconds) and the number of rounds the second tree was faster, as JSON.
+`gearsim verify` is run once per side, untimed.  Exits 1, naming each, if
+any CSV or the verify stdout differs in bytes between the two trees.
 Standard library only.
 """
 
@@ -24,18 +26,27 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 RUNS = 10
 
 
+def _env(src: pathlib.Path) -> dict[str, str]:
+    return dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1",
+                OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+
+
 def wall_time(src: pathlib.Path, command: str,
               config: pathlib.Path) -> tuple[float, dict[str, bytes]]:
     """Seconds one run takes, and the bytes of each CSV it wrote."""
-    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1",
-               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     with tempfile.TemporaryDirectory() as out:
         argv = [sys.executable, "-m", "gearsim.cli", command,
                 "--config", str(config), "--out", out]
         t0 = time.perf_counter()
-        subprocess.run(argv, env=env, check=True, stdout=subprocess.DEVNULL)
+        subprocess.run(argv, env=_env(src), check=True, stdout=subprocess.DEVNULL)
         elapsed = time.perf_counter() - t0
         return elapsed, {p.name: p.read_bytes() for p in pathlib.Path(out).glob("*.csv")}
+
+
+def verify_stdout(src: pathlib.Path) -> bytes:
+    """What `gearsim verify` prints, whether or not every criterion passes."""
+    argv = [sys.executable, "-m", "gearsim.cli", "verify"]
+    return subprocess.run(argv, env=_env(src), stdout=subprocess.PIPE).stdout
 
 
 def main(argv=None) -> int:
@@ -58,6 +69,8 @@ def main(argv=None) -> int:
             for name in csvs[0].keys() | csvs[1].keys():
                 if csvs[0].get(name) != csvs[1].get(name):
                     differ.add(f"{cfg.name}: {name}")
+    if verify_stdout(sides[0]) != verify_stdout(sides[1]):
+        differ.add("gearsim verify: stdout")
     report = {"runs": RUNS, "before": str(sides[0]), "after": str(sides[1]),
               "commands": {}}
     for name, (before, after) in times.items():
