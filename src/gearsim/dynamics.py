@@ -25,16 +25,17 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import InternalInconsistency, NonPhysicalError
+from .errors import InternalInconsistency
 from .model import (
-    CollectiveMomentum,
     DerivedGeometry,
     GearConfig,
     GridSpec,
     _centred_divmod,
+    _exact_float,
+    _integer_A,
+    _lattice_point,
     angular_momentum_split,
     derive_geometry,
-    is_physical_mu_c,
     momenta_to_collective,
 )
 from .relative import (
@@ -45,7 +46,6 @@ from .relative import (
     EigenSystem,
     RotorState,
     _check_growth,
-    _edges,
     _start_half_width,
     build_hamiltonian,
     eigensystem_for,
@@ -147,13 +147,13 @@ def kick_shift(geom: DerivedGeometry, l1: int, l2: int) -> KickShift:
     return KickShift(shift.mu_c, shift.mu_r, dm_r, dk, enhanced)
 
 
-def _refit_grid(state: RotorState, shift: CollectiveMomentum) -> RotorState:
-    """The state moved by a kick's collective shift, on the window built on
-    the canonical offset and sized to the occupied support plus margin, but
-    no narrower than a new window starts.  Drops only amplitudes below
-    SUPPORT_EPS."""
+def _refit_grid(state: RotorState, dA: int, db: int) -> RotorState:
+    """The state moved by a kick's lattice shift (dA, d mu_r/u), on the
+    window built on the canonical offset and sized to the occupied support
+    plus margin, but no narrower than a new window starts.  Drops only
+    amplitudes below SUPPORT_EPS."""
     grid = state.grid
-    k, offset = _centred_divmod(grid.mu_r_offset + shift.mu_r, grid.spacing)
+    k, offset = _centred_divmod(grid.offset + db, grid.spacing)
 
     occupied = np.flatnonzero(np.abs(state.amplitudes) ** 2 > SUPPORT_EPS)
     if occupied.size == 0:
@@ -162,10 +162,10 @@ def _refit_grid(state: RotorState, shift: CollectiveMomentum) -> RotorState:
     j = occupied + grid.lo + k
     new_J = max(_start_half_width(state.geom, grid.spacing, MIN_HALF_WIDTH),
                 int(np.max(np.abs(j))) + MARGIN_STEPS)
-    new_grid = GridSpec(offset, grid.spacing, new_J)
+    new_grid = GridSpec(offset, grid.spacing, new_J, grid.unit)
     amps = np.zeros(new_grid.size, dtype=complex)
     amps[j - new_grid.lo] = state.amplitudes[occupied]
-    return RotorState(state.geom, state.mu_c + shift.mu_c, new_grid, amps)
+    return RotorState(state.geom, state.A + dA, new_grid, amps)
 
 
 def apply_kick(state: RotorState, l1: int = 0, l2: int = 0) -> RotorState:
@@ -180,19 +180,7 @@ def apply_kick(state: RotorState, l1: int = 0, l2: int = 0) -> RotorState:
     for name, l in (("l1", l1), ("l2", l2)):
         if not isinstance(l, int) or isinstance(l, bool):
             raise ValueError(f"{name} must be an integer")
-    return _refit_grid(state, momenta_to_collective(state.geom, l1, l2))
-
-
-def _weighted_eigentail(es: EigenSystem, a: np.ndarray) -> float:
-    """Upper bound on the window-edge occupation, at *any* time, of the
-    state with eigen-amplitudes a: (sum_i |a_i| * ||tail of v_i||)^2 by the
-    triangle inequality."""
-    low, high = _edges(es.dim)
-    tails = np.sqrt(
-        np.sum(es.vectors[low, :] ** 2, axis=0)
-        + np.sum(es.vectors[high, :] ** 2, axis=0)
-    )
-    return float(np.sum(np.abs(a) * tails)) ** 2
+    return _refit_grid(state, *_lattice_point(state.geom, l1, l2))
 
 
 def _ensure_window(state: RotorState) -> tuple[RotorState, EigenSystem, np.ndarray]:
@@ -204,7 +192,9 @@ def _ensure_window(state: RotorState) -> tuple[RotorState, EigenSystem, np.ndarr
         c = state.amplitudes
         # two real products: V times a complex array would upcast all of V
         a = es.vectors.T @ c.real + 1j * (es.vectors.T @ c.imag)
-        tail = _weighted_eigentail(es, a)
+        # bound on the edge occupation at *any* time, by the triangle
+        # inequality: (sum_i |a_i| * ||edge rows of v_i||)^2
+        tail = float(np.sum(np.abs(a) * es.edge_norms)) ** 2
         if tail < TAIL_BOUND:
             return state, es, a
         _check_growth(state.grid, tail)
@@ -234,7 +224,7 @@ def _amplitudes(state: RotorState, times) -> tuple[RotorState, np.ndarray]:
 def evolved_states(state: RotorState, times) -> list[RotorState]:
     """The state at each requested time, sharing one eigendecomposition."""
     state, C = _amplitudes(state, times)
-    return [RotorState(state.geom, state.mu_c, state.grid, c) for c in C]
+    return [RotorState(state.geom, state.A, state.grid, c) for c in C]
 
 
 @dataclass(frozen=True)
@@ -262,7 +252,8 @@ def time_series(state: RotorState, times) -> TimeSeries:
     m2 = m2.astype(float)
     P = np.abs(C) ** 2
     L1, L2, norm = P @ m1.astype(float), P @ m2, P.sum(axis=1)
-    split = angular_momentum_split(state.geom, norm * float(state.mu_c),
+    mu_c = _exact_float(state.A, state.geom._mu_c_factor)
+    split = angular_momentum_split(state.geom, norm * mu_c,
                                    P @ state.grid.values())
     for exact, other in zip((L1, L2), split):
         bad = np.abs(exact - other) > 1e-12 * np.maximum(1.0, np.abs(exact))
@@ -315,7 +306,8 @@ def long_time_average(state: RotorState, ell: int | None = None) -> Transmission
     mu = es.grid.values()
     per_state = (np.abs(es.vectors) ** 2 * mu[:, None]).sum(axis=0)
     L_r_bar = float(occ @ per_state)
-    L1_bar, L2_bar = angular_momentum_split(state.geom, float(state.mu_c), L_r_bar)
+    mu_c = _exact_float(state.A, state.geom._mu_c_factor)
+    L1_bar, L2_bar = angular_momentum_split(state.geom, mu_c, L_r_bar)
 
     order = np.lexsort((es.energies, -occ))
     top, second = order[0], order[1] if len(order) > 1 else order[0]
@@ -362,8 +354,7 @@ def revival_phase_defect(geom: DerivedGeometry, mu_c) -> float:
     """Distance of the center-of-mass phase at t = tau_c from a multiple of
     2*pi, in radians.  Evaluated with exact rationals: the phase over 2*pi
     equals (mu_c * nu)^2, which is an exact integer for physical mu_c."""
-    if not is_physical_mu_c(geom, mu_c):
-        raise NonPhysicalError(f"mu_c={mu_c} is not realizable by integer momenta")
+    _integer_A(geom, mu_c)   # NonPhysicalError unless physical
     winding = (Fraction(mu_c) * geom.nu) ** 2
     frac = winding - round(winding)
     return abs(float(frac)) * 2.0 * math.pi

@@ -3,17 +3,20 @@
 Two planar rotors with tooth counts (n1, n2) couple through an even,
 2*pi-periodic tooth profile u(x) evaluated at x = n1*theta1 - n2*theta2.
 Everything downstream of this module works in center-of-mass / relative
-coordinates; here lives the exact (rational) bookkeeping between the integer
-angular momenta (m1, m2) and the collective pair (mu_c, mu_r), plus every
-derived constant of the pair.
+coordinates; here lives the exact bookkeeping between the integer angular
+momenta (m1, m2) and the collective pair (mu_c, mu_r), plus every derived
+constant of the pair.
 
 Units: hbar = 1 and the reference moment of inertia is 1, so energies are in
 hbar^2/I_ref, times in I_ref/hbar, and angular momenta in hbar.
 
-Quantum numbers are kept as `fractions.Fraction` throughout.  The collective
-momenta of a physical state are rationals with small fixed denominators, and
-physicality checks ("does this (mu_c, mu_r) come from integers?") are exact
-divisibility tests that float arithmetic would corrupt.
+The lattice is integer: mu_c is _mu_c_factor times A = n2 m1 + n1 m2, and
+mu_r, the Bloch period n and the grid spacing n/g are integer multiples of
+one unit per geometry, mu_r_unit.  Grids, kicks, Bloch labels and the
+momentum map run on Python ints (binary-float inertias give the unit a
+54-bit denominator).  `fractions.Fraction` is kept where exactness is
+checked against outside input: building the geometry and the public
+transforms.  Floats are taken from exact values by correct rounding.
 """
 
 from __future__ import annotations
@@ -58,7 +61,13 @@ def _as_fraction(x, what: str) -> Fraction:
     raise TypeError(f"{what} must be a rational number, got {type(x).__name__}")
 
 
-def _centred_divmod(x: Fraction, step) -> tuple[int, Fraction]:
+def _exact_float(i: int, q: Fraction) -> float:
+    """i * q correctly rounded, the same float as float(Fraction(i) * q),
+    without building a Fraction (int true division rounds correctly)."""
+    return i * q.numerator / q.denominator
+
+
+def _centred_divmod(x, step) -> tuple[int, int | Fraction]:
     """Exact centred division: x = q * step + r with r in (-step/2, step/2].
 
     The one rule that reduces a lattice value to its representative: grid
@@ -189,52 +198,54 @@ class CollectiveMomentum:
 class GridSpec:
     """Window of the allowed relative-momentum lattice.
 
-    Grid points are mu_r = mu_r_offset + spacing * j for j in
-    [lo, half_width].  Offset and spacing are exact; lo, size and mirrored
-    are fixed when the window is built.  mirrored means mu_r -> -mu_r maps
+    Grid points are mu_r = (offset + spacing * j) * unit for j in
+    [lo, half_width]: offset and spacing are ints in units of the geometry's
+    mu_r_unit, which takes no part in equality.  lo, size and mirrored are
+    fixed when the window is built.  mirrored means mu_r -> -mu_r maps
     the window onto itself, which holds exactly when the offset is 0 or half
     a step: lo is -half_width - 1 when it is half a step and -half_width
     otherwise, so every window on a lattice that the reflection maps onto
     itself is mirror-symmetric.
     """
 
-    mu_r_offset: Fraction
-    spacing: Fraction
+    offset: int
+    spacing: int
     half_width: int
+    unit: Fraction = field(compare=False)
     lo: int = field(init=False, compare=False, repr=False)
     size: int = field(init=False, compare=False, repr=False)
     mirrored: bool = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        offset, spacing = Fraction(self.mu_r_offset), Fraction(self.spacing)
-        if spacing <= 0:
-            raise ValueError("grid spacing must be positive")
-        if not isinstance(self.half_width, int) or self.half_width < 0:
-            raise ValueError("half_width must be a non-negative integer")
-        half_step = 2 * offset == spacing
+        if not all(type(v) is int for v in (self.offset, self.spacing, self.half_width)):
+            raise ValueError("grid offset, spacing and half_width must be ints")
+        if self.spacing <= 0 or self.half_width < 0:
+            raise ValueError("grid spacing must be positive, half_width >= 0")
+        half_step = 2 * self.offset == self.spacing
         lo = -self.half_width - 1 if half_step else -self.half_width
-        fixed = dict(mu_r_offset=offset, spacing=spacing, lo=lo,
-                     size=self.half_width - lo + 1, mirrored=half_step or offset == 0)
-        for name, v in fixed.items():
-            object.__setattr__(self, name, v)
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "size", self.half_width - lo + 1)
+        object.__setattr__(self, "mirrored", half_step or self.offset == 0)
 
     def value(self, j: int) -> Fraction:
         """Exact mu_r at signed grid index j (j=0 is the offset itself)."""
-        return self.mu_r_offset + self.spacing * j
+        return (self.offset + self.spacing * j) * self.unit
 
     def values(self) -> np.ndarray:
-        """All grid mu_r values as floats, ascending."""
+        """All grid mu_r values, ascending: float(offset) + float(spacing) * j."""
         j = np.arange(self.lo, self.half_width + 1, dtype=float)
-        return float(self.mu_r_offset) + float(self.spacing) * j
+        return (_exact_float(self.offset, self.unit)
+                + _exact_float(self.spacing, self.unit) * j)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DerivedGeometry:
     """Every derived constant of a gear pair, computed once by
-    `derive_geometry`.
+    `derive_geometry`.  Every field is a function of `config`, so a geometry
+    compares and hashes by `config` alone.
 
     Public floats are for numerics; the underscore Fractions are the exact
-    transform coefficients used by the lattice arithmetic.
+    transform coefficients of the public transforms.
     """
 
     config: GearConfig
@@ -253,13 +264,21 @@ class DerivedGeometry:
     omega0_harmonic: float  # small-oscillation frequency in the actual well
     L_r_threshold: float   # sqrt(2 I_r V0): classical interlock edge in L_r
     ell_threshold: float   # same edge expressed as a kick on gear 1
+    # the integer lattice
+    mu_r_unit: Fraction    # u = gcd(mu_r(1, 0), mu_r(0, 1)); 1/nu if I1 == I2
+    bloch_period_u: int    # n/u, the Bloch period
+    grid_spacing_u: int    # (n/g)/u, the spacing of a fixed-mu_c lattice
+    _mu_r_coeffs: tuple[int, int]  # (c1, c2): mu_r = u*(c1 m1 + c2 m2)
     # exact transform coefficients
-    _I1: Fraction
-    _I2: Fraction
     _mu_c_factor: Fraction  # I_c/(n I):    mu_c = _mu_c_factor*(n2 m1 + n1 m2)
-    _mu_r_factor: Fraction  # I_c/(n I^2):  mu_r = _mu_r_factor*(n1 I2 m1 - n2 I1 m2)
     _lc_to_l1: Fraction     # n2 I1/(n I):  L1 = _lc_to_l1*L_c + (n1/n) L_r
     _lc_to_l2: Fraction     # n1 I2/(n I):  L2 = _lc_to_l2*L_c - (n2/n) L_r
+
+    def __eq__(self, other):
+        return isinstance(other, DerivedGeometry) and self.config == other.config
+
+    def __hash__(self):
+        return hash(self.config)
 
 
 def derive_geometry(config: GearConfig) -> DerivedGeometry:
@@ -276,6 +295,12 @@ def derive_geometry(config: GearConfig) -> DerivedGeometry:
     I_c = Fraction(n * n) * I * I / denom
     I_r = Fraction(n * n) * I1 * I2 / denom
     nu = (M1 * M1 * I1 + M2 * M2 * I2) / ((M1 + M2) * I)
+    # mu_r of a unit of m1 and of m2, and their exact gcd u; the hop
+    # (n1, -n2) moves mu_r by n and the chain step (M2, -M1) by n/g
+    r1, r2 = Fraction(n * n1) * I2 / denom, -Fraction(n * n2) * I1 / denom
+    den = math.lcm(r1.denominator, r2.denominator)
+    u = Fraction(math.gcd(int(r1 * den), int(r2 * den)), den)
+    c1, c2 = int(r1 / u), int(r2 / u)
     V0 = config.V0
     I_r_f = float(I_r)
     omega0 = n * math.sqrt(V0 / I_r_f)
@@ -287,60 +312,55 @@ def derive_geometry(config: GearConfig) -> DerivedGeometry:
     # well depth seen by a state started at the aligned configuration x=0
     depth = V0 * max(0.0, config.potential.value(0.0) - config.potential.min_value())
     L_r_star = math.sqrt(2.0 * I_r_f * depth)
-    # a kick ell on gear 1 delivers d mu_r = ell * n n1 I2 / (n1^2 I2 + n2^2 I1);
-    # the threshold kick solves |d mu_r| = L_r_star
-    mu_r_per_ell1 = float(Fraction(n * n1) * I2 / denom)
-    ell_star = L_r_star / mu_r_per_ell1 if V0 > 0 else 0.0
+    # a kick ell on gear 1 delivers d mu_r = ell * r1; the threshold kick
+    # solves |d mu_r| = L_r_star
+    ell_star = L_r_star / float(r1) if V0 > 0 else 0.0
     return DerivedGeometry(
-        config=config,
-        n=n,
-        g=g,
-        M1=M1,
-        M2=M2,
-        I_c=float(I_c),
-        I_r=I_r_f,
-        nu=nu,
-        grid_spacing=M1 + M2,
-        r_cl=Fraction(n1 * n2, n1 * n1 + n2 * n2),
+        config=config, n=n, g=g, M1=M1, M2=M2, I_c=float(I_c), I_r=I_r_f, nu=nu,
+        grid_spacing=M1 + M2, r_cl=Fraction(n1 * n2, n1 * n1 + n2 * n2),
         tau_c=4.0 * math.pi * float(M1 * M1 * I1 + M2 * M2 * I2),
-        omega0=omega0,
-        omega0_harmonic=omega0_harm,
-        L_r_threshold=L_r_star,
-        ell_threshold=ell_star,
-        _I1=I1,
-        _I2=I2,
+        omega0=omega0, omega0_harmonic=omega0_harm,
+        L_r_threshold=L_r_star, ell_threshold=ell_star,
+        mu_r_unit=u, bloch_period_u=c1 * n1 - c2 * n2,
+        grid_spacing_u=c1 * M2 - c2 * M1, _mu_r_coeffs=(c1, c2),
         _mu_c_factor=n * I / denom,
-        _mu_r_factor=Fraction(n) / denom,
-        _lc_to_l1=n2 * I1 / (n * I),
-        _lc_to_l2=n1 * I2 / (n * I),
+        _lc_to_l1=n2 * I1 / (n * I), _lc_to_l2=n1 * I2 / (n * I),
     )
+
+
+def _lattice_point(geom: DerivedGeometry, m1, m2):
+    """(A, mu_r/u) of (m1, m2): ints for integer momenta.  The map is
+    linear, so it doubles as the shift of a kick (m1, m2)."""
+    c1, c2 = geom._mu_r_coeffs
+    return geom.config.n2 * m1 + geom.config.n1 * m2, c1 * m1 + c2 * m2
+
+
+def _lattice_momenta(geom: DerivedGeometry, A, b) -> tuple[int, int]:
+    """Inverse of `_lattice_point` by Cramer's rule (the determinant is
+    minus the Bloch period), exact on ints and Fractions alike;
+    NonPhysicalError when (A, b) has no integer preimage."""
+    n1, n2 = geom.config.n1, geom.config.n2
+    c1, c2 = geom._mu_r_coeffs
+    m1, rem1 = divmod(n1 * b - c2 * A, geom.bloch_period_u)
+    m2, rem2 = divmod(c1 * A - n2 * b, geom.bloch_period_u)
+    if rem1 or rem2:
+        raise NonPhysicalError(f"(mu_c={geom._mu_c_factor * A}, mu_r="
+                               f"{geom.mu_r_unit * b}) has no integer momentum preimage")
+    return m1, m2
 
 
 def momenta_to_collective(geom: DerivedGeometry, m1, m2) -> CollectiveMomentum:
     """Exact (m1, m2) -> (mu_c, mu_r).  The map is linear, so it doubles as
     the shift rule for kicks: feeding (l1, l2) gives (d mu_c, d mu_r)."""
-    n1, n2 = geom.config.n1, geom.config.n2
-    m1 = _as_fraction(m1, "m1")
-    m2 = _as_fraction(m2, "m2")
-    mu_c = geom._mu_c_factor * (n2 * m1 + n1 * m2)
-    mu_r = geom._mu_r_factor * (n1 * geom._I2 * m1 - n2 * geom._I1 * m2)
-    return CollectiveMomentum(mu_c, mu_r)
+    A, b = _lattice_point(geom, _as_fraction(m1, "m1"), _as_fraction(m2, "m2"))
+    return CollectiveMomentum(geom._mu_c_factor * A, geom.mu_r_unit * b)
 
 
 def collective_to_momenta(geom: DerivedGeometry, mu_c, mu_r) -> tuple[int, int]:
     """Exact inverse transform.  Raises NonPhysicalError when the pair does
     not come from integer (m1, m2)."""
-    n1, n2 = geom.config.n1, geom.config.n2
-    A = _as_fraction(mu_c, "mu_c") / geom._mu_c_factor   # = n2 m1 + n1 m2
-    B = _as_fraction(mu_r, "mu_r") / geom._mu_r_factor   # = n1 I2 m1 - n2 I1 m2
-    denom = n1 * n1 * geom._I2 + n2 * n2 * geom._I1
-    m1 = (n2 * geom._I1 * A + n1 * B) / denom
-    m2 = (n1 * geom._I2 * A - n2 * B) / denom
-    if m1.denominator != 1 or m2.denominator != 1:
-        raise NonPhysicalError(
-            f"(mu_c={mu_c}, mu_r={mu_r}) has no integer momentum preimage"
-        )
-    return int(m1), int(m2)
+    return _lattice_momenta(geom, _as_fraction(mu_c, "mu_c") / geom._mu_c_factor,
+                            _as_fraction(mu_r, "mu_r") / geom.mu_r_unit)
 
 
 def _integer_A(geom: DerivedGeometry, mu_c) -> int:
@@ -373,9 +393,9 @@ def allowed_relative_grid(geom: DerivedGeometry, mu_c, half_width: int = 32) -> 
     """
     t = _integer_A(geom, mu_c) // geom.g   # = M1 m1 + M2 m2
     m1 = t * pow(geom.M1, -1, geom.M2) % geom.M2
-    mu_r0 = momenta_to_collective(geom, m1, (t - geom.M1 * m1) // geom.M2).mu_r
-    _, offset = _centred_divmod(mu_r0, geom.grid_spacing)
-    return GridSpec(mu_r_offset=offset, spacing=geom.grid_spacing, half_width=half_width)
+    _, b = _lattice_point(geom, m1, (t - geom.M1 * m1) // geom.M2)
+    _, offset = _centred_divmod(b, geom.grid_spacing_u)
+    return GridSpec(offset, geom.grid_spacing_u, half_width, geom.mu_r_unit)
 
 
 def bloch_label(geom: DerivedGeometry, mu_r) -> Fraction:

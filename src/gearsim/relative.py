@@ -19,20 +19,14 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import ceil, gcd, isfinite, lcm
+from math import ceil, gcd, isfinite
 
 import numpy as np
 import scipy.linalg
 
 from .errors import (ConvergenceFailure, InternalInconsistency, NonPhysicalError,
                      UnsupportedInertiaError)
-from .model import (
-    DerivedGeometry,
-    GridSpec,
-    allowed_relative_grid,
-    bloch_label,
-    momenta_to_collective,
-)
+from .model import DerivedGeometry, GridSpec, _centred_divmod, _lattice_momenta
 
 __all__ = [
     "BandedHamiltonian",
@@ -61,9 +55,10 @@ SUPPORT_EPS = 1e-28
 # Eigensystems kept by eigensystem_for.  One transmission sweep point adds
 # at most 22 windows and `gearsim verify` needs 26.
 EIGEN_CACHE_SIZE = 64
-# Bloch residues band_structure solves at most, one window each.  Binary
-# float inertias such as 0.7 and 1.3 give ~1e16, which would never finish;
-# equal inertias give (n1^2 + n2^2)/g, below this for all n1, n2 <= 256.
+# Bloch residues (bloch_period_u) band_structure solves at most, one window
+# each.  Binary float inertias such as 0.7 and 1.3 give ~1e16, which would
+# never finish; equal inertias give (n1^2 + n2^2)/g, below this for all
+# n1, n2 <= 256.
 MAX_BAND_RESIDUES = 2 * 256**2
 
 
@@ -103,14 +98,11 @@ def build_hamiltonian(geom: DerivedGeometry, grid: GridSpec) -> BandedHamiltonia
     diag = mu * mu / (2.0 * geom.I_r) - cfg.V0 * cfg.potential.a0
     couplings = []
     for p, a_p in cfg.potential.harmonics():
-        step_exact = Fraction(p * geom.n) / grid.spacing
-        if step_exact.denominator != 1:
-            # a coupling that does not hit the lattice cannot occur for
-            # grids built by allowed_relative_grid; guard anyway
+        step, rem = divmod(p * geom.bloch_period_u, grid.spacing)
+        if rem:
+            # cannot occur on the grids the library builds; guard anyway
             raise NonPhysicalError(
-                f"harmonic {p} step {p * geom.n} is not a multiple of grid spacing"
-            )
-        step = int(step_exact)
+                f"harmonic {p} step {p * geom.n} is not a multiple of grid spacing")
         if cfg.V0 * a_p != 0.0:
             couplings.append((step, -cfg.V0 * a_p / 2.0))
     max_step = max((s for s, _ in couplings), default=0)
@@ -129,14 +121,17 @@ class EigenSystem:
     States are sorted by (energy, Bloch label); each eigenvector lives in
     one index sector of the grid and, in a sector that mu_r -> -mu_r maps
     onto itself, is even or odd under that reflection.  Eigenvector signs
-    are arbitrary.
+    are arbitrary.  labels hold each state's Bloch residue k in (-n/2, n/2]
+    as k/mu_r_unit: int64 where the Bloch period bounds them, Python ints
+    (object dtype) otherwise.
     """
 
     geom: DerivedGeometry
     grid: GridSpec
-    energies: np.ndarray          # ascending
-    vectors: np.ndarray           # column i is eigenvector i
-    labels: tuple[Fraction, ...]  # Bloch residue of each state
+    energies: np.ndarray     # ascending
+    vectors: np.ndarray      # column i is eigenvector i
+    labels: np.ndarray       # Bloch residue of each state, in units of mu_r_unit
+    edge_norms: np.ndarray   # norm of each v_i over the `_edges` rows
 
     @property
     def dim(self) -> int:
@@ -210,6 +205,7 @@ def eigendecompose(ham: BandedHamiltonian) -> EigenSystem:
     bw = max(steps, default=0) // stride
     couplings = [(s // stride, strength) for s, strength in ham.couplings]
 
+    period = geom.bloch_period_u
     energies = np.empty(dim)
     vectors = np.zeros((dim, dim))
     sector_of = np.empty(dim, dtype=np.intp)
@@ -226,14 +222,18 @@ def eigendecompose(ham: BandedHamiltonian) -> EigenSystem:
         energies[pos:pos + m] = w
         vectors[idx, pos:pos + m] = v
         sector_of[pos:pos + m] = c
-        sector_labels.append(bloch_label(geom, grid.value(c + grid.lo)))
+        b = grid.offset + grid.spacing * (c + grid.lo)
+        sector_labels.append(_centred_divmod(b, period)[1])
         pos += m
-    label_keys = np.array([float(k) for k in sector_labels])[sector_of]
-    order = np.lexsort((label_keys, energies))
-    energies = energies[order]
+    sector_labels = np.array(sector_labels,
+                             dtype=np.int64 if period // 2 < 2**63 else object)
+    order = np.lexsort((sector_labels[sector_of], energies))
     vectors = vectors[:, order]
-    labels = tuple(sector_labels[c] for c in sector_of[order].tolist())
-    return EigenSystem(geom, grid, energies, vectors, labels)
+    low, high = _edges(dim)
+    edge_norms = np.sqrt(np.sum(vectors[low, :] ** 2, axis=0)
+                         + np.sum(vectors[high, :] ** 2, axis=0))
+    return EigenSystem(geom, grid, energies[order], vectors,
+                       sector_labels[sector_of[order]], edge_norms)
 
 
 @functools.lru_cache(maxsize=EIGEN_CACHE_SIZE)
@@ -242,19 +242,20 @@ def eigensystem_for(geom: DerivedGeometry, grid: GridSpec) -> EigenSystem:
     bounded LRU.  Every caller shares the result, so its arrays are
     read-only."""
     es = eigendecompose(build_hamiltonian(geom, grid))
-    es.energies.flags.writeable = False
-    es.vectors.flags.writeable = False
+    for array in (es.energies, es.vectors, es.labels, es.edge_norms):
+        array.flags.writeable = False
     return es
 
 
 @dataclass
 class RotorState:
-    """Pure state of the pair: fixed exact mu_c and complex amplitudes over
-    a relative-momentum window.  The center-of-mass phase is global and not
+    """Pure state of the pair: a fixed mu_c = _mu_c_factor * A, held as the
+    integer A = n2 m1 + n1 m2, and complex amplitudes over a
+    relative-momentum window.  The center-of-mass phase is global and not
     carried (revivals: dynamics.revival_phase_defect)."""
 
     geom: DerivedGeometry
-    mu_c: Fraction
+    A: int
     grid: GridSpec
     amplitudes: np.ndarray
 
@@ -271,17 +272,14 @@ class RotorState:
         NonPhysicalError exactly when some grid point has none, which would
         mean kick bookkeeping has drifted off the physical lattice.
         """
-        from .model import collective_to_momenta
-
-        grid = self.grid
-        first = collective_to_momenta(self.geom, self.mu_c, grid.value(grid.lo))
-        if grid.size == 1:
-            return np.array([first[0]], np.int64), np.array([first[1]], np.int64)
-        second = collective_to_momenta(self.geom, self.mu_c, grid.value(grid.lo + 1))
+        geom, grid, A = self.geom, self.grid, self.A
+        b = grid.offset + grid.spacing * grid.lo   # mu_r/u of the first point
+        first = _lattice_momenta(geom, A, b)
+        second = _lattice_momenta(geom, A, b + grid.spacing)
         j = np.arange(grid.size, dtype=np.int64)
         m1 = first[0] + (second[0] - first[0]) * j
         m2 = first[1] + (second[1] - first[1]) * j
-        last = collective_to_momenta(self.geom, self.mu_c, grid.value(grid.half_width))
+        last = _lattice_momenta(geom, A, grid.offset + grid.spacing * grid.half_width)
         if (int(m1[-1]), int(m2[-1])) != last:
             raise InternalInconsistency(
                 f"affine momentum map ends at ({m1[-1]}, {m2[-1]}), "
@@ -312,7 +310,7 @@ def _wider(grid: GridSpec) -> GridSpec:
     unless it is already there."""
     J = grid.half_width
     new_J = max(J + 1, min(ceil(J * 1.5), MAX_HALF_WIDTH))
-    return GridSpec(grid.mu_r_offset, grid.spacing, new_J)
+    return replace(grid, half_width=new_J)
 
 
 def _check_growth(grid: GridSpec, tail: float) -> None:
@@ -325,14 +323,14 @@ def _check_growth(grid: GridSpec, tail: float) -> None:
         )
 
 
-def _start_half_width(geom: DerivedGeometry, spacing, floor: int) -> int:
-    """Half-width a new window of this spacing starts at: `floor`, or twice
-    the longest coupling step (p_max n / spacing grid steps) if that is more.
-    Raises ConvergenceFailure, before any eigensolve, when that is past
-    MAX_HALF_WIDTH."""
+def _start_half_width(geom: DerivedGeometry, spacing: int, floor: int) -> int:
+    """Half-width a new window of this spacing (in mu_r_unit) starts at:
+    `floor`, or twice the longest coupling step (p_max n / spacing grid
+    steps) if that is more.  Raises ConvergenceFailure, before any
+    eigensolve, when that is past MAX_HALF_WIDTH."""
     cfg = geom.config
     p_max = max((p for p, _ in cfg.potential.harmonics()), default=0) if cfg.V0 else 0
-    need = 2 * p_max * geom.n // spacing
+    need = 2 * p_max * geom.bloch_period_u // spacing
     if need > MAX_HALF_WIDTH:
         raise ConvergenceFailure(
             f"harmonic {p_max} needs a window of half-width {need} (twice its "
@@ -347,7 +345,7 @@ def widen(state: RotorState) -> RotorState:
     start = state.grid.lo - new_grid.lo
     amps = np.zeros(new_grid.size, dtype=complex)
     amps[start:start + state.grid.size] = state.amplitudes
-    return RotorState(state.geom, state.mu_c, new_grid, amps)
+    return RotorState(state.geom, state.A, new_grid, amps)
 
 
 def ground_state(geom: DerivedGeometry) -> RotorState:
@@ -357,8 +355,9 @@ def ground_state(geom: DerivedGeometry) -> RotorState:
     MAX_HALF_WIDTH.  The global phase is fixed by making the
     largest-magnitude amplitude real positive.
     """
-    start = _start_half_width(geom, geom.grid_spacing, MIN_HALF_WIDTH)
-    grid = allowed_relative_grid(geom, 0, half_width=start)
+    start = _start_half_width(geom, geom.grid_spacing_u, MIN_HALF_WIDTH)
+    # the mu_c = 0 lattice holds m1 = m2 = 0, so mu_r = 0 is its offset
+    grid = GridSpec(0, geom.grid_spacing_u, start, geom.mu_r_unit)
     while True:
         es = eigensystem_for(geom, grid)
         v0 = es.vectors[:, 0]
@@ -369,13 +368,13 @@ def ground_state(geom: DerivedGeometry) -> RotorState:
         grid = _wider(grid)
     if es.labels[0] != 0:
         raise ConvergenceFailure(
-            f"ground state found in sector k={es.labels[0]}, expected k=0"
-        )
+            f"ground state found in sector k={int(es.labels[0]) * geom.mu_r_unit}, "
+            "expected k=0")
     amps = v0.astype(complex)
     peak = int(np.argmax(np.abs(amps)))
     if amps[peak].real < 0:
         amps = -amps
-    return RotorState(geom, Fraction(0), grid, amps)
+    return RotorState(geom, 0, grid, amps)
 
 
 @dataclass(frozen=True)
@@ -402,21 +401,17 @@ def band_structure(geom: DerivedGeometry, num_bands: int = 3) -> BandStructure:
     before any eigensolve."""
     if num_bands < 1:
         raise ValueError("num_bands must be >= 1")
-    # physical mu_r form step * Z, step = gcd(mu_r(1, 0), mu_r(0, 1)) (1/nu
-    # if I1 == I2); the hop (n1, -n2) moves mu_r by n, so n/step is an integer
-    u, v = (momenta_to_collective(geom, *m).mu_r for m in ((1, 0), (0, 1)))
-    den = lcm(u.denominator, v.denominator)
-    step = Fraction(gcd(int(u * den), int(v * den)), den)
-    count = int(geom.n / step)
-    if count > MAX_BAND_RESIDUES:
+    # physical mu_r are the multiples of u, so the residues mod n = P u are
+    # the ints in (-P/2, P/2], times u
+    period = geom.bloch_period_u
+    if period > MAX_BAND_RESIDUES:
         raise UnsupportedInertiaError(
-            f"I1={geom.config.I1!r}, I2={geom.config.I2!r} give {count} Bloch "
+            f"I1={geom.config.I1!r}, I2={geom.config.I2!r} give {period} Bloch "
             f"residues; band structure solves at most {MAX_BAND_RESIDUES}")
-    residues = sorted({bloch_label(geom, step * t) for t in range(count)})
-    Js = _start_half_width(geom, geom.n, max(16, num_bands + 12))
-    energies = np.empty((num_bands, len(residues)))
+    residues = range(-((period - 1) // 2), period // 2 + 1)
+    Js = _start_half_width(geom, period, max(16, num_bands + 12))
+    energies = np.empty((num_bands, period))
     for col, k in enumerate(residues):
-        grid = GridSpec(mu_r_offset=k, spacing=Fraction(geom.n), half_width=Js)
-        es = eigensystem_for(geom, grid)
+        es = eigensystem_for(geom, GridSpec(k, period, Js, geom.mu_r_unit))
         energies[:, col] = es.energies[:num_bands]
-    return BandStructure(geom, tuple(residues), energies)
+    return BandStructure(geom, tuple(k * geom.mu_r_unit for k in residues), energies)

@@ -218,7 +218,7 @@ def test_kernel_is_the_per_time_propagator(config, protocol):
         ref = es.vectors @ (np.exp(-1j * es.energies * t) * a)
         assert np.max(np.abs(row - ref)) <= 1e-14
     if protocol.ell == 11:
-        assert 2 * window.grid.mu_r_offset == window.grid.spacing
+        assert 2 * window.grid.offset == window.grid.spacing
     if protocol.ell == 120:
         assert window.grid.size > 200
 
@@ -229,7 +229,7 @@ def test_evolve_is_the_kernel_row(geom22):
         one = evolve(state, t)
         row = evolved_states(state, [t])[0]
         assert np.array_equal(one.amplitudes, row.amplitudes)
-        assert (one.grid, one.mu_c) == (row.grid, row.mu_c)
+        assert (one.grid, one.A) == (row.grid, row.A)
 
 
 @pytest.mark.parametrize("config, protocol", [
@@ -426,6 +426,6 @@ def test_long_time_average_is_the_projector_average(n1, n2, V0, fourier, ell,
     resolve, so those kicks are checked by the exact-r property above."""
     config = GearConfig(n1, n2, V0=V0, potential=PotentialSpec(fourier))
     state = run_protocol(derive_geometry(config), KickProtocol(ell=ell, num_kicks=1))
-    assert (2 * state.grid.mu_r_offset == state.grid.spacing) == half_step
+    assert (2 * state.grid.offset == state.grid.spacing) == half_step
     res = long_time_average(state, ell)
     assert res.L_r_bar == pytest.approx(projector_average_L_r(state), abs=1e-10)

@@ -170,6 +170,9 @@ def test_unphysical_mu_c_rejected(geom22):
         allowed_relative_grid(geom22, Fraction(1, 3))
     with pytest.raises(NonPhysicalError):
         collective_to_momenta(geom22, Fraction(1, 3), Fraction(0))
+    # A = 3, mu_r = 1/2: m1 = (n1 mu_r + A)/4 = 1 is whole, m2 = 1/2 is not
+    with pytest.raises(NonPhysicalError):
+        collective_to_momenta(geom22, Fraction(3, 2), Fraction(1, 2))
 
 
 # ------------------------------------------------------------------ grids ---
@@ -191,7 +194,9 @@ def test_relative_grid_matches_brute_force(n1, n2):
     for mu_c, brute in buckets.items():
         assert is_physical_mu_c(geom, mu_c)
         grid = allowed_relative_grid(geom, mu_c)
-        s, off = grid.spacing, grid.mu_r_offset
+        assert grid.unit == geom.mu_r_unit
+        assert grid.spacing == geom.grid_spacing_u
+        s, off = grid.spacing * grid.unit, grid.value(0)
         assert s == geom.grid_spacing
         assert -s / 2 < off <= s / 2
         # every realized mu_r sits on the arithmetic progression ...
@@ -214,14 +219,14 @@ def test_grid_spec_indexing(geom22):
         grid = allowed_relative_grid(geom22, mu_c, half_width=16)
         J = grid.half_width
         values = grid.values()
-        half_step = 2 * grid.mu_r_offset == grid.spacing
+        half_step = 2 * grid.offset == grid.spacing
         half_steps.add(half_step)
         assert grid.lo == (-J - 1 if half_step else -J)
         assert len(values) == grid.size == J - grid.lo + 1
-        assert values[-grid.lo] == pytest.approx(float(grid.mu_r_offset))
+        assert values[-grid.lo] == pytest.approx(float(grid.value(0)))
         for j in range(grid.lo, J + 1):
             assert values[j - grid.lo] == pytest.approx(float(grid.value(j)))
-        assert np.all(np.diff(values) == pytest.approx(float(grid.spacing)))
+        assert np.all(np.diff(values) == pytest.approx(float(grid.spacing * grid.unit)))
         # both windows on this mirror-symmetric lattice are mirror-symmetric
         assert np.array_equal(values, -values[::-1])
     assert half_steps == {False, True}
@@ -242,9 +247,10 @@ def test_mirrored_is_the_reflection_rule(geom22, geom42):
     grids = [allowed_relative_grid(geom, momenta_to_collective(geom, m1, 0).mu_c, J)
              for geom in (geom22, geom42) for m1 in range(4) for J in (0, 5)]
     # hand-built: band_structure's GridSpec(k, n, J), and the same offsets
-    # moved by half a step
-    for k in (Fraction(-1), Fraction(0), Fraction(1, 3), Fraction(2), Fraction(-2)):
-        grids += [GridSpec(off, Fraction(4), J) for off in (k, k + 2) for J in (0, 7)]
+    # moved by half a step; in units of 1/3, k = -1, 0, 1/3, 2, -2 and n = 4
+    for k in (-3, 0, 1, 6, -6):
+        grids += [GridSpec(off, 12, J, Fraction(1, 3)) for off in (k, k + 6)
+                  for J in (0, 7)]
     kinds = set()
     for grid in grids:
         rule = grid.value(grid.lo) == -grid.value(grid.half_width)

@@ -1,5 +1,6 @@
 """Banded relative-coordinate Hamiltonian: spectra, symmetries, truncation."""
 
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -63,8 +64,10 @@ def test_sector_purity_is_exact(geom22, es22):
     entirely on one quasi-momentum class -- with exact zeros elsewhere."""
     n = geom22.n
     mu = es22.grid.values()
+    assert es22.labels.dtype == np.int64
     for i in range(es22.dim):
-        on_sector = (np.mod(mu - float(es22.labels[i]), n) == 0)
+        k = float(int(es22.labels[i]) * geom22.mu_r_unit)
+        on_sector = (np.mod(mu - k, n) == 0)
         assert np.all(es22.vectors[~on_sector, i] == 0.0)
 
 
@@ -103,7 +106,7 @@ def test_ground_state_frozen_energy(geom22, geom42):
 
 def test_ground_state_properties(geom22):
     state = ground_state(geom22)
-    assert state.mu_c == 0
+    assert state.A == 0
     assert state.norm() == pytest.approx(1.0, abs=1e-12)
     assert tail_mass(state.amplitudes) < 1e-12
     # bound well below the free ground state, above the well bottom
@@ -136,7 +139,7 @@ def test_eigensystem_cache_returns_same_object(geom22):
 def test_eigensystem_cache_is_bounded():
     from gearsim.relative import EIGEN_CACHE_SIZE
     geom = derive_geometry(GearConfig(2, 2, V0=0.0))   # diagonal: cheap solves
-    grids = [GridSpec(Fraction(0), Fraction(4), J)
+    grids = [GridSpec(0, 4, J, geom.mu_r_unit)
              for J in range(1, EIGEN_CACHE_SIZE + 10)]
     for grid in grids:
         es = eigensystem_for(geom, grid)
@@ -149,10 +152,10 @@ def test_eigensystem_cache_is_bounded():
 
 def test_window_must_cover_coupling(geom22):
     with pytest.raises(NonPhysicalError, match="too small"):
-        build_hamiltonian(geom22, GridSpec(Fraction(0), Fraction(2), 1))
+        build_hamiltonian(geom22, GridSpec(0, 2, 1, geom22.mu_r_unit))
     # harmonic 1 couples mu_r to mu_r +- 4 on 2:2, off a lattice of spacing 3
     with pytest.raises(NonPhysicalError, match="not a multiple"):
-        build_hamiltonian(geom22, GridSpec(Fraction(0), Fraction(3), 8))
+        build_hamiltonian(geom22, GridSpec(0, 3, 8, geom22.mu_r_unit))
 
 
 def test_widen_embeds_amplitudes(geom22):
@@ -234,12 +237,16 @@ def test_parity_parts_are_mathieu_a_and_b(n1, n2, V0, I1, I2):
     n, I_r = geom.n, geom.I_r
     q = 4 * I_r * V0 * 0.5 / n**2
     r = range(3)
-    parts = {Fraction(0): ([mathieu_a(2 * i, q) for i in r],
-                           [mathieu_b(2 * i + 2, q) for i in r]),
-             Fraction(n, 2): ([mathieu_b(2 * i + 1, q) for i in r],
-                              [mathieu_a(2 * i + 1, q) for i in r])}
+    # on a lattice of half the unit, k = n/2 is the point P = n/u whether or
+    # not the pair reaches it, and n is 2P
+    P = geom.bloch_period_u
+    fine = dataclasses.replace(geom, mu_r_unit=geom.mu_r_unit / 2, bloch_period_u=2 * P)
+    parts = {0: ([mathieu_a(2 * i, q) for i in r],
+                 [mathieu_b(2 * i + 2, q) for i in r]),
+             P: ([mathieu_b(2 * i + 1, q) for i in r],
+                 [mathieu_a(2 * i + 1, q) for i in r])}
     for k, (even, odd) in parts.items():
-        ham = build_hamiltonian(geom, GridSpec(k, Fraction(n), 16))
+        ham = build_hamiltonian(fine, GridSpec(k, 2 * P, 16, fine.mu_r_unit))
         assert ham.couplings == ((1, -V0 * 0.5 / 2),)
         w, _ = _parity_eig(ham.diag, ham.couplings, 1)
         size = (ham.diag.size + 1) // 2   # the even part holds an odd window's centre
@@ -284,7 +291,8 @@ def test_band_structure_respects_requested_count(geom22):
 
 
 def _state(geom, mu_c, grid):
-    return RotorState(geom, Fraction(mu_c), grid, np.zeros(grid.size, complex))
+    return RotorState(geom, model._integer_A(geom, mu_c), grid,
+                      np.zeros(grid.size, complex))
 
 
 def test_momentum_pairs_is_the_exact_map_point_by_point():
@@ -296,8 +304,8 @@ def test_momentum_pairs_is_the_exact_map_point_by_point():
                 mu_c = momenta_to_collective(geom, l1, l2).mu_c
                 for J in (0, 1, 32, 97):
                     grid = allowed_relative_grid(geom, mu_c, half_width=J)
-                    half_step = 2 * grid.mu_r_offset == grid.spacing
-                    offsets.add((grid.mu_r_offset == 0, half_step))
+                    half_step = 2 * grid.offset == grid.spacing
+                    offsets.add((grid.offset == 0, half_step))
                     m1, m2 = _state(geom, mu_c, grid).momentum_pairs()
                     exact = [collective_to_momenta(geom, mu_c, grid.value(j))
                              for j in range(grid.lo, J + 1)]
@@ -314,7 +322,7 @@ def test_momentum_pairs_is_the_exact_map_point_by_point():
 @pytest.mark.parametrize("J", [0, 1, 32])
 def test_momentum_pairs_off_lattice_window_raises(geom22, J):
     grid = allowed_relative_grid(geom22, 0, half_width=J)
-    off = GridSpec(grid.mu_r_offset + grid.spacing / 2, grid.spacing, J)
+    off = GridSpec(grid.offset + grid.spacing // 2, grid.spacing, J, grid.unit)
     with pytest.raises(NonPhysicalError):
         _state(geom22, 0, off).momentum_pairs()
 
@@ -323,21 +331,24 @@ def test_momentum_pairs_solves_three_points_and_checks_the_last(
         monkeypatch, geom42):
     grid = allowed_relative_grid(geom42, 0, half_width=40)
     calls = []
-    exact = model.collective_to_momenta
+    exact = model._lattice_momenta
 
-    def counting(geom, mu_c, mu_r):
-        calls.append(mu_r)
-        return exact(geom, mu_c, mu_r)
+    def b(j):   # mu_r/u at grid index j
+        return grid.offset + grid.spacing * j
 
-    monkeypatch.setattr(model, "collective_to_momenta", counting)
+    def counting(geom, A, b_j):
+        calls.append(b_j)
+        return exact(geom, A, b_j)
+
+    monkeypatch.setattr(relative, "_lattice_momenta", counting)
     _state(geom42, 0, grid).momentum_pairs()
-    assert calls == [grid.value(-40), grid.value(-39), grid.value(40)]
+    assert calls == [b(-40), b(-39), b(40)]
 
-    def wrong_at_the_end(geom, mu_c, mu_r):
-        m1, m2 = exact(geom, mu_c, mu_r)
-        return (m1, m2 + 1) if mu_r == grid.value(40) else (m1, m2)
+    def wrong_at_the_end(geom, A, b_j):
+        m1, m2 = exact(geom, A, b_j)
+        return (m1, m2 + 1) if b_j == b(40) else (m1, m2)
 
-    monkeypatch.setattr(model, "collective_to_momenta", wrong_at_the_end)
+    monkeypatch.setattr(relative, "_lattice_momenta", wrong_at_the_end)
     with pytest.raises(InternalInconsistency):
         _state(geom42, 0, grid).momentum_pairs()
 
@@ -357,7 +368,7 @@ def test_parity_resolved_eigensystem_is_exact(n1, n2, fourier, l1, J, half_step)
                                       potential=model.PotentialSpec(fourier)))
     mu_c = momenta_to_collective(geom, l1, 0).mu_c
     grid = allowed_relative_grid(geom, mu_c, half_width=J)
-    assert (2 * grid.mu_r_offset == grid.spacing) == half_step
+    assert (2 * grid.offset == grid.spacing) == half_step
     values = grid.values()
     assert np.array_equal(values, -values[::-1])
     ham = build_hamiltonian(geom, grid)
@@ -366,7 +377,7 @@ def test_parity_resolved_eigensystem_is_exact(n1, n2, fourier, l1, J, half_step)
     for step, strength in ham.couplings:
         H += strength * (np.eye(ham.dim, k=step) + np.eye(ham.dim, k=-step))
     assert es.energies == pytest.approx(np.linalg.eigvalsh(H), abs=1e-11)
-    keys = [(e, float(k)) for e, k in zip(es.energies, es.labels)]
+    keys = [(e, int(k)) for e, k in zip(es.energies, es.labels)]
     assert keys == sorted(keys)
     assert np.max(np.abs(H @ es.vectors - es.vectors * es.energies)) < 1e-11
     assert np.max(np.abs(es.vectors.T @ es.vectors - np.eye(ham.dim))) < 1e-12
