@@ -23,12 +23,9 @@ from .model import (
     GearConfig,
     GridSpec,
     PotentialSpec,
-    allowed_relative_grid,
     angular_momentum_split,
-    bloch_label,
     collective_to_momenta,
     derive_geometry,
-    is_physical_mu_c,
     momenta_to_collective,
 )
 from .relative import (
@@ -44,14 +41,12 @@ from .relative import (
 )
 from .dynamics import (
     KickProtocol,
-    KickShift,
     TimeSeries,
     TransmissionResult,
     apply_kick,
     eigen_occupations,
     evolve,
     evolved_states,
-    kick_shift,
     long_time_average,
     multi_kick,
     revival_phase_defect,

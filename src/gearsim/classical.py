@@ -19,9 +19,7 @@ import numpy as np
 from .errors import ConvergenceFailure, StepTooLarge
 from .model import (
     DerivedGeometry,
-    GearConfig,
     angular_momentum_split,
-    derive_geometry,
     momenta_to_collective,
 )
 
@@ -65,13 +63,6 @@ class Trajectory:
     theta: np.ndarray
     L: np.ndarray
     L_c: float
-
-    def energies(self) -> np.ndarray:
-        cfg = self.geom.config
-        u = np.full_like(self.theta, cfg.potential.a0)
-        for p, a in cfg.potential.harmonics():
-            u += a * np.cos(p * self.geom.n * self.theta)
-        return self.L ** 2 / (2.0 * self.geom.I_r) - cfg.V0 * u
 
     def final(self) -> ClassicalState:
         return ClassicalState(
@@ -338,14 +329,13 @@ def _drift_average_quadrature(geom: DerivedGeometry, E: float, direction: float)
 
 
 def classical_transmission(
-    config: GearConfig, protocol
+    geom: DerivedGeometry, protocol
 ) -> ClassicalTransmissionResult:
     """Kick the resting, aligned pair and average momenta over one period.
 
     `protocol` carries (ell, num_kicks, delta_t, target_gear) exactly as in
     the quantum pipeline; kicks are interleaved with classical evolution.
     """
-    geom = derive_geometry(config)
     num = protocol.resolved_num_kicks()
     l1, l2 = protocol.kick_momenta()
 

@@ -227,8 +227,8 @@ def _average_point(job):
 
 
 def _classical_point(job):
-    config, protocol = job
-    res = classical_transmission(config, protocol)
+    geom, protocol = job
+    res = classical_transmission(geom, protocol)
     return (protocol.ell, res.r, res.r_measured, res.L_r_bar, res.above_threshold)
 
 
@@ -260,25 +260,25 @@ def _cmd_bands(doc, out_dir, workers):
     _emit(out_dir, "bands.csv", ["k", "band", "energy"], rows)
 
 
-def _sweep_jobs(pair, template: KickProtocol, key: str, values):
-    """(pair, protocol) jobs, pair the config or its geometry: the template
-    with `key` set to each value, each checked up front (ConfigError)."""
+def _sweep_jobs(geom, template: KickProtocol, key: str, values):
+    """(geom, protocol) jobs: the template with `key` set to each value,
+    each checked up front (ConfigError)."""
     jobs = []
     for value in values:
         try:
-            jobs.append((pair, dataclasses.replace(template, **{key: value})))
+            jobs.append((geom, dataclasses.replace(template, **{key: value})))
         except ValueError as exc:
             raise ConfigError(f"bad protocol for {key}={value}: {exc}") from None
     return jobs
 
 
-def _ell_sweep_jobs(doc, pair):
+def _ell_sweep_jobs(doc, geom):
     proto = doc.get("protocol", {})
     fallback = [_integer(proto["ell"], "protocol.ell")] if "ell" in proto else None
     ells = _sweep_values(doc, "ell", lambda v: _integer(v, "sweep.ell"),
                          fallback=fallback)
     template = _protocol(doc, ell=0, default_num_kicks=1)
-    return _sweep_jobs(pair, template, "ell", ells)
+    return _sweep_jobs(geom, template, "ell", ells)
 
 
 def _cmd_transmission(doc, out_dir, workers):
@@ -305,9 +305,8 @@ def _cmd_multikick(doc, out_dir, workers):
 
 
 def _cmd_classical(doc, out_dir, workers):
-    config = _gear_config(doc)
-    jobs = _ell_sweep_jobs(doc, config)
-    geom = derive_geometry(config)
+    geom = derive_geometry(_gear_config(doc))
+    jobs = _ell_sweep_jobs(doc, geom)
     print(f"L_r threshold {geom.L_r_threshold:.6g}; "
           f"gear-1 kick threshold {geom.ell_threshold:.6g}")
     rows = _map_sweep(_classical_point, jobs, workers)

@@ -36,7 +36,6 @@ from .model import (
     _lattice_point,
     angular_momentum_split,
     derive_geometry,
-    momenta_to_collective,
 )
 from .relative import (
     MARGIN_STEPS,
@@ -55,10 +54,8 @@ from .relative import (
 
 __all__ = [
     "KickProtocol",
-    "KickShift",
     "TimeSeries",
     "TransmissionResult",
-    "kick_shift",
     "apply_kick",
     "evolve",
     "evolved_states",
@@ -116,37 +113,6 @@ class KickProtocol:
         return (per, 0) if self.target_gear == 1 else (0, per)
 
 
-@dataclass(frozen=True)
-class KickShift:
-    """Decomposition of a kick's relative-momentum transfer.
-
-    dmu_r = dm_r * n + dk with the residue dk reduced into (-n/2, n/2].
-    The Hamiltonian conserves mu_r modulo P = n * gcd of the harmonic
-    indices it couples with (P = n for any profile with a p = 1 term;
-    without coupling every mu_r is conserved, and only dmu_r = 0 counts).
-    enhanced means 2 * dmu_r is a multiple of P: the kick takes the ground
-    state into a sector that mu_r -> -mu_r maps onto itself, where the
-    long-time transmission is exactly n1 n2 I2/(n1^2 I2 + n2^2 I1).
-    """
-
-    dmu_c: Fraction
-    dmu_r: Fraction
-    dm_r: int
-    dk: Fraction
-    enhanced: bool
-
-
-def kick_shift(geom: DerivedGeometry, l1: int, l2: int) -> KickShift:
-    """How a momentum kick (l1, l2) moves the collective coordinates."""
-    shift = momenta_to_collective(geom, l1, l2)
-    dm_r, dk = _centred_divmod(shift.mu_r, geom.n)
-    cfg = geom.config
-    harmonics = [p for p, _ in cfg.potential.harmonics()] if cfg.V0 else []
-    period = geom.n * math.gcd(*harmonics)   # 0 when nothing couples
-    enhanced = (2 * shift.mu_r) % period == 0 if period else shift.mu_r == 0
-    return KickShift(shift.mu_c, shift.mu_r, dm_r, dk, enhanced)
-
-
 def _refit_grid(state: RotorState, dA: int, db: int) -> RotorState:
     """The state moved by a kick's lattice shift (dA, d mu_r/u), on the
     window built on the canonical offset and sized to the occupied support
@@ -173,9 +139,6 @@ def apply_kick(state: RotorState, l1: int = 0, l2: int = 0) -> RotorState:
     (m1 + l1, m2 + l2).  The relative window is rebuilt around the kicked
     support afterwards, and mirror-symmetric, so that it always covers the
     parity partner of the occupied support.
-
-    The (dmu_c, dmu_r, dm_r, dk) bookkeeping of the same kick is available
-    from `kick_shift`.
     """
     for name, l in (("l1", l1), ("l2", l2)):
         if not isinstance(l, int) or isinstance(l, bool):

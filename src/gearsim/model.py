@@ -14,9 +14,12 @@ The lattice is integer: mu_c is _mu_c_factor times A = n2 m1 + n1 m2, and
 mu_r, the Bloch period n and the grid spacing n/g are integer multiples of
 one unit per geometry, mu_r_unit.  Grids, kicks, Bloch labels and the
 momentum map run on Python ints (binary-float inertias give the unit a
-54-bit denominator).  `fractions.Fraction` is kept where exactness is
-checked against outside input: building the geometry and the public
-transforms.  Floats are taken from exact values by correct rounding.
+54-bit denominator).  They share the rules kept here: `_lattice_point`,
+its inverse `_lattice_momenta` and `_centred_divmod`.  The windows are
+built by `relative.ground_state` and `dynamics.apply_kick`, the Bloch
+labels by `relative.eigendecompose`.  `fractions.Fraction` is kept where
+exactness is checked against outside input: building the geometry and the
+public transforms.  Floats are taken from exact values by correct rounding.
 """
 
 from __future__ import annotations
@@ -39,9 +42,6 @@ __all__ = [
     "derive_geometry",
     "momenta_to_collective",
     "collective_to_momenta",
-    "is_physical_mu_c",
-    "allowed_relative_grid",
-    "bloch_label",
     "angular_momentum_split",
 ]
 
@@ -67,16 +67,17 @@ def _exact_float(i: int, q: Fraction) -> float:
     return i * q.numerator / q.denominator
 
 
-def _centred_divmod(x, step) -> tuple[int, int | Fraction]:
-    """Exact centred division: x = q * step + r with r in (-step/2, step/2].
+def _centred_divmod(x: int, step: int) -> tuple[int, int]:
+    """Centred integer division: x = q * step + r with r in (-step/2, step/2].
 
-    The one rule that reduces a lattice value to its representative: grid
-    offsets, Bloch residues and the index shift of a kick all come from it.
+    The one rule that reduces a lattice value, in units of mu_r_unit, to its
+    representative: grid offsets, the index shift of a kick and Bloch labels
+    all come from it.
     """
     q, r = divmod(x, step)
     if 2 * r > step:
-        return int(q) + 1, r - step
-    return int(q), r
+        return q + 1, r - step
+    return q, r
 
 
 @dataclass(frozen=True)
@@ -227,10 +228,6 @@ class GridSpec:
         object.__setattr__(self, "size", self.half_width - lo + 1)
         object.__setattr__(self, "mirrored", half_step or self.offset == 0)
 
-    def value(self, j: int) -> Fraction:
-        """Exact mu_r at signed grid index j (j=0 is the offset itself)."""
-        return (self.offset + self.spacing * j) * self.unit
-
     def values(self) -> np.ndarray:
         """All grid mu_r values, ascending: float(offset) + float(spacing) * j."""
         j = np.arange(self.lo, self.half_width + 1, dtype=float)
@@ -370,37 +367,6 @@ def _integer_A(geom: DerivedGeometry, mu_c) -> int:
     if A.denominator != 1 or int(A) % geom.g != 0:
         raise NonPhysicalError(f"mu_c={mu_c} is not realizable by integer momenta")
     return int(A)
-
-
-def is_physical_mu_c(geom: DerivedGeometry, mu_c) -> bool:
-    """True when some integer (m1, m2) produces this mu_c."""
-    try:
-        _integer_A(geom, mu_c)
-    except NonPhysicalError:
-        return False
-    return True
-
-
-def allowed_relative_grid(geom: DerivedGeometry, mu_c, half_width: int = 32) -> GridSpec:
-    """The mu_r lattice compatible with a fixed physical mu_c.
-
-    At fixed A = n2 m1 + n1 m2 the integer solutions form the chain
-    (m1 + n1/g, m2 - n2/g), along which mu_r steps by exactly n/g for any
-    inertias, so the allowed values form an arithmetic progression with
-    that spacing.  The returned window is built on the representative
-    offset reduced into (-spacing/2, spacing/2], so (see GridSpec) it is
-    symmetric under mu_r -> -mu_r whenever the lattice itself is.
-    """
-    t = _integer_A(geom, mu_c) // geom.g   # = M1 m1 + M2 m2
-    m1 = t * pow(geom.M1, -1, geom.M2) % geom.M2
-    _, b = _lattice_point(geom, m1, (t - geom.M1 * m1) // geom.M2)
-    _, offset = _centred_divmod(b, geom.grid_spacing_u)
-    return GridSpec(offset, geom.grid_spacing_u, half_width, geom.mu_r_unit)
-
-
-def bloch_label(geom: DerivedGeometry, mu_r) -> Fraction:
-    """Conserved residue k = mu_r mod n, reduced into (-n/2, n/2]."""
-    return _centred_divmod(_as_fraction(mu_r, "mu_r"), geom.n)[1]
 
 
 def angular_momentum_split(geom: DerivedGeometry, L_c: float, L_r: float) -> tuple[float, float]:

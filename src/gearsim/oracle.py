@@ -242,15 +242,14 @@ class OracleSeries:
 
 def oracle_run(config: GearConfig, protocol, times, cutoff: int = 24) -> OracleSeries:
     """Ground state -> kick train -> sampled evolution, all on the raw
-    lattice.  `protocol` provides ell/num_kicks/delta_t/target_gear with the
-    same semantics as the pipeline's KickProtocol (duck-typed: this module
-    never imports it)."""
+    lattice.  `protocol` provides kick_momenta(), resolved_num_kicks() and
+    delta_t with the same semantics as the pipeline's KickProtocol
+    (duck-typed: this module never imports it)."""
     times = np.asarray(times, dtype=float)
     components = Components(config, cutoff)
     state = oracle_ground_state(config, cutoff, components)
-    per = protocol.per_kick()
+    l1, l2 = protocol.kick_momenta()
     num = protocol.resolved_num_kicks()
-    l1, l2 = (per, 0) if protocol.target_gear == 1 else (0, per)
     for i in range(num):
         state = oracle_apply_kick(state, l1, l2)
         if i < num - 1 and protocol.delta_t > 0:

@@ -259,9 +259,6 @@ class RotorState:
     grid: GridSpec
     amplitudes: np.ndarray
 
-    def norm(self) -> float:
-        return float(np.sum(np.abs(self.amplitudes) ** 2))
-
     def momentum_pairs(self) -> tuple[np.ndarray, np.ndarray]:
         """Exact integer (m1, m2) for every grid point, as int64.
 

@@ -85,8 +85,8 @@ def check_01_classical_benchmark() -> CriterionResult:
     geom22 = derive_geometry(CONFIG_22)
     geom42 = derive_geometry(CONFIG_42)
     exact_ok = geom22.r_cl == Fraction(1, 2) and geom42.r_cl == Fraction(2, 5)
-    res22 = classical_transmission(CONFIG_22, _single_kick(6))
-    res42 = classical_transmission(CONFIG_42, _single_kick(4))
+    res22 = classical_transmission(geom22, _single_kick(6))
+    res42 = classical_transmission(geom42, _single_kick(4))
     dev22 = abs(res22.r_measured - 0.5)
     dev42 = abs(res42.r_measured - 0.4)
     passed = (exact_ok and not res22.above_threshold and not res42.above_threshold

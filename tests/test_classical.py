@@ -26,7 +26,10 @@ def test_rest_state_stays_at_rest(geom22):
 
 def test_energy_conservation_bound_orbit(geom22):
     traj = simulate_relative(geom22, ClassicalState(0.9, 0.0), 10.0)
-    assert np.ptp(traj.energies()) < 1e-9
+    cfg = geom22.config
+    energies = [L * L / (2.0 * geom22.I_r) - cfg.V0 * cfg.potential.value(geom22.n * th)
+                for th, L in zip(traj.theta.tolist(), traj.L.tolist())]
+    assert np.ptp(energies) < 1e-9
 
 
 def test_small_oscillation_period(geom22):
@@ -74,21 +77,21 @@ def test_separatrix_launch_is_rejected(geom22):
         mean_relative_momentum(geom22, ClassicalState(0.0, geom22.L_r_threshold))
 
 
-def test_below_threshold_gears_interlock(cfg22, cfg42):
-    res = classical_transmission(cfg22, KickProtocol(ell=6, num_kicks=1))
+def test_below_threshold_gears_interlock(geom22, geom42):
+    res = classical_transmission(geom22, KickProtocol(ell=6, num_kicks=1))
     assert not res.above_threshold
     assert res.r == 0.5
     assert res.r_measured == pytest.approx(0.5, abs=1e-6)
-    res42 = classical_transmission(cfg42, KickProtocol(ell=4, num_kicks=1))
+    res42 = classical_transmission(geom42, KickProtocol(ell=4, num_kicks=1))
     assert not res42.above_threshold
     assert res42.r_measured == pytest.approx(0.4, abs=1e-6)
 
 
-def test_above_threshold_gears_slip(cfg22):
-    res = classical_transmission(cfg22, KickProtocol(ell=7, num_kicks=1))
+def test_above_threshold_gears_slip(geom22):
+    res = classical_transmission(geom22, KickProtocol(ell=7, num_kicks=1))
     assert res.above_threshold
     assert res.r < 0.5
-    res20 = classical_transmission(cfg22, KickProtocol(ell=20, num_kicks=1))
+    res20 = classical_transmission(geom22, KickProtocol(ell=20, num_kicks=1))
     assert res20.above_threshold
     assert res20.r < 0.05  # fast kicks barely transmit
     # quadrature drift average agrees with the integrated trajectory
@@ -151,12 +154,12 @@ def test_block_walk_is_bit_identical(monkeypatch, chunk_steps):
         return rk4(geom, th, l, dt, n_steps)
 
     monkeypatch.setattr(classical, "_rk4", counted)
-    cases = _walk_cases()
+    cases = [(derive_geometry(cfg), proto) for cfg, proto in _walk_cases()]
     results = {}
     for block in (1, 7, chunk_steps):
         monkeypatch.setattr(classical, "_BLOCK_STEPS", block)
         rk4_steps.clear()
-        results[block] = [classical_transmission(cfg, proto) for cfg, proto in cases]
+        results[block] = [classical_transmission(geom, proto) for geom, proto in cases]
     assert results[1] == results[chunk_steps]
     assert results[7] == results[chunk_steps]
     assert [res.above_threshold for res in results[1]] == \

@@ -8,14 +8,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gearsim import dynamics, relative
+from gearsim import dynamics, model, relative
 from gearsim.dynamics import (
     KickProtocol,
     apply_kick,
     eigen_occupations,
     evolve,
     evolved_states,
-    kick_shift,
     long_time_average,
     multi_kick,
     revival_phase_defect,
@@ -26,7 +25,7 @@ from gearsim.dynamics import (
 from gearsim.errors import ConvergenceFailure, InternalInconsistency
 from gearsim.model import GearConfig, PotentialSpec, derive_geometry
 from gearsim.ergotropy import ergotropy_time_series
-from gearsim.relative import build_hamiltonian, ground_state
+from gearsim.relative import SUPPORT_EPS, build_hamiltonian, ground_state
 
 # frozen sub-threshold transmissions, 2:2 pair at V0 = 10
 R_ODD = {1: 0.4598306368273201, 3: 0.4003615607688080, 5: 0.2872076356616948}
@@ -36,30 +35,65 @@ SECOND = PotentialSpec(((0, 0.5), (2, 0.5)))   # no p = 1 term
 
 # ------------------------------------------------------------------ kicks ---
 
+def support(state):
+    """{mu_r/u: amplitude} over the grid points the state occupies."""
+    grid = state.grid
+    return {grid.offset + grid.spacing * j: c
+            for j, c in zip(range(grid.lo, grid.half_width + 1), state.amplitudes.tolist())
+            if abs(c) ** 2 > SUPPORT_EPS}
+
+
+def occupied_labels(state):
+    """Bloch labels k of the eigenstates the state occupies."""
+    es, occ = eigen_occupations(state)
+    return {int(k) * state.geom.mu_r_unit for k in es.labels[occ > 0]}
+
+
+def self_conjugate(state):
+    """Whether mu_r -> -mu_r maps the state's sector onto itself: every
+    occupied label k has 2k a multiple of n gcd(p), the period of mu_r the
+    coupling conserves.  Labels are residues mod n, so this decides it for
+    gcd(p) <= 2, which every profile here has."""
+    harmonics = [p for p, _ in state.geom.config.potential.harmonics()]
+    period = state.geom.n * math.gcd(*harmonics)
+    labels = occupied_labels(state)
+    assert labels
+    return all(2 * k % period == 0 for k in labels)
+
+
 def test_kick_shift_worked_examples(geom22, geom42):
-    ks = kick_shift(geom22, 6, 0)
-    assert (ks.dmu_c, ks.dmu_r, ks.dk) == (6, 6, 2)
-    assert ks.enhanced
-    ks = kick_shift(geom42, 5, 0)
-    assert (ks.dmu_c, ks.dmu_r, ks.dk) == (3, 6, 0)
-    assert ks.enhanced
-    assert not kick_shift(geom22, 1, 0).enhanced
-    assert not kick_shift(geom42, 1, 0).enhanced
+    """A kick (l1, l2) moves the lattice point (A, mu_r/u) by
+    `_lattice_point(l1, l2)`: the kicked state is the ground state shifted
+    by exactly that, and its eigenstates carry the residue dk of d mu_r."""
     # without a p = 1 harmonic mu_r is conserved mod 2n, not n: dk = n/2
     # is then no longer a self-conjugate sector
     second = derive_geometry(GearConfig(2, 2, V0=10.0, potential=SECOND))
-    ks = kick_shift(second, 2, 0)
-    assert (ks.dmu_r, ks.dk) == (2, 2)
-    assert not ks.enhanced
-    assert kick_shift(second, 4, 0).enhanced
+    for geom, l1, dmu_c, dmu_r, dk, enhanced in (
+            (geom22, 6, 6, 6, 2, True),
+            (geom42, 5, 3, 6, 0, True),
+            (geom22, 1, 1, 1, 1, False),
+            (geom42, 1, Fraction(3, 5), Fraction(6, 5), Fraction(6, 5), False),
+            (second, 2, 2, 2, 2, False),
+            (second, 4, 4, 4, 0, True)):
+        dA, db = model._lattice_point(geom, l1, 0)
+        assert (geom._mu_c_factor * dA, geom.mu_r_unit * db) == (dmu_c, dmu_r)
+        ground = ground_state(geom)
+        kicked = apply_kick(ground, l1)
+        assert kicked.A == dA
+        assert support(kicked) == {b + db: c for b, c in support(ground).items()}
+        assert occupied_labels(kicked) == {dk}
+        assert self_conjugate(kicked) == enhanced
 
 
 def test_kick_shift_additive(geom42):
+    ground = ground_state(geom42)
     for la, lb in ((1, 1), (2, 3), (5, -2)):
-        a, b = kick_shift(geom42, la, 0), kick_shift(geom42, lb, 0)
-        both = kick_shift(geom42, la + lb, 0)
-        assert both.dmu_c == a.dmu_c + b.dmu_c
-        assert both.dmu_r == a.dmu_r + b.dmu_r
+        a, b = (model._lattice_point(geom42, l, 0) for l in (la, lb))
+        assert model._lattice_point(geom42, la + lb, 0) == (a[0] + b[0], a[1] + b[1])
+        twice = apply_kick(apply_kick(ground, la), lb)
+        once = apply_kick(ground, la + lb)
+        assert twice.A == once.A and twice.grid.offset == once.grid.offset
+        assert support(twice) == support(once)
 
 
 def test_kick_adds_momentum_exactly(geom22):
@@ -385,8 +419,9 @@ def test_self_conjugate_kicks_transmit_exactly_r_cl(kick, V0, fourier):
     a1, a2, a3 = fourier
     profile = PotentialSpec(((0, 0.5), (1, a1), (2, a2), (3, a3)))
     config = GearConfig(n1, n2, I1=I1, I2=I2, V0=V0, potential=profile)
-    assert kick_shift(derive_geometry(config), ell, 0).enhanced
-    res = transmission_ratio(config, KickProtocol(ell=ell, num_kicks=1))
+    state = run_protocol(derive_geometry(config), KickProtocol(ell=ell, num_kicks=1))
+    assert self_conjugate(state)
+    res = long_time_average(state, ell)
     assert abs(res.r - n1 * n2 * I2 / (n1 * n1 * I2 + n2 * n2 * I1)) <= 1e-9
 
 

@@ -3,7 +3,8 @@
 `model` keeps exact rationals for building a geometry and for the public
 transforms; grids, kicks, Bloch labels and the momentum map run on Python
 ints.  So a sweep point, eigensolves included, constructs no Fraction, and
-the `transmission` subcommand derives its geometry once for all its points.
+the `transmission` and `classical` subcommands derive their geometry once
+for all their points.
 """
 
 import fractions
@@ -49,12 +50,15 @@ def test_a_sweep_point_and_a_kick_train_build_no_fraction(config, monkeypatch):
 
 
 def test_transmission_derives_its_geometry_once(monkeypatch, tmp_path):
+    """Quantum and classical alike: one geometry for all sweep points."""
     derived = []
     original = model.derive_geometry
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "gearsim" and vars(module).get("derive_geometry") is original:
             _count_calls(monkeypatch, module, "derive_geometry", derived)
-    argv = ["transmission", "--config", str(CONFIGS / "transmission_23.json"),
-            "--out", str(tmp_path)]
-    assert cli.main(argv) == 0
-    assert len(derived) == 1
+    for command, config in (("transmission", "transmission_23.json"),
+                            ("classical", "classical_22.json")):
+        derived.clear()
+        argv = [command, "--config", str(CONFIGS / config), "--out", str(tmp_path)]
+        assert cli.main(argv) == 0
+        assert len(derived) == 1, command

@@ -34,6 +34,12 @@ def rational_collective(cfg):
     return collective
 
 
+def centred_residue(x, step):
+    """x mod step, reduced into (-step/2, step/2], in exact rationals."""
+    r = x % step
+    return r - step if 2 * r > step else r
+
+
 def check_labels(geom, grid, offset, spacing):
     """Every eigenstate's Bloch label, times the unit, is the rational
     residue of the grid points it lives on; states sort exactly by
@@ -41,7 +47,7 @@ def check_labels(geom, grid, offset, spacing):
     es = relative.eigensystem_for(geom, grid)
     first = np.argmax(es.vectors != 0.0, axis=0)   # a point of each state
     for i, row in enumerate(first.tolist()):
-        k = model._centred_divmod(offset + spacing * (row + grid.lo), geom.n)[1]
+        k = centred_residue(offset + spacing * (row + grid.lo), geom.n)
         assert int(es.labels[i]) * geom.mu_r_unit == k
         assert np.all(es.vectors[:, i][(np.arange(grid.size) - row) % geom.g != 0] == 0.0)
     keys = [(e, int(k)) for e, k in zip(es.energies.tolist(), es.labels)]
@@ -69,7 +75,7 @@ def test_integer_lattice_is_the_rational_one(n1, n2, I1, I2, kicks):
         assert (geom._mu_c_factor * dA, db * u) == (dmu_c, dmu_r)
         state = apply_kick(state, l1, l2)
         mu_c += dmu_c
-        offset = model._centred_divmod(offset + dmu_r, spacing)[1]
+        offset = centred_residue(offset + dmu_r, spacing)
         grid = state.grid
         assert (grid.offset * u, grid.spacing * u, grid.unit) == (offset, spacing, u)
         assert geom._mu_c_factor * state.A == mu_c
@@ -87,7 +93,7 @@ def test_integer_lattice_is_the_rational_one(n1, n2, I1, I2, kicks):
     assert np.array_equal(grid.values(), float(offset) + float(spacing) * j)
     es = check_labels(geom, grid, offset, spacing)
     assert [float(int(k) * u) for k in es.labels] == [
-        float(model._centred_divmod(values[row], geom.n)[1])
+        float(centred_residue(values[row], geom.n))
         for row in np.argmax(es.vectors != 0.0, axis=0).tolist()]
 
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from gearsim import model, relative
+from gearsim.dynamics import apply_kick
 from gearsim.errors import (
     InternalInconsistency,
     NonPhysicalError,
@@ -15,8 +16,6 @@ from gearsim.errors import (
 from gearsim.model import (
     GearConfig,
     GridSpec,
-    allowed_relative_grid,
-    bloch_label,
     collective_to_momenta,
     derive_geometry,
     momenta_to_collective,
@@ -37,9 +36,14 @@ E0_22 = -7.153078342041734   # frozen: 2:2 pair, V0 = 10
 E0_42 = -6.137846510268533   # frozen: 4:2 pair, V0 = 10
 
 
+def _centred(geom, J):
+    """The mu_c = 0 window of half-width J, on the ground state's lattice."""
+    return GridSpec(0, geom.grid_spacing_u, J, geom.mu_r_unit)
+
+
 @pytest.fixture(scope="module")
 def es22(geom22):
-    return eigensystem_for(geom22, allowed_relative_grid(geom22, Fraction(0)))
+    return eigensystem_for(geom22, _centred(geom22, 32))
 
 
 def test_eigensystem_orthonormal(es22):
@@ -81,7 +85,7 @@ def test_reflection_definite_eigenvectors(es22):
 
 def test_free_rotor_spectrum():
     geom = derive_geometry(GearConfig(2, 2, V0=0.0))
-    grid = allowed_relative_grid(geom, Fraction(0), half_width=8)
+    grid = _centred(geom, 8)
     es = eigensystem_for(geom, grid)
     mu = grid.values()
     assert es.energies == pytest.approx(np.sort(mu**2 / (2.0 * geom.I_r)), abs=1e-12)
@@ -107,7 +111,7 @@ def test_ground_state_frozen_energy(geom22, geom42):
 def test_ground_state_properties(geom22):
     state = ground_state(geom22)
     assert state.A == 0
-    assert state.norm() == pytest.approx(1.0, abs=1e-12)
+    assert np.sum(np.abs(state.amplitudes) ** 2) == pytest.approx(1.0, abs=1e-12)
     assert tail_mass(state.amplitudes) < 1e-12
     # bound well below the free ground state, above the well bottom
     e0 = _e0(geom22)
@@ -118,8 +122,7 @@ def test_ground_state_properties(geom22):
 
 
 def test_ground_energy_truncation_stable(geom22):
-    grid = allowed_relative_grid(geom22, Fraction(0), half_width=24)
-    wide = allowed_relative_grid(geom22, Fraction(0), half_width=48)
+    grid, wide = _centred(geom22, 24), _centred(geom22, 48)
     e_narrow = eigensystem_for(geom22, grid).energies[0]
     e_wide = eigensystem_for(geom22, wide).energies[0]
     assert abs(e_narrow - e_wide) < 1e-10
@@ -132,7 +135,7 @@ def test_deeper_well_binds_harder():
 
 
 def test_eigensystem_cache_returns_same_object(geom22):
-    grid = allowed_relative_grid(geom22, Fraction(0))
+    grid = _centred(geom22, 32)
     assert eigensystem_for(geom22, grid) is eigensystem_for(geom22, grid)
 
 
@@ -162,7 +165,7 @@ def test_widen_embeds_amplitudes(geom22):
     state = ground_state(geom22)
     wide = widen(state)
     assert wide.grid.half_width > state.grid.half_width
-    assert wide.norm() == pytest.approx(1.0, abs=1e-12)
+    assert np.sum(np.abs(wide.amplitudes) ** 2) == pytest.approx(1.0, abs=1e-12)
     # the old window sits inside the new one where its mu_r values are
     start = int(np.flatnonzero(wide.grid.values() == state.grid.values()[0])[0])
     inner = slice(start, start + state.grid.size)
@@ -261,11 +264,13 @@ def test_parity_parts_are_mathieu_a_and_b(n1, n2, V0, I1, I2):
     (2, 2, 1.0, 3.0, 8),
 ])
 def test_band_residues_are_the_physical_classes(n1, n2, I1, I2, count):
-    """The ks are exactly the Bloch labels that integer (m1, m2) reach."""
+    """The ks are exactly the Bloch labels that integer (m1, m2) reach: the
+    residues of their mu_r mod n, reduced into (-n/2, n/2]."""
     geom = derive_geometry(GearConfig(n1, n2, I1=I1, I2=I2, V0=10.0))
     box = range(-20, 21)
-    brute = {bloch_label(geom, momenta_to_collective(geom, m1, m2).mu_r)
-             for m1 in box for m2 in box}
+    n = geom.n
+    residues = {momenta_to_collective(geom, m1, m2).mu_r % n for m1 in box for m2 in box}
+    brute = {r - n if 2 * r > n else r for r in residues}
     ks = band_structure(geom, 1).ks
     assert list(ks) == sorted(brute)
     assert len(ks) == count
@@ -290,9 +295,8 @@ def test_band_structure_respects_requested_count(geom22):
     assert bs.energies.shape[0] == 5
 
 
-def _state(geom, mu_c, grid):
-    return RotorState(geom, model._integer_A(geom, mu_c), grid,
-                      np.zeros(grid.size, complex))
+def _state(geom, A, grid):
+    return RotorState(geom, A, grid, np.zeros(grid.size, complex))
 
 
 def test_momentum_pairs_is_the_exact_map_point_by_point():
@@ -300,14 +304,17 @@ def test_momentum_pairs_is_the_exact_map_point_by_point():
     for n1 in range(1, 6):
         for n2 in range(1, 6):
             geom = derive_geometry(GearConfig(n1, n2, V0=5.0))
+            ground = ground_state(geom)
             for l1, l2 in ((0, 0), (1, 0), (0, 1), (3, -2)):  # kicked mu_c
+                kicked = apply_kick(ground, l1, l2)
                 mu_c = momenta_to_collective(geom, l1, l2).mu_c
                 for J in (0, 1, 32, 97):
-                    grid = allowed_relative_grid(geom, mu_c, half_width=J)
+                    grid = dataclasses.replace(kicked.grid, half_width=J)
                     half_step = 2 * grid.offset == grid.spacing
                     offsets.add((grid.offset == 0, half_step))
-                    m1, m2 = _state(geom, mu_c, grid).momentum_pairs()
-                    exact = [collective_to_momenta(geom, mu_c, grid.value(j))
+                    m1, m2 = _state(geom, kicked.A, grid).momentum_pairs()
+                    exact = [collective_to_momenta(
+                                 geom, mu_c, (grid.offset + grid.spacing * j) * grid.unit)
                              for j in range(grid.lo, J + 1)]
                     assert m1.dtype == m2.dtype == np.int64
                     assert m1.tolist() == [a for a, _ in exact]
@@ -321,7 +328,7 @@ def test_momentum_pairs_is_the_exact_map_point_by_point():
 
 @pytest.mark.parametrize("J", [0, 1, 32])
 def test_momentum_pairs_off_lattice_window_raises(geom22, J):
-    grid = allowed_relative_grid(geom22, 0, half_width=J)
+    grid = _centred(geom22, J)
     off = GridSpec(grid.offset + grid.spacing // 2, grid.spacing, J, grid.unit)
     with pytest.raises(NonPhysicalError):
         _state(geom22, 0, off).momentum_pairs()
@@ -329,7 +336,7 @@ def test_momentum_pairs_off_lattice_window_raises(geom22, J):
 
 def test_momentum_pairs_solves_three_points_and_checks_the_last(
         monkeypatch, geom42):
-    grid = allowed_relative_grid(geom42, 0, half_width=40)
+    grid = _centred(geom42, 40)
     calls = []
     exact = model._lattice_momenta
 
@@ -366,8 +373,7 @@ def test_parity_resolved_eigensystem_is_exact(n1, n2, fourier, l1, J, half_step)
     odd (elsewhere its mirror image lives in another sector)."""
     geom = derive_geometry(GearConfig(n1, n2, V0=12.0,
                                       potential=model.PotentialSpec(fourier)))
-    mu_c = momenta_to_collective(geom, l1, 0).mu_c
-    grid = allowed_relative_grid(geom, mu_c, half_width=J)
+    grid = dataclasses.replace(apply_kick(ground_state(geom), l1).grid, half_width=J)
     assert (2 * grid.offset == grid.spacing) == half_step
     values = grid.values()
     assert np.array_equal(values, -values[::-1])
