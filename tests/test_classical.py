@@ -1,11 +1,13 @@
 """Classical limit: RK4 relative dynamics, interlock threshold, drift averages."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gearsim import classical
+from gearsim import classical, cli
 from gearsim.classical import (
     ClassicalState,
     classical_kick,
@@ -156,12 +158,12 @@ def test_block_walk_is_bit_identical(monkeypatch, chunk_steps):
     monkeypatch.setattr(classical, "_rk4", counted)
     cases = [(derive_geometry(cfg), proto) for cfg, proto in _walk_cases()]
     results = {}
-    for block in (1, 7, chunk_steps):
+    for block in (1, 7, classical._BLOCK_STEPS, chunk_steps):
         monkeypatch.setattr(classical, "_BLOCK_STEPS", block)
         rk4_steps.clear()
         results[block] = [classical_transmission(geom, proto) for geom, proto in cases]
-    assert results[1] == results[chunk_steps]
-    assert results[7] == results[chunk_steps]
+    for block in results:
+        assert results[block] == results[chunk_steps]
     assert [res.above_threshold for res in results[1]] == \
         [False, True, True, False, True, False, False, True, False, False]
     if chunk_steps == 300:
@@ -169,3 +171,81 @@ def test_block_walk_is_bit_identical(monkeypatch, chunk_steps):
         # block is the chunk: more calls than cases means events past a
         # chunk boundary were reached
         assert rk4_steps.count(300) > len(cases)
+
+
+def _rk4_reference(geom, th, l, dt, n_steps):
+    """The RK4 loop with the force as a closure, as it was before the stages
+    were inlined: the new loop must give exactly these floats."""
+    I_r = geom.I_r
+    n = geom.n
+    nV0 = n * geom.config.V0
+    terms = tuple((p, p * a) for p, a in geom.config.potential.harmonics())
+
+    def force(x: float) -> float:
+        # n V0 u'(x), summed in the order of PotentialSpec.derivative
+        du = 0.0
+        for p, pa in terms:
+            du -= pa * math.sin(p * x)
+        return nV0 * du
+
+    theta = np.empty(n_steps + 1)
+    L = np.empty(n_steps + 1)
+    theta[0], L[0] = th, l
+    for i in range(1, n_steps + 1):
+        k1t, k1l = l / I_r, force(n * th)
+        th2, l2 = th + 0.5 * dt * k1t, l + 0.5 * dt * k1l
+        k2t, k2l = l2 / I_r, force(n * th2)
+        th3, l3 = th + 0.5 * dt * k2t, l + 0.5 * dt * k2l
+        k3t, k3l = l3 / I_r, force(n * th3)
+        th4, l4 = th + dt * k3t, l + dt * k3l
+        k4t, k4l = l4 / I_r, force(n * th4)
+        th += dt * (k1t + 2 * k2t + 2 * k3t + k4t) / 6.0
+        l += dt * (k1l + 2 * k2l + 2 * k3l + k4l) / 6.0
+        theta[i], L[i] = th, l
+    return theta, L
+
+
+@pytest.mark.parametrize("config", [
+    GearConfig(2, 2, V0=10.0, potential=PotentialSpec(((0, 1.0),))),
+    GearConfig(2, 2, V0=10.0),
+    GearConfig(1, 3, V0=20.0, potential=PotentialSpec(((0, .5), (1, .4), (2, .1)))),
+    GearConfig(3, 2, V0=7.5, I1=0.7, I2=1.3,
+               potential=PotentialSpec(((0, .4), (1, .3), (2, .2), (3, .1)))),
+    GearConfig(2, 3, V0=0.0),
+], ids=["0-harmonics", "1-harmonic", "2-harmonics", "3-harmonics", "V0=0"])
+@pytest.mark.parametrize("th, l, n_steps", [
+    (0.0, 0.0, 2000),
+    (0.0, 3.0, 2000),
+    (0.4, -2.0, 2000),
+    (-1.1, 0.0, 2000),
+    (-0.3, -7.0, 1),
+    (2.0, 5.0, 1),
+])
+def test_rk4_matches_the_closure_loop_bit_for_bit(config, th, l, n_steps):
+    geom = derive_geometry(config)
+    dt = 1e-3 * 2.0 * math.pi / max(geom.omega0, geom.omega0_harmonic, 1.0)
+    got = classical._rk4(geom, th, l, dt, n_steps)
+    want = _rk4_reference(geom, th, l, dt, n_steps)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.shape == w.shape == (n_steps + 1,)
+        assert np.array_equal(g, w)
+        assert np.array_equal(np.signbit(g), np.signbit(w))
+
+
+def test_event_search_stops_within_a_block_of_the_event(monkeypatch, tmp_path):
+    """`gearsim classical` on configs/classical_22.json: 128-step blocks
+    integrate 16,384 RK4 steps over its 12 points, where 1024-step blocks
+    integrated 20,480."""
+    steps = []
+    rk4 = classical._rk4
+
+    def counted(geom, th, l, dt, n_steps):
+        steps.append(n_steps)
+        return rk4(geom, th, l, dt, n_steps)
+
+    monkeypatch.setattr(classical, "_rk4", counted)
+    config = Path(__file__).resolve().parents[1] / "configs" / "classical_22.json"
+    assert len(json.loads(config.read_text())["sweep"]["ell"]) == 12
+    assert cli.main(["classical", "--config", str(config),
+                     "--out", str(tmp_path)]) == 0
+    assert sum(steps) <= 16_384
