@@ -13,7 +13,6 @@ from .errors import (
     GearsError,
     InternalInconsistency,
     NonPhysicalError,
-    StepTooLarge,
     TruncationBreach,
     UnsupportedInertiaError,
 )
@@ -48,7 +47,6 @@ from .dynamics import (
     evolve,
     evolved_states,
     long_time_average,
-    multi_kick,
     revival_phase_defect,
     run_protocol,
     time_series,

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConvergenceFailure, StepTooLarge
+from .errors import ConvergenceFailure
 from .model import (
     DerivedGeometry,
     angular_momentum_split,
@@ -33,10 +33,8 @@ __all__ = [
     "classical_transmission",
 ]
 
-# fraction of the natural period used as the default integrator step
+# fraction of the natural period used as the integrator step
 _DT_FRACTION = 1e-3
-# steps larger than this fraction of the fastest period are refused
-_DT_LIMIT_FRACTION = 0.1
 # event searches integrate at most _MAX_CHUNKS chunks of _CHUNK_STEPS steps,
 # looking for the event after every _BLOCK_STEPS steps: on average a search
 # runs half a block past its event, and smaller blocks than 128 cost more
@@ -90,24 +88,11 @@ def _energy(geom: DerivedGeometry, theta: float, L: float) -> float:
     return L * L / (2.0 * geom.I_r) - cfg.V0 * cfg.potential.value(geom.n * theta)
 
 
-def _step_grid(geom: DerivedGeometry, t_final: float,
-               dt: float | None) -> tuple[int, float]:
-    """(number of steps, step) of a fixed-step run that lands on t_final.
-
-    The step is dt shrunk to an integer divisor of t_final.  Raises
-    StepTooLarge when dt is an unreasonable fraction of the well period.
-    """
+def _step_grid(t_final: float, dt: float) -> tuple[int, float]:
+    """(number of steps, step) of a fixed-step run that lands on t_final:
+    dt shrunk to an integer divisor of t_final."""
     if not t_final > 0:
         raise ValueError("t_final must be > 0")
-    if dt is None:
-        dt = _default_dt(geom, t_final)
-    if not dt > 0:
-        raise ValueError("dt must be > 0")
-    limit = _DT_LIMIT_FRACTION * _natural_period(geom)
-    if dt > limit:
-        raise StepTooLarge(
-            f"dt={dt:g} exceeds {limit:g}, the stability bound for this well"
-        )
     n_steps = max(1, math.ceil(t_final / dt - 1e-12))
     return n_steps, t_final / n_steps
 
@@ -155,15 +140,13 @@ def simulate_relative(
     geom: DerivedGeometry,
     initial: ClassicalState,
     t_final: float,
-    dt: float | None = None,
 ) -> Trajectory:
     """Classical RK4 integration of the relative motion for time t_final.
 
-    The step is fixed; t_final is landed on exactly by shrinking the step to
-    an integer divisor.  Raises StepTooLarge when dt is an unreasonable
-    fraction of the well period.
+    The step is fixed, a thousandth of the well period (of max(t_final, 1)
+    for a free rotor), shrunk so that t_final is landed on exactly.
     """
-    n_steps, dt = _step_grid(geom, t_final, dt)
+    n_steps, dt = _step_grid(t_final, _default_dt(geom, t_final))
     times = initial.time + dt * np.arange(n_steps + 1)
     theta, L = _rk4(geom, initial.theta_r, initial.L_r, dt, n_steps)
     return Trajectory(geom, times, theta, L, initial.L_c)
@@ -209,7 +192,7 @@ def _simulate_until(geom: DerivedGeometry, state: ClassicalState, event,
     of the one before it: `event` sees every pair of neighbouring samples
     once, in order, so the result does not depend on the block size.
     """
-    n_steps, h = _step_grid(geom, _CHUNK_STEPS * dt, dt)
+    n_steps, h = _step_grid(_CHUNK_STEPS * dt, dt)
     t0, th, l = state.time, state.theta_r, state.L_r
     for _ in range(_MAX_CHUNKS):
         for start in range(0, n_steps, _BLOCK_STEPS):

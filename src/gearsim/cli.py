@@ -24,10 +24,9 @@ from .classical import classical_transmission
 from .dynamics import (
     KickProtocol,
     eigen_occupations,
-    long_time_average,
     run_protocol,
     time_series,
-    transmission_ratio,  # noqa: F401  (unused; gearbench's tracer test reads it here)
+    transmission_ratio,
 )
 from .ergotropy import ergotropy_time_series
 from .errors import ConfigError, GearsError
@@ -210,30 +209,23 @@ def _emit(out_dir: str, name: str, header: list[str], rows) -> str:
     return path
 
 
-def _map_sweep(fn, items, workers: int):
-    items = list(items)
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
+def _map_sweep(fn, jobs, workers: int):
+    """fn(geom, protocol) for every (geom, protocol) job, in order."""
+    if workers <= 1 or len(jobs) <= 1:
+        return [fn(*job) for job in jobs]
     from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=min(workers, len(items))) as ex:
-        return list(ex.map(fn, items))
+    with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as ex:
+        return list(ex.map(fn, *zip(*jobs)))
 
 
 # ----------------------------------------------------------- sweep points ---
 
-def _average_point(job):
-    geom, protocol = job
-    return long_time_average(run_protocol(geom, protocol), ell=protocol.ell)
-
-
-def _classical_point(job):
-    geom, protocol = job
+def _classical_point(geom, protocol):
     res = classical_transmission(geom, protocol)
     return (protocol.ell, res.r, res.r_measured, res.L_r_bar, res.above_threshold)
 
 
-def _occupation_rows(job):
-    geom, protocol = job
+def _occupation_rows(geom, protocol):
     es, occ = eigen_occupations(run_protocol(geom, protocol))
     mu = es.grid.values()
     kinetic = (es.vectors ** 2).T @ (mu ** 2 / (2.0 * geom.I_r))
@@ -285,7 +277,7 @@ def _cmd_transmission(doc, out_dir, workers):
     geom = derive_geometry(_gear_config(doc))
     jobs = _ell_sweep_jobs(doc, geom)
     rows = [(p.ell, res.r, res.L1_bar, res.L2_bar, res.L_r_bar, res.period_estimate)
-            for (_, p), res in zip(jobs, _map_sweep(_average_point, jobs, workers))]
+            for (_, p), res in zip(jobs, _map_sweep(transmission_ratio, jobs, workers))]
     _emit(out_dir, "transmission.csv",
           ["ell", "r", "L1_bar", "L2_bar", "L_r_bar", "period_estimate"], rows)
 
@@ -299,7 +291,7 @@ def _cmd_multikick(doc, out_dir, workers):
     dts = _sweep_values(doc, "delta_t", float)
     jobs = _sweep_jobs(geom, template, "delta_t", dts)
     rows = [(p.delta_t, res.r, res.L1_bar, res.L2_bar, res.L_r_bar)
-            for (_, p), res in zip(jobs, _map_sweep(_average_point, jobs, workers))]
+            for (_, p), res in zip(jobs, _map_sweep(transmission_ratio, jobs, workers))]
     _emit(out_dir, "multikick.csv",
           ["delta_t", "r", "L1_bar", "L2_bar", "L_r_bar"], rows)
 
@@ -323,22 +315,19 @@ def _cmd_occupations(doc, out_dir, workers):
 
 
 def _cmd_evolve(doc, out_dir, workers):
-    config = _gear_config(doc)
+    geom = derive_geometry(_gear_config(doc))
     protocol = _protocol(doc, default_num_kicks=1)
-    times = _times(doc)
-    geom = derive_geometry(config)
-    state = run_protocol(geom, protocol)
-    ts = time_series(state, times)
+    ts = time_series(run_protocol(geom, protocol), _times(doc))
     rows = zip(ts.times, ts.L1, ts.L2, ts.L2_sq, ts.energy_r, ts.norm)
     _emit(out_dir, "evolve.csv",
           ["t", "L1", "L2", "L2_sq", "energy_r", "norm"], rows)
 
 
 def _cmd_ergotropy(doc, out_dir, workers):
-    config = _gear_config(doc)
+    geom = derive_geometry(_gear_config(doc))
     protocol = _protocol(doc, default_num_kicks=1)
     times = _times(doc)
-    reports = ergotropy_time_series(config, protocol, times)
+    reports = ergotropy_time_series(geom, protocol, times)
     rows = [
         (t, rep.kinetic, rep.net_kinetic, rep.ergotropy,
          rep.ratio_ergotropy, rep.ratio_net)

@@ -28,14 +28,12 @@ import numpy as np
 from .errors import InternalInconsistency
 from .model import (
     DerivedGeometry,
-    GearConfig,
     GridSpec,
     _centred_divmod,
     _exact_float,
     _integer_A,
     _lattice_point,
     angular_momentum_split,
-    derive_geometry,
 )
 from .relative import (
     MARGIN_STEPS,
@@ -63,7 +61,6 @@ __all__ = [
     "long_time_average",
     "run_protocol",
     "transmission_ratio",
-    "multi_kick",
     "revival_phase_defect",
 ]
 
@@ -299,18 +296,9 @@ def run_protocol(geom: DerivedGeometry, protocol: KickProtocol) -> RotorState:
     return state
 
 
-def transmission_ratio(config: GearConfig, protocol: KickProtocol) -> TransmissionResult:
+def transmission_ratio(geom: DerivedGeometry, protocol: KickProtocol) -> TransmissionResult:
     """Long-time transmission after a kick protocol from the ground state."""
-    geom = derive_geometry(config)
-    state = run_protocol(geom, protocol)
-    return long_time_average(state, ell=protocol.ell)
-
-
-def multi_kick(config: GearConfig, protocol: KickProtocol) -> TransmissionResult:
-    """Transmission for a train of unit kicks (|per-kick| must be 1)."""
-    if abs(protocol.per_kick()) != 1:
-        raise ValueError("multi_kick requires unit kicks; adjust num_kicks")
-    return transmission_ratio(config, protocol)
+    return long_time_average(run_protocol(geom, protocol), ell=protocol.ell)
 
 
 def revival_phase_defect(geom: DerivedGeometry, mu_c) -> float:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import InternalInconsistency
 from .dynamics import KickProtocol, _amplitudes, run_protocol
-from .model import GearConfig, derive_geometry
+from .model import DerivedGeometry
 from .relative import RotorState
 
 # tolerance on |sum of probabilities - 1| of a gear-2 distribution
@@ -168,13 +168,13 @@ def ergotropy(dist: MomentumDistribution) -> ErgotropyReport:
 
 
 def ergotropy_time_series(
-    config: GearConfig, protocol: KickProtocol, times
+    geom: DerivedGeometry, protocol: KickProtocol, times
 ) -> list[ErgotropyReport]:
     """Ergotropy of gear 2 at each time after a kick protocol."""
-    state, C = _amplitudes(run_protocol(derive_geometry(config), protocol), times)
+    state, C = _amplitudes(run_protocol(geom, protocol), times)
     # every sample shares one window, so the momentum map is made once and
     # all samples go through the kernel together, each row normalised by
     # its own sum in grid order
     _, m2 = state.momentum_pairs()
     P = np.abs(C) ** 2
-    return _reports(m2, P / P.sum(axis=1, keepdims=True), config.I2)
+    return _reports(m2, P / P.sum(axis=1, keepdims=True), geom.config.I2)

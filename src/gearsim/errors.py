@@ -20,10 +20,6 @@ class ConvergenceFailure(GearsError, RuntimeError):
     """A numerical routine failed to converge."""
 
 
-class StepTooLarge(GearsError, ValueError):
-    """Integrator step exceeds its stability bound."""
-
-
 class TruncationBreach(GearsError, RuntimeError):
     """Probability reached the edge of a truncated basis; results untrusted."""
 

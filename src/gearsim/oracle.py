@@ -240,7 +240,7 @@ class OracleSeries:
     gear2: np.ndarray         # shape (len(times), len(m_values))
 
 
-def oracle_run(config: GearConfig, protocol, times, cutoff: int = 24) -> OracleSeries:
+def oracle_run(config: GearConfig, protocol, times, cutoff: int) -> OracleSeries:
     """Ground state -> kick train -> sampled evolution, all on the raw
     lattice.  `protocol` provides kick_momenta(), resolved_num_kicks() and
     delta_t with the same semantics as the pipeline's KickProtocol

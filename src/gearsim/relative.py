@@ -295,13 +295,6 @@ def _edges(size: int) -> tuple[slice, slice]:
     return slice(None, per_side), slice(-per_side, None)
 
 
-def tail_mass(amplitudes: np.ndarray) -> float:
-    """Probability in the outer TAIL_FRACTION of the window (both edges)."""
-    low, high = _edges(len(amplitudes))
-    p = np.abs(amplitudes) ** 2
-    return float(p[low].sum() + p[high].sum())
-
-
 def _wider(grid: GridSpec) -> GridSpec:
     """`grid` grown by half (at least one step), but not past MAX_HALF_WIDTH
     unless it is already there."""
@@ -345,33 +338,36 @@ def widen(state: RotorState) -> RotorState:
     return RotorState(state.geom, state.A, new_grid, amps)
 
 
-def ground_state(geom: DerivedGeometry) -> RotorState:
-    """Interlocked ground state: lowest eigenstate on the mu_c = 0 lattice.
+def _fitted(geom: DerivedGeometry, grid: GridSpec, count: int) -> EigenSystem:
+    """Eigensystem of the first window, `grid` grown by `_wider`, on which
+    each of the lowest `count` eigenstates has edge occupation below the
+    tail bound.  Growth stops at MAX_HALF_WIDTH (`_check_growth`)."""
+    while True:
+        es = eigensystem_for(geom, grid)
+        tail = float(np.max(es.edge_norms[:count])) ** 2
+        if tail < TAIL_BOUND:
+            return es
+        _check_growth(grid, tail)
+        grid = _wider(grid)
 
-    The window grows until the edge occupation passes the tail bound, up to
-    MAX_HALF_WIDTH.  The global phase is fixed by making the
-    largest-magnitude amplitude real positive.
+
+def ground_state(geom: DerivedGeometry) -> RotorState:
+    """Interlocked ground state: lowest eigenstate on the mu_c = 0 lattice,
+    on the first window (`_fitted`) that holds it.  The global phase is
+    fixed by making the largest-magnitude amplitude real positive.
     """
     start = _start_half_width(geom, geom.grid_spacing_u, MIN_HALF_WIDTH)
     # the mu_c = 0 lattice holds m1 = m2 = 0, so mu_r = 0 is its offset
-    grid = GridSpec(0, geom.grid_spacing_u, start, geom.mu_r_unit)
-    while True:
-        es = eigensystem_for(geom, grid)
-        v0 = es.vectors[:, 0]
-        tail = tail_mass(v0)
-        if tail < TAIL_BOUND:
-            break
-        _check_growth(grid, tail)
-        grid = _wider(grid)
+    es = _fitted(geom, GridSpec(0, geom.grid_spacing_u, start, geom.mu_r_unit), 1)
     if es.labels[0] != 0:
         raise ConvergenceFailure(
             f"ground state found in sector k={int(es.labels[0]) * geom.mu_r_unit}, "
             "expected k=0")
-    amps = v0.astype(complex)
+    amps = es.vectors[:, 0].astype(complex)
     peak = int(np.argmax(np.abs(amps)))
     if amps[peak].real < 0:
         amps = -amps
-    return RotorState(geom, 0, grid, amps)
+    return RotorState(geom, 0, es.grid, amps)
 
 
 @dataclass(frozen=True)
@@ -393,8 +389,9 @@ class BandStructure:
 
 def band_structure(geom: DerivedGeometry, num_bands: int = 3) -> BandStructure:
     """Diagonalize each Bloch sector mu_r = k + n*m over the physical
-    residues k and collect the lowest `num_bands` energies.  Inertias that
-    give more than MAX_BAND_RESIDUES residues raise UnsupportedInertiaError
+    residues k, on the first window (`_fitted`) that holds its lowest
+    `num_bands` states, and collect their energies.  Inertias that give
+    more than MAX_BAND_RESIDUES residues raise UnsupportedInertiaError
     before any eigensolve."""
     if num_bands < 1:
         raise ValueError("num_bands must be >= 1")
@@ -409,6 +406,6 @@ def band_structure(geom: DerivedGeometry, num_bands: int = 3) -> BandStructure:
     Js = _start_half_width(geom, period, max(16, num_bands + 12))
     energies = np.empty((num_bands, period))
     for col, k in enumerate(residues):
-        es = eigensystem_for(geom, GridSpec(k, period, Js, geom.mu_r_unit))
+        es = _fitted(geom, GridSpec(k, period, Js, geom.mu_r_unit), num_bands)
         energies[:, col] = es.energies[:num_bands]
     return BandStructure(geom, tuple(k * geom.mu_r_unit for k in residues), energies)

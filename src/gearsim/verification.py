@@ -20,7 +20,6 @@ from .classical import classical_transmission
 from .dynamics import (
     KickProtocol,
     _amplitudes,
-    multi_kick,
     revival_phase_defect,
     run_protocol,
     time_series,
@@ -99,10 +98,12 @@ def check_01_classical_benchmark() -> CriterionResult:
 
 
 def check_02_quantum_enhancement() -> CriterionResult:
-    cases = [(CONFIG_22, ell, 0.5) for ell in (2, 4, 6, 8, 10, 12)]
-    cases += [(CONFIG_42, ell, 0.4) for ell in (5, 10)]
-    worst = _worst([abs(transmission_ratio(config, _single_kick(ell)).r - r_cl)
-                    for config, ell, r_cl in cases])
+    geom22 = derive_geometry(CONFIG_22)
+    geom42 = derive_geometry(CONFIG_42)
+    cases = [(geom22, ell, 0.5) for ell in (2, 4, 6, 8, 10, 12)]
+    cases += [(geom42, ell, 0.4) for ell in (5, 10)]
+    worst = _worst([abs(transmission_ratio(geom, _single_kick(ell)).r - r_cl)
+                    for geom, ell, r_cl in cases])
     return CriterionResult(
         2, "resonant kicks hit the classical ratio", worst < 1e-9,
         f"max |r - r_cl| = {worst:.2e} over the resonant kick set",
@@ -110,10 +111,11 @@ def check_02_quantum_enhancement() -> CriterionResult:
 
 
 def check_03_tunneling_reduction() -> CriterionResult:
-    rs = {ell: transmission_ratio(CONFIG_22, _single_kick(ell)).r for ell in (1, 3, 5)}
+    geom = derive_geometry(CONFIG_22)
+    rs = {ell: transmission_ratio(geom, _single_kick(ell)).r for ell in (1, 3, 5)}
     below = all(r < 0.5 for r in rs.values())
     r_shallow = rs[1]
-    r_deep = transmission_ratio(CONFIG_22_DEEP, _single_kick(1)).r
+    r_deep = transmission_ratio(derive_geometry(CONFIG_22_DEEP), _single_kick(1)).r
     deep_improves = r_deep > r_shallow
     return CriterionResult(
         3, "odd kicks transmit below the classical ratio", below and deep_improves,
@@ -123,8 +125,9 @@ def check_03_tunneling_reduction() -> CriterionResult:
 
 
 def check_04_long_time_averages() -> CriterionResult:
-    res6 = transmission_ratio(CONFIG_22, _single_kick(6))
-    res10 = transmission_ratio(CONFIG_22, _single_kick(10))
+    geom = derive_geometry(CONFIG_22)
+    res6 = transmission_ratio(geom, _single_kick(6))
+    res10 = transmission_ratio(geom, _single_kick(10))
     devs = (abs(res6.L1_bar - 3.0), abs(res6.L2_bar - 3.0), abs(res10.L2_bar - 5.0))
     worst = _worst(devs)
     return CriterionResult(
@@ -135,10 +138,11 @@ def check_04_long_time_averages() -> CriterionResult:
 
 
 def check_05_period_estimates() -> CriterionResult:
+    geom = derive_geometry(CONFIG_22)
     expected = {6: 15.0, 8: 194.0, 10: 4836.0, 12: 1.9e5}
     rel = {}
     for ell, ref in expected.items():
-        period = transmission_ratio(CONFIG_22, _single_kick(ell)).period_estimate
+        period = transmission_ratio(geom, _single_kick(ell)).period_estimate
         rel[ell] = abs(period - ref) / ref
     worst = _worst(list(rel.values()))
     return CriterionResult(
@@ -193,7 +197,9 @@ def check_08_timescale() -> CriterionResult:
 
 
 def check_09_multi_kick_invariance() -> CriterionResult:
-    worst = _worst([abs(multi_kick(CONFIG_22, KickProtocol(ell=12, delta_t=dt)).r - 0.5)
+    geom = derive_geometry(CONFIG_22)
+    # num_kicks=None: |ell| unit kicks
+    worst = _worst([abs(transmission_ratio(geom, KickProtocol(ell=12, delta_t=dt)).r - 0.5)
                     for dt in (0.1, 1.0, 10.0, 37.7)])
     return CriterionResult(
         9, "unit-kick trains are delay-invariant", worst < 1e-9,
@@ -205,7 +211,7 @@ def check_10_ergotropy_properties() -> CriterionResult:
     geom = derive_geometry(CONFIG_22)
     proto = _single_kick(6)
     times = np.linspace(0.0, 30.0, 301)
-    reports = ergotropy_time_series(CONFIG_22, proto, times)
+    reports = ergotropy_time_series(geom, proto, times)
     mean_L2s = time_series(run_protocol(geom, proto), times).L2
     I2 = CONFIG_22.I2
     eps = 1e-10
@@ -277,9 +283,9 @@ def check_12_conservation() -> CriterionResult:
 
 
 def check_13_delay_sweep() -> CriterionResult:
-    rs = {}
-    for dt in FIG7_DELTA_TS:
-        rs[dt] = multi_kick(CONFIG_22, KickProtocol(ell=13, delta_t=dt)).r
+    geom = derive_geometry(CONFIG_22)
+    rs = {dt: transmission_ratio(geom, KickProtocol(ell=13, delta_t=dt)).r
+          for dt in FIG7_DELTA_TS}
     plateau = [rs[dt] for dt in FIG7_LONG]
     short = [rs[dt] for dt in FIG7_SHORT]
     plateau_ok = _worst(plateau) >= 0.45

@@ -87,11 +87,11 @@ def test_11_fails_on_a_nan_sample(monkeypatch):
 
 
 def _nan_field(field, key, value):
-    """Wrap a (config, protocol) function so that `field` of its result is
+    """Wrap a (geom, protocol) function so that `field` of its result is
     NaN when the protocol's `key` equals `value`."""
     def wrap(real):
-        def patched(config, protocol):
-            res = real(config, protocol)
+        def patched(geom, protocol):
+            res = real(geom, protocol)
             if getattr(protocol, key) == value:
                 res = dataclasses.replace(res, **{field: float("nan")})
             return res
@@ -114,11 +114,11 @@ def _nan_last_conservation_sample(real):
     (2, "transmission_ratio", _nan_field("r", "ell", 8)),
     (4, "transmission_ratio", _nan_field("L2_bar", "ell", 10)),
     (5, "transmission_ratio", _nan_field("period_estimate", "ell", 10)),
-    (9, "multi_kick", _nan_field("r", "delta_t", 10.0)),
+    (9, "transmission_ratio", _nan_field("r", "delta_t", 10.0)),
     (12, "time_series", _nan_last_conservation_sample),
     # delta_t = 5 is in neither the plateau nor the short set: only the
     # regression deviation sees it
-    (13, "multi_kick", _nan_field("r", "delta_t", 5.0)),
+    (13, "transmission_ratio", _nan_field("r", "delta_t", 5.0)),
 ], ids=["02", "04", "05", "09", "12", "13"])
 def test_a_nan_sample_fails_the_criterion(monkeypatch, cid, name, wrap):
     monkeypatch.setattr(V, name, wrap(getattr(V, name)))

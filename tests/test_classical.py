@@ -16,7 +16,7 @@ from gearsim.classical import (
     simulate_relative,
 )
 from gearsim.dynamics import KickProtocol
-from gearsim.errors import ConvergenceFailure, StepTooLarge
+from gearsim.errors import ConvergenceFailure
 from gearsim.model import GearConfig, PotentialSpec, derive_geometry
 
 
@@ -42,11 +42,6 @@ def test_small_oscillation_period(geom22):
     assert periods.size >= 2
     expected = 2.0 * math.pi / geom22.omega0_harmonic
     assert np.mean(periods) == pytest.approx(expected, rel=2e-3)
-
-
-def test_step_size_guard(geom22):
-    with pytest.raises(StepTooLarge):
-        simulate_relative(geom22, ClassicalState(0.0, 1.0), 1.0, dt=1.0)
 
 
 def test_kick_maps_to_collective_momenta(geom22, geom42):

@@ -33,14 +33,14 @@ def read_csv(path):
     return header, rows
 
 
-def test_transmission_matches_library(tmp_path, cfg22):
+def test_transmission_matches_library(tmp_path, geom22):
     doc = dict(BASE, sweep={"ell": [2, 1]}, protocol={"num_kicks": 1})
     code, out = run(tmp_path, "transmission", doc)
     assert code == 0
     header, rows = read_csv(out / "transmission.csv")
     assert header == ["ell", "r", "L1_bar", "L2_bar", "L_r_bar", "period_estimate"]
     assert [r[0] for r in rows] == ["1", "2"]  # sweep is emitted sorted
-    want = transmission_ratio(cfg22, KickProtocol(ell=1, num_kicks=1))
+    want = transmission_ratio(geom22, KickProtocol(ell=1, num_kicks=1))
     assert float(rows[0][1]) == pytest.approx(want.r, abs=1e-14)
 
 

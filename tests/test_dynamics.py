@@ -16,7 +16,6 @@ from gearsim.dynamics import (
     evolve,
     evolved_states,
     long_time_average,
-    multi_kick,
     revival_phase_defect,
     run_protocol,
     time_series,
@@ -131,9 +130,13 @@ def test_protocol_rejects_bool_counts(field):
         KickProtocol(**{"ell": 2, field: True})
 
 
-def test_multi_kick_requires_unit_kicks(cfg22):
-    with pytest.raises(ValueError):
-        multi_kick(cfg22, KickProtocol(ell=6, num_kicks=3, delta_t=1.0))
+def test_multi_kick_requires_unit_kicks():
+    """num_kicks=None is a train of |ell| unit kicks; an explicit num_kicks
+    makes each kick larger (the CLI's multikick refuses one: test_cli)."""
+    for ell in (6, -6):
+        protocol = KickProtocol(ell=ell, delta_t=1.0)
+        assert (protocol.resolved_num_kicks(), protocol.per_kick()) == (6, ell // 6)
+    assert KickProtocol(ell=6, num_kicks=3, delta_t=1.0).per_kick() == 2
 
 
 # -------------------------------------------------------------- evolution ---
@@ -281,12 +284,13 @@ def test_outputs_ignore_eigenvector_signs(config, protocol, monkeypatch):
     times = [0.0, 0.3, 1.7, 4.0, 12.5]
 
     def outputs():
-        state = run_protocol(derive_geometry(config), protocol)
+        geom = derive_geometry(config)
+        state = run_protocol(geom, protocol)
         ts = time_series(state, times)
         es, occ = eigen_occupations(state)
-        res = transmission_ratio(config, protocol)
+        res = transmission_ratio(geom, protocol)
         return ([ts.L1, ts.L2, ts.L2_sq, ts.energy_r, ts.norm, es.energies, occ],
-                (ergotropy_time_series(config, protocol, times), res.r,
+                (ergotropy_time_series(geom, protocol, times), res.r,
                  res.L1_bar, res.L2_bar, res.L_r_bar, res.period_estimate))
 
     rng = np.random.default_rng(11)
@@ -312,8 +316,8 @@ def test_outputs_ignore_eigenvector_signs(config, protocol, monkeypatch):
 # ------------------------------------------------------ long-time averages ---
 
 @pytest.mark.parametrize("ell", [4, 400])
-def test_resonant_kick_transmits_exactly_half(cfg22, ell):
-    res = transmission_ratio(cfg22, KickProtocol(ell=ell, num_kicks=1))
+def test_resonant_kick_transmits_exactly_half(geom22, ell):
+    res = transmission_ratio(geom22, KickProtocol(ell=ell, num_kicks=1))
     assert abs(res.r - 0.5) < 1e-12
     assert res.L1_bar + res.L2_bar == pytest.approx(ell, abs=1e-12)
 
@@ -323,14 +327,15 @@ def test_high_harmonic_resonant_kick_transmits_exactly_half():
     state and every kicked window start at half-width 80, not 32."""
     config = GearConfig(2, 2, V0=10.0,
                         potential=PotentialSpec(((0, 0.5), (1, 0.4), (20, 0.1))))
-    assert relative._start_half_width(derive_geometry(config), 2, 32) == 80
-    res = transmission_ratio(config, KickProtocol(ell=2, num_kicks=1))
+    geom = derive_geometry(config)
+    assert relative._start_half_width(geom, 2, 32) == 80
+    res = transmission_ratio(geom, KickProtocol(ell=2, num_kicks=1))
     assert abs(res.r - 0.5) < 1e-12
 
 
 @pytest.mark.parametrize("ell", sorted(R_ODD))
-def test_tunneling_transmission_frozen(cfg22, ell):
-    res = transmission_ratio(cfg22, KickProtocol(ell=ell, num_kicks=1))
+def test_tunneling_transmission_frozen(geom22, ell):
+    res = transmission_ratio(geom22, KickProtocol(ell=ell, num_kicks=1))
     assert res.r == pytest.approx(R_ODD[ell], abs=1e-12)
     assert res.r < 0.5
 
@@ -357,8 +362,8 @@ def windowed_average_L2(state, T):
     return float(np.real((np.conj(a)[:, None] * a[None, :] * M * kernel).sum()))
 
 
-def test_windowed_average_approaches_diagonal_ensemble(cfg22, geom22):
-    res = transmission_ratio(cfg22, KickProtocol(ell=6, num_kicks=1))
+def test_windowed_average_approaches_diagonal_ensemble(geom22):
+    res = transmission_ratio(geom22, KickProtocol(ell=6, num_kicks=1))
     state = run_protocol(geom22, KickProtocol(ell=6, num_kicks=1))
     # the window must out-last every occupied beat, not just the dominant one
     devs = [abs(windowed_average_L2(state, T) - res.L2_bar) for T in (7e2, 5e4)]
@@ -366,8 +371,8 @@ def test_windowed_average_approaches_diagonal_ensemble(cfg22, geom22):
     assert devs[1] < 0.01 * res.L2_bar
 
 
-def test_period_estimate_matches_beat(cfg22):
-    res = transmission_ratio(cfg22, KickProtocol(ell=8, num_kicks=1))
+def test_period_estimate_matches_beat(geom22):
+    res = transmission_ratio(geom22, KickProtocol(ell=8, num_kicks=1))
     assert res.period_estimate == pytest.approx(194.0, rel=0.05)
 
 

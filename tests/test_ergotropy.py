@@ -105,9 +105,9 @@ def test_ergotropy_exceeds_directed_energy_after_kick(cfg22, geom22):
     assert rep.ergotropy <= rep.kinetic + 1e-12
 
 
-def test_ergotropy_time_series_shape(cfg22):
+def test_ergotropy_time_series_shape(geom22):
     times = np.linspace(0.0, 3.0, 4)
-    reports = ergotropy_time_series(cfg22, KickProtocol(ell=2, num_kicks=1), times)
+    reports = ergotropy_time_series(geom22, KickProtocol(ell=2, num_kicks=1), times)
     assert len(reports) == len(times)
     for rep in reports:
         assert rep.kinetic >= 0.0
@@ -121,15 +121,18 @@ def test_ergotropy_time_series_shape(cfg22):
                             potential=PotentialSpec(((0, 0.5), (1, 0.45), (3, 0.05)))),
                  KickProtocol(ell=3, num_kicks=3, delta_t=0.4, target_gear=2),
                  id="13-third-train3"),
+    pytest.param(GearConfig(2, 3, I1=0.7, I2=1.3, V0=8.0),
+                 KickProtocol(ell=3, num_kicks=1, target_gear=2), id="23-I2"),
 ])
 def test_time_series_is_the_per_state_reduction(config, protocol):
     # the series maps momenta once per window; each sample must still be
-    # exactly what reducing that state on its own gives
+    # exactly what reducing that state on its own gives, with its own I2
     times = np.linspace(0.0, 12.0, 25)
-    state = run_protocol(derive_geometry(config), protocol)
+    geom = derive_geometry(config)
+    state = run_protocol(geom, protocol)
     expected = [ergotropy(reduced_gear2(st)) for st in evolved_states(state, times)]
-    assert ergotropy_time_series(config, protocol, times) == expected
-    assert ergotropy_time_series(config, protocol, []) == []
+    assert ergotropy_time_series(geom, protocol, times) == expected
+    assert ergotropy_time_series(geom, protocol, []) == []
 
 
 def per_entry_report(dist):
@@ -168,7 +171,7 @@ def test_ergotropy_is_the_per_entry_formula_bit_for_bit():
 
 @pytest.mark.parametrize("value", [np.nan, 0.0])
 def test_time_series_rejects_a_sample_that_is_no_distribution(
-        monkeypatch, cfg22, value):
+        monkeypatch, geom22, value):
     # the package exports the function `ergotropy` under the module's name
     module = importlib.import_module("gearsim.ergotropy")
     kernel = module._amplitudes
@@ -182,4 +185,4 @@ def test_time_series_rejects_a_sample_that_is_no_distribution(
     monkeypatch.setattr(module, "_amplitudes", broken)
     with np.errstate(invalid="ignore"), \
             pytest.raises(InternalInconsistency, match="sum to"):
-        ergotropy_time_series(cfg22, KickProtocol(ell=2, num_kicks=1), [0.0, 1.0])
+        ergotropy_time_series(geom22, KickProtocol(ell=2, num_kicks=1), [0.0, 1.0])

@@ -16,6 +16,7 @@ from gearsim.errors import (
 from gearsim.model import (
     GearConfig,
     GridSpec,
+    PotentialSpec,
     collective_to_momenta,
     derive_geometry,
     momenta_to_collective,
@@ -28,7 +29,6 @@ from gearsim.relative import (
     eigendecompose,
     eigensystem_for,
     ground_state,
-    tail_mass,
     widen,
 )
 
@@ -98,6 +98,15 @@ def test_free_rotor_spectrum():
         assert support[0] ** 2 / (2.0 * geom.I_r) == pytest.approx(es.energies[i], abs=1e-12)
 
 
+def tail_mass(amplitudes):
+    """Probability in the outer TAIL_FRACTION of the window (both edges),
+    summed over the amplitudes: the edge rule `_fitted` reads from
+    EigenSystem.edge_norms."""
+    low, high = relative._edges(len(amplitudes))
+    p = np.abs(amplitudes) ** 2
+    return float(p[low].sum() + p[high].sum())
+
+
 def _e0(geom):
     """Energy of the interlocked ground state (relative part)."""
     return eigensystem_for(geom, ground_state(geom).grid).energies[0]
@@ -119,6 +128,29 @@ def test_ground_state_properties(geom22):
     # harmonic estimate around the well bottom is good to a few percent
     harmonic = -geom22.config.V0 + 0.5 * geom22.omega0_harmonic
     assert abs(e0 - harmonic) < 0.1 * geom22.config.V0
+
+
+@pytest.mark.parametrize("potential", [
+    PotentialSpec(), PotentialSpec(((0, 0.5), (2, 0.5))),
+    PotentialSpec(((0, 0.5), (1, 0.4), (3, 0.1))),
+], ids=["cos", "second", "third"])
+def test_ground_state_window_is_the_tail_mass_rule(potential):
+    """`_fitted` stops on edge_norms[0]**2; the ground state's window is the
+    first one whose lowest eigenvector has tail_mass below the bound."""
+    grown = 0
+    for n1, n2 in ((1, 1), (1, 3), (3, 2)):
+        for V0 in (0.5, 10.0, 300.0, 1e4):
+            geom = derive_geometry(GearConfig(n1, n2, V0=V0, potential=potential))
+            start = relative._start_half_width(geom, geom.grid_spacing_u,
+                                               relative.MIN_HALF_WIDTH)
+            grid = GridSpec(0, geom.grid_spacing_u, start, geom.mu_r_unit)
+            v0 = eigensystem_for(geom, grid).vectors[:, 0]
+            while tail_mass(v0) >= relative.TAIL_BOUND:
+                grid = relative._wider(grid)
+                v0 = eigensystem_for(geom, grid).vectors[:, 0]
+            assert ground_state(geom).grid == grid
+            grown += grid.half_width > start
+    assert grown > 0   # the deep wells need wider windows than they start on
 
 
 def test_ground_energy_truncation_stable(geom22):
@@ -189,6 +221,20 @@ def test_band_structure_33():
     assert np.all(np.diff(bs.energies, axis=0) > 0)
     width = bs.energies.max(axis=1) - bs.energies.min(axis=1)
     assert width[0] < width[1] < width[2]
+
+
+@pytest.mark.parametrize("V0", [1e4, 1e5])
+def test_deep_well_bands_match_a_wide_window(V0):
+    """Deep wells spread the bands' eigenvectors over many lattice steps:
+    each residue's window grows until the lowest num_bands states are off
+    its edges, so the energies match a half-width-400 solve."""
+    geom = derive_geometry(GearConfig(3, 3, V0=V0))
+    bs = band_structure(geom, 3)
+    P = geom.bloch_period_u
+    for col, k in enumerate(range(-((P - 1) // 2), P // 2 + 1)):
+        wide = eigendecompose(build_hamiltonian(geom, GridSpec(k, P, 400, geom.mu_r_unit)))
+        np.testing.assert_allclose(bs.energies[:, col], wide.energies[:3],
+                                   rtol=1e-12, atol=0)
 
 
 # (n1, n2, V0, I1, I2); the Mathieu map depends on the inertias through I_r
