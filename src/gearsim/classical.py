@@ -12,10 +12,12 @@ interpolation so the O(dt^4) integrator accuracy survives into the average.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import _lapack
 from .errors import ConvergenceFailure
 from .model import (
     DerivedGeometry,
@@ -42,6 +44,11 @@ _DT_FRACTION = 1e-3
 _CHUNK_STEPS = 20000
 _MAX_CHUNKS = 200
 _BLOCK_STEPS = 128
+# scipy.optimize.brentq's defaults for rtol and maxiter
+_BRENT_RTOL = 4 * sys.float_info.epsilon
+_BRENT_MAXITER = 100
+# scipy.integrate.quad's defaults for epsabs and epsrel
+_QUAD_TOL = 1.49e-8
 
 
 @dataclass(frozen=True)
@@ -181,6 +188,23 @@ def _hermite(y0: float, d0: float, y1: float, d1: float, h: float):
     return f
 
 
+def _root(f, b: float) -> float:
+    """Root of f in [0, b] to xtol 1e-15: scipy.optimize.brentq's compiled
+    solver, with its guard against a NaN value of f.  A NaN, a bracket
+    without a sign change or no convergence raises ConvergenceFailure."""
+    def guarded(x: float) -> float:
+        fx = f(x)
+        if math.isnan(fx):
+            raise ValueError(f"root function is NaN at x={x!r}")
+        return fx
+
+    try:
+        return _lapack.brentq(guarded, 0.0, b, 1e-15, _BRENT_RTOL, _BRENT_MAXITER,
+                              (), False, True)
+    except (ValueError, RuntimeError) as exc:
+        raise ConvergenceFailure(f"classical event root search failed: {exc}") from exc
+
+
 def _simulate_until(geom: DerivedGeometry, state: ClassicalState, event,
                     dt: float) -> float:
     """Integrate until `event(traj)` returns a refined event time; return it.
@@ -220,7 +244,6 @@ def mean_relative_momentum(geom: DerivedGeometry, state: ClassicalState) -> floa
     if math.isinf(dt):
         # free rotor: L_r is conserved
         return state.L_r
-    from scipy.optimize import brentq
     E = _energy(geom, state.theta_r, state.L_r)
     ceiling = _potential_ceiling(geom)
     scale = cfg.V0 + abs(E) + 1.0
@@ -245,8 +268,7 @@ def mean_relative_momentum(geom: DerivedGeometry, state: ClassicalState) -> floa
             h = float(times[i] - times[i - 1])
             f = _hermite(float(th[i - 1] - target), float(traj.L[i - 1] / geom.I_r),
                          float(th[i] - target), float(traj.L[i] / geom.I_r), h)
-            s = brentq(f, 0.0, h, xtol=1e-15)
-            return float(times[i - 1]) + s
+            return float(times[i - 1]) + _root(f, h)
 
         t_cross = _simulate_until(geom, state, crossed, dt)
         period = t_cross - state.time
@@ -266,7 +288,7 @@ def mean_relative_momentum(geom: DerivedGeometry, state: ClassicalState) -> floa
                           * cfg.potential.derivative(geom.n * th[i])),
                           float(L[i + 1]), float(geom.n * cfg.V0
                           * cfg.potential.derivative(geom.n * th[i + 1])), h)
-            s = brentq(fL, 0.0, h, xtol=1e-15)
+            s = _root(fL, h)
             t_turn = float(times[i]) + s
             if turnings and t_turn <= turnings[-1][0] + 10 * dt:
                 continue
@@ -305,15 +327,25 @@ class ClassicalTransmissionResult:
 
 def _drift_average_quadrature(geom: DerivedGeometry, E: float, direction: float) -> float:
     """Closed-form mean L_r of a drifting orbit at energy E: I_r * (cell
-    width)/(cell traversal time), the time from the energy integral."""
-    from scipy.integrate import quad
+    width)/(cell traversal time), the time from the energy integral, by
+    QUADPACK qagse as scipy.integrate.quad(..., limit=200) runs it.  An
+    orbit that does not clear the potential everywhere (a radicand that is
+    not positive) or any QUADPACK error flag raises ConvergenceFailure."""
     cfg = geom.config
     I_r = geom.I_r
 
     def integrand(x: float) -> float:
-        return 1.0 / math.sqrt(2.0 * I_r * (E + cfg.V0 * cfg.potential.value(x)))
+        radicand = 2.0 * I_r * (E + cfg.V0 * cfg.potential.value(x))
+        if not radicand > 0:
+            raise ConvergenceFailure(
+                f"drifting orbit at energy {E!r} does not clear the potential "
+                f"at x={x!r}: it lies on or inside the separatrix")
+        return 1.0 / math.sqrt(radicand)
 
-    T, err = quad(integrand, 0.0, 2.0 * math.pi, limit=200)
+    T, _, ier = _lapack.qagse(integrand, 0.0, 2.0 * math.pi, (), 0,
+                              _QUAD_TOL, _QUAD_TOL, 200)
+    if ier != 0:
+        raise ConvergenceFailure(f"drift period quadrature failed (QUADPACK ier={ier})")
     T *= I_r / geom.n
     if not math.isfinite(T) or T <= 0:
         raise ConvergenceFailure("drift period quadrature failed")

@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ConvergenceFailure, TruncationBreach
 from .model import GearConfig
@@ -133,6 +132,7 @@ class Components:
     def __getitem__(self, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(lattice indices, eigenvalues, eigenvectors) of component k."""
         if k not in self._solved:
+            import scipy.linalg
             s, e = int(self.starts[k]), int(self.ends[k])
             try:
                 w, v = scipy.linalg.eigh(self.H[s:e, s:e].toarray())

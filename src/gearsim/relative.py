@@ -22,8 +22,8 @@ from fractions import Fraction
 from math import ceil, gcd, isfinite
 
 import numpy as np
-import scipy.linalg
 
+from ._lapack import dsbevd
 from .errors import (ConvergenceFailure, InternalInconsistency, NonPhysicalError,
                      UnsupportedInertiaError)
 from .model import DerivedGeometry, GridSpec, _centred_divmod, _lattice_momenta
@@ -55,6 +55,12 @@ SUPPORT_EPS = 1e-28
 # Eigensystems kept by eigensystem_for.  One transmission sweep point adds
 # at most 22 windows and `gearsim verify` needs 26.
 EIGEN_CACHE_SIZE = 64
+# A level of another Bloch sector may lie below the lowest k = 0 level by up
+# to this much, in units of the window's max |E|, and ground_state still
+# takes them as degenerate.  In deep wells the k = 0 and k = n/2 ground
+# levels agree to round-off (at most 5.5e-16 apart in these units on 2:2
+# and 4:2 pairs at V0 up to 1e4), so the sort by energy picks either.
+GROUND_SECTOR_TOL = 1e-13
 # Bloch residues (bloch_period_u) band_structure solves at most, one window
 # each.  Binary float inertias such as 0.7 and 1.3 give ~1e16, which would
 # never finish; equal inertias give (n1^2 + n2^2)/g, below this for all
@@ -149,10 +155,15 @@ def _band(diag: np.ndarray, couplings, bw: int) -> np.ndarray:
 
 
 def _eig(band: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    try:
-        return scipy.linalg.eig_banded(band, lower=False)
-    except scipy.linalg.LinAlgError as exc:  # pragma: no cover
-        raise ConvergenceFailure(f"banded eigensolver failed: {exc}") from exc
+    """Eigenvalues (ascending) and eigenvectors of the upper banded matrix
+    `band`: LAPACK dsbevd, as scipy.linalg.eig_banded(band, lower=False)
+    runs it, with the same refusal of a non-finite band."""
+    if not np.isfinite(band).all():
+        raise ConvergenceFailure("banded eigensolver given a non-finite matrix")
+    w, v, info = dsbevd(band, compute_v=1, lower=0, overwrite_ab=0)
+    if info != 0:
+        raise ConvergenceFailure(f"banded eigensolver failed (LAPACK dsbevd info={info})")
+    return w, v
 
 
 def _parity_eig(diag: np.ndarray, couplings, bw: int) -> tuple[np.ndarray, np.ndarray]:
@@ -338,32 +349,46 @@ def widen(state: RotorState) -> RotorState:
     return RotorState(state.geom, state.A, new_grid, amps)
 
 
-def _fitted(geom: DerivedGeometry, grid: GridSpec, count: int) -> EigenSystem:
+def _fitted(geom: DerivedGeometry, grid: GridSpec, pick) -> EigenSystem:
     """Eigensystem of the first window, `grid` grown by `_wider`, on which
-    each of the lowest `count` eigenstates has edge occupation below the
-    tail bound.  Growth stops at MAX_HALF_WIDTH (`_check_growth`)."""
+    each eigenstate `pick(es)` selects (an index or a slice) has edge
+    occupation below the tail bound.  Growth stops at MAX_HALF_WIDTH
+    (`_check_growth`)."""
     while True:
         es = eigensystem_for(geom, grid)
-        tail = float(np.max(es.edge_norms[:count])) ** 2
+        tail = float(np.max(es.edge_norms[pick(es)])) ** 2
         if tail < TAIL_BOUND:
             return es
         _check_growth(grid, tail)
         grid = _wider(grid)
 
 
+def _lowest_in_sector_zero(es: EigenSystem) -> int:
+    """Index of the lowest state with Bloch label 0 (the first, as states
+    are sorted by energy).  A window of the mu_c = 0 lattice holds mu_r = 0,
+    so there is one."""
+    return int(np.argmax(es.labels == 0))
+
+
 def ground_state(geom: DerivedGeometry) -> RotorState:
-    """Interlocked ground state: lowest eigenstate on the mu_c = 0 lattice,
-    on the first window (`_fitted`) that holds it.  The global phase is
-    fixed by making the largest-magnitude amplitude real positive.
+    """Interlocked ground state: lowest eigenstate of the k = 0 sector (that
+    of m1 = m2 = 0) on the mu_c = 0 lattice, on the first window (`_fitted`)
+    that holds it.  A level of another sector below it by more than
+    GROUND_SECTOR_TOL max|E| raises ConvergenceFailure; one closer is
+    degenerate with it to round-off.  The global phase is fixed by making
+    the largest-magnitude amplitude real positive.
     """
     start = _start_half_width(geom, geom.grid_spacing_u, MIN_HALF_WIDTH)
     # the mu_c = 0 lattice holds m1 = m2 = 0, so mu_r = 0 is its offset
-    es = _fitted(geom, GridSpec(0, geom.grid_spacing_u, start, geom.mu_r_unit), 1)
-    if es.labels[0] != 0:
+    es = _fitted(geom, GridSpec(0, geom.grid_spacing_u, start, geom.mu_r_unit),
+                 _lowest_in_sector_zero)
+    i = _lowest_in_sector_zero(es)
+    gap = float(es.energies[i] - es.energies[0])
+    if gap > GROUND_SECTOR_TOL * float(np.max(np.abs(es.energies))):
         raise ConvergenceFailure(
             f"ground state found in sector k={int(es.labels[0]) * geom.mu_r_unit}, "
-            "expected k=0")
-    amps = es.vectors[:, 0].astype(complex)
+            f"{gap:.3e} below the lowest k=0 level")
+    amps = es.vectors[:, i].astype(complex)
     peak = int(np.argmax(np.abs(amps)))
     if amps[peak].real < 0:
         amps = -amps
@@ -406,6 +431,7 @@ def band_structure(geom: DerivedGeometry, num_bands: int = 3) -> BandStructure:
     Js = _start_half_width(geom, period, max(16, num_bands + 12))
     energies = np.empty((num_bands, period))
     for col, k in enumerate(residues):
-        es = _fitted(geom, GridSpec(k, period, Js, geom.mu_r_unit), num_bands)
+        es = _fitted(geom, GridSpec(k, period, Js, geom.mu_r_unit),
+                     lambda es: slice(num_bands))
         energies[:, col] = es.energies[:num_bands]
     return BandStructure(geom, tuple(k * geom.mu_r_unit for k in residues), energies)

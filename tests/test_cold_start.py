@@ -1,9 +1,13 @@
-"""`import gearsim.cli` leaves the heavy optional scipy modules unloaded.
+"""`import gearsim.cli` loads no scipy package, and no heavy optional module.
 
-Only the classical limit needs scipy.integrate and scipy.optimize, and only
-the raw-lattice oracle needs scipy.sparse; `verify` alone needs the
-acceptance checks.  Each is imported where it is used, so the other
-subcommands do not pay for it at start-up.
+The fast pipeline and the classical limit call three compiled scipy
+routines, which `gearsim._lapack` loads straight from their files; so no
+scipy package (`scipy.linalg`, `scipy.optimize`, `scipy.integrate`, or
+scipy itself) is imported, and only those three extension modules are in
+`sys.modules`.  Only the raw-lattice oracle needs scipy.sparse and
+scipy.linalg, and `verify` alone needs the acceptance checks; each is
+imported where it is used, so the other subcommands do not pay for it at
+start-up.
 """
 
 import os
@@ -11,16 +15,47 @@ import pathlib
 import subprocess
 import sys
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 
-DEFERRED = ("scipy.integrate", "scipy.optimize", "scipy.sparse", "gearsim.verification")
+DEFERRED = ("scipy.integrate", "scipy.optimize", "scipy.linalg", "scipy.sparse",
+            "gearsim.verification")
+EXTENSIONS = ("scipy.integrate._quadpack", "scipy.linalg._flapack",
+              "scipy.optimize._zeros")
+
+
+def _probe(code: str) -> str:
+    """stdout of `code` run in a fresh interpreter that imports gearsim from
+    this checkout."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True)
+    return out.stdout.strip()
 
 
 def test_cli_import_leaves_optional_modules_unloaded():
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
     probe = ("import sys, gearsim, gearsim.cli; "
              f"print(','.join(m for m in {DEFERRED!r} if m in sys.modules))")
-    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
-                         capture_output=True, text=True)
-    assert out.stdout.strip() == ""
+    assert _probe(probe) == ""
+
+
+def test_cli_import_loads_only_the_compiled_scipy_extensions():
+    probe = ("import sys, gearsim.cli; "
+             "print(','.join(sorted(m for m in sys.modules "
+             "if m == 'scipy' or m.startswith('scipy.'))))")
+    assert _probe(probe) == ",".join(EXTENSIONS)
+
+
+def test_classical_run_loads_neither_optimize_nor_integrate(tmp_path):
+    config = ROOT / "configs" / "classical_22.json"
+    probe = (
+        "import contextlib, io, sys; from gearsim.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = main(['classical', '--config', {str(config)!r}, "
+        f"'--out', {str(tmp_path)!r}])\n"
+        "print(code, ','.join(m for m in ('scipy.optimize', 'scipy.integrate') "
+        "if m in sys.modules))"
+    )
+    assert _probe(probe) == "0"
+    assert (tmp_path / "classical.csv").is_file()

@@ -7,7 +7,7 @@ import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gearsim import dynamics, oracle
+from gearsim import dynamics
 from gearsim.dynamics import (
     KickProtocol,
     run_protocol,
@@ -113,13 +113,13 @@ def test_oracle_run_solves_only_the_components_it_needs(monkeypatch):
     config, cutoff = GearConfig(2, 2, V0=10.0), 24
     total = Components(config, cutoff).ends.size
     solves = []
-    eigh = oracle.scipy.linalg.eigh
+    eigh = scipy.linalg.eigh
 
     def counting_eigh(a, *args, **kwargs):
         solves.append(a.shape[0])
         return eigh(a, *args, **kwargs)
 
-    monkeypatch.setattr(oracle.scipy.linalg, "eigh", counting_eigh)
+    monkeypatch.setattr(scipy.linalg, "eigh", counting_eigh)
     oracle_run(config, KickProtocol(ell=3, num_kicks=1), np.linspace(0.0, 5.0, 11),
                cutoff=cutoff)
     assert total == 192

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from gearsim import model, relative
-from gearsim.dynamics import apply_kick
+from gearsim.dynamics import KickProtocol, apply_kick, transmission_ratio
 from gearsim.errors import (
+    ConvergenceFailure,
     InternalInconsistency,
     NonPhysicalError,
     UnsupportedInertiaError,
@@ -339,6 +340,48 @@ def test_band_structure_respects_requested_count(geom22):
     bs = band_structure(geom22, 5)
     assert bs.num_bands == 5
     assert bs.energies.shape[0] == 5
+
+
+DEEP_WELLS = [
+    (2, 2, None, V0) for V0 in (400.0, 500.0, 1500.0, 3000.0, 1e4)
+] + [
+    (4, 2, ((0, 0.5), (2, 0.5)), 1500.0),
+    (2, 2, ((0, 0.5), (1, 0.4), (3, 0.1)), 1e4),
+    (2, 2, ((1, -0.2), (2, 0.5)), 3000.0),
+]
+
+
+@pytest.mark.parametrize("n1,n2,fourier,V0", DEEP_WELLS)
+def test_deep_well_ground_state_is_the_k0_state(n1, n2, fourier, V0):
+    """In deep wells the k = 0 and k = n/2 ground levels agree to round-off,
+    so either may sort first; ground_state takes the k = 0 one, with its
+    tail below the bound, and a resonant ell = 4 kick on 2:2 still gives
+    r = 1/2."""
+    kw = {} if fourier is None else {"potential": PotentialSpec(fourier)}
+    geom = derive_geometry(GearConfig(n1, n2, V0=V0, **kw))
+    state = ground_state(geom)
+    grid = state.grid
+    j = np.arange(grid.lo, grid.half_width + 1)
+    off_sector = (j * grid.spacing) % geom.bloch_period_u != 0
+    assert np.all(state.amplitudes[off_sector] == 0.0)
+    es = eigensystem_for(geom, grid)
+    i = int(np.flatnonzero(es.labels == 0)[0])
+    assert np.array_equal(np.abs(state.amplitudes), np.abs(es.vectors[:, i]))
+    assert es.edge_norms[i] ** 2 < relative.TAIL_BOUND
+    assert es.energies[i] - es.energies[0] <= \
+        relative.GROUND_SECTOR_TOL * np.max(np.abs(es.energies))
+    if (n1, n2) == (2, 2):
+        r = transmission_ratio(geom, KickProtocol(ell=4, num_kicks=1)).r
+        assert r == pytest.approx(0.5, abs=1e-14)
+
+
+def test_ground_state_in_another_sector_still_raises(monkeypatch):
+    """Without the round-off margin, the 2:2 V0 = 400 case, whose k = 2
+    level sorts 5.7e-14 below the k = 0 one, is refused as before."""
+    monkeypatch.setattr(relative, "GROUND_SECTOR_TOL", 0.0)
+    geom = derive_geometry(GearConfig(2, 2, V0=400.0))
+    with pytest.raises(ConvergenceFailure, match="ground state found in sector k=2"):
+        ground_state(geom)
 
 
 def _state(geom, A, grid):
