@@ -8,7 +8,10 @@ Brent's method (`scipy.optimize.brentq`) and QUADPACK's qagse
 packages costs most of a short run's start-up, since their `__init__`
 modules pull in much else; the compiled modules themselves need only
 numpy.  So each is loaded straight from its file in scipy's installation
-directory.
+directory: LAPACK when this module is imported, the other two on the first
+call, so that only the classical limit loads them.  On that first call
+they import `scipy` itself and `scipy._lib._ccallback` to take Python
+callbacks, about 16 ms, against 0.5 s or more for `scipy.optimize`.
 
 The entry points are private and positional, and their signatures can
 change between scipy versions: `tests/test_lapack.py` pins each against the
@@ -23,14 +26,15 @@ import os
 import sys
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
 
-__all__ = ["dsbevd", "brentq", "qagse"]
+__all__ = ["load_extension", "dsbevd", "brentq", "qagse"]
 
 
 def load_extension(relative: str):
     """The compiled scipy module at `relative` (e.g. "linalg/_flapack"),
     loaded from its file under its own name without importing scipy or any
-    of its packages.  Raises ImportError naming the path if there is no
-    such file."""
+    of its packages, so a later import of the package reuses it, as this
+    reuses one the package has already loaded.  Raises ImportError naming
+    the path if there is no such file."""
     fullname = "scipy." + relative.replace("/", ".")
     if fullname in sys.modules:
         return sys.modules[fullname]
@@ -52,7 +56,17 @@ def load_extension(relative: str):
 
 # dsbevd(ab, compute_v, lower, overwrite_ab) -> (w, v, info)
 dsbevd = load_extension("linalg/_flapack").dsbevd
-# brentq(f, a, b, xtol, rtol, maxiter, args, full_output, disp) -> root
-brentq = load_extension("optimize/_zeros")._brentq
-# qagse(f, a, b, args, full_output, epsabs, epsrel, limit) -> (value, abserr, ier)
-qagse = load_extension("integrate/_quadpack")._qagse
+
+
+def brentq(f, a: float, b: float, xtol: float, rtol: float, maxiter: int):
+    """Root of f in [a, b]: scipy.optimize.brentq's compiled solver, without
+    its NaN guard, loaded on first use."""
+    return load_extension("optimize/_zeros")._brentq(
+        f, a, b, xtol, rtol, maxiter, (), False, True)
+
+
+def qagse(f, a: float, b: float, epsabs: float, epsrel: float, limit: int):
+    """(integral, error estimate, QUADPACK ier) of f over [a, b]: what
+    scipy.integrate.quad runs on a finite interval, loaded on first use."""
+    return load_extension("integrate/_quadpack")._qagse(
+        f, a, b, (), 0, epsabs, epsrel, limit)

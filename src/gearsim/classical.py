@@ -199,8 +199,7 @@ def _root(f, b: float) -> float:
         return fx
 
     try:
-        return _lapack.brentq(guarded, 0.0, b, 1e-15, _BRENT_RTOL, _BRENT_MAXITER,
-                              (), False, True)
+        return _lapack.brentq(guarded, 0.0, b, 1e-15, _BRENT_RTOL, _BRENT_MAXITER)
     except (ValueError, RuntimeError) as exc:
         raise ConvergenceFailure(f"classical event root search failed: {exc}") from exc
 
@@ -342,8 +341,7 @@ def _drift_average_quadrature(geom: DerivedGeometry, E: float, direction: float)
                 f"at x={x!r}: it lies on or inside the separatrix")
         return 1.0 / math.sqrt(radicand)
 
-    T, _, ier = _lapack.qagse(integrand, 0.0, 2.0 * math.pi, (), 0,
-                              _QUAD_TOL, _QUAD_TOL, 200)
+    T, _, ier = _lapack.qagse(integrand, 0.0, 2.0 * math.pi, _QUAD_TOL, _QUAD_TOL, 200)
     if ier != 0:
         raise ConvergenceFailure(f"drift period quadrature failed (QUADPACK ier={ier})")
     T *= I_r / geom.n

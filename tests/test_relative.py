@@ -345,9 +345,10 @@ def test_band_structure_respects_requested_count(geom22):
 DEEP_WELLS = [
     (2, 2, None, V0) for V0 in (400.0, 500.0, 1500.0, 3000.0, 1e4)
 ] + [
-    (4, 2, ((0, 0.5), (2, 0.5)), 1500.0),
+    (4, 2, ((0, 0.5), (2, 0.5)), 1e4),
     (2, 2, ((0, 0.5), (1, 0.4), (3, 0.1)), 1e4),
-    (2, 2, ((1, -0.2), (2, 0.5)), 3000.0),
+    (4, 2, ((0, 0.5), (1, 0.4), (3, 0.1)), 3000.0),
+    (2, 2, ((1, -0.2), (2, 0.5)), 2000.0),
 ]
 
 
