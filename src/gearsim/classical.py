@@ -12,7 +12,6 @@ interpolation so the O(dt^4) integrator accuracy survives into the average.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -45,7 +44,7 @@ _CHUNK_STEPS = 20000
 _MAX_CHUNKS = 200
 _BLOCK_STEPS = 128
 # scipy.optimize.brentq's defaults for rtol and maxiter
-_BRENT_RTOL = 4 * sys.float_info.epsilon
+_BRENT_RTOL = 4 * np.finfo(float).eps
 _BRENT_MAXITER = 100
 # scipy.integrate.quad's defaults for epsabs and epsrel
 _QUAD_TOL = 1.49e-8
