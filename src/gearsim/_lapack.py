@@ -1,8 +1,9 @@
-"""scipy's compiled eigensolver, root finder and quadrature, without scipy's
+"""scipy's compiled eigensolvers, root finder and quadrature, without scipy's
 packages.
 
-The library calls one routine from each of three compiled scipy modules:
-LAPACK's dsbevd (what `scipy.linalg.eig_banded` runs for a full spectrum),
+The library calls routines from three compiled scipy modules: LAPACK's
+dsbevd (what `scipy.linalg.eig_banded` runs for a full spectrum) and dsyevr
+(what `scipy.linalg.eigh` runs, for the raw-lattice oracle's blocks),
 Brent's method (`scipy.optimize.brentq`) and QUADPACK's qagse
 (`scipy.integrate.quad` on a finite interval).  Importing the public
 packages costs most of a short run's start-up, since their `__init__`
@@ -13,8 +14,8 @@ call, so that only the classical limit loads them.  On that first call
 they import `scipy` itself and `scipy._lib._ccallback` to take Python
 callbacks, about 16 ms, against 0.5 s or more for `scipy.optimize`.
 
-The entry points are private and positional, and their signatures can
-change between scipy versions: `tests/test_lapack.py` pins each against the
+The entry points are private, and their signatures can change between
+scipy versions: `tests/test_lapack.py` pins each against the
 public function it stands in for.  The callers keep the checks the public
 wrappers make.
 """
@@ -26,7 +27,7 @@ import os
 import sys
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
 
-__all__ = ["load_extension", "dsbevd", "brentq", "qagse"]
+__all__ = ["load_extension", "dsbevd", "dsyevr", "dsyevr_lwork", "brentq", "qagse"]
 
 
 def load_extension(relative: str):
@@ -54,8 +55,12 @@ def load_extension(relative: str):
                       name=fullname, path=stem)
 
 
+_flapack = load_extension("linalg/_flapack")
 # dsbevd(ab, compute_v, lower, overwrite_ab) -> (w, v, info)
-dsbevd = load_extension("linalg/_flapack").dsbevd
+dsbevd = _flapack.dsbevd
+# dsyevr(a, compute_v, lower, lwork, liwork) -> (w, v, m, isuppz, info);
+# dsyevr_lwork(n, lower) -> (lwork, liwork, info)
+dsyevr, dsyevr_lwork = _flapack.dsyevr, _flapack.dsyevr_lwork
 
 
 def brentq(f, a: float, b: float, xtol: float, rtol: float, maxiter: int):

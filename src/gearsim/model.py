@@ -140,14 +140,34 @@ class PotentialSpec:
         return sum(p * p * a for p, a in self.harmonics())
 
     def min_value(self) -> float:
-        """Minimum of u over a period (sampled at 8192 points on the first
-        call and kept; exact 0 for the default)."""
-        if "_min_value" not in self.__dict__:
-            xs = np.linspace(0.0, 2.0 * math.pi, 8192, endpoint=False)
-            u = np.full(8192, self.a0)
-            for p, a in self.harmonics():
-                u += a * np.cos(p * xs)
-            object.__setattr__(self, "_min_value", float(u.min()))
+        """Minimum of u over a period, found on the first call and kept.
+
+        u(x) = P(cos x) for a polynomial P, and P'(cos x) = sum_p p a_p
+        U_{p-1}(cos x), U_k the Chebyshev polynomials of the second kind.
+        So the minimum is u at x = 0, at x = pi, or at x = arccos(c) for a
+        root c of P' in [-1, 1].  The roots are the eigenvalues of the
+        colleague matrix of P' in the U basis (from c U_k = (U_{k-1} +
+        U_{k+1}) / 2), which stays accurate on [-1, 1] at high harmonics,
+        where power-basis coefficients grow as 2^p.  Each candidate is
+        evaluated with `value`, and the real part of every eigenvalue is
+        tried: a complex one adds a harmless candidate, and a near-double
+        real root that round-off made complex is not lost."""
+        if "_min_value" in self.__dict__:
+            return self._min_value
+        # A harmonic below sqrt(eps) of the profile moves the minimiser by
+        # about that much, and so the minimum by its square; as the top
+        # term it would put its inverse into the matrix, and eps times that
+        # into every root.
+        floor = math.sqrt(np.finfo(float).eps) * sum(abs(a) for _, a in self.harmonics())
+        kept = {p: a for p, a in self.harmonics() if abs(a) > floor}
+        # P' = sum_k b_k U_k, k = 0 .. n
+        b = np.array([(k + 1) * kept.get(k + 1, 0.0) for k in range(max(kept, default=1))])
+        n = b.size - 1
+        colleague = (np.eye(n, k=1) + np.eye(n, k=-1)) / 2.0
+        colleague[-1:] -= b[:-1] / (2.0 * b[-1])
+        c = np.linalg.eigvals(colleague).real
+        xs = [0.0, math.pi, *np.arccos(c[np.abs(c) <= 1.0]).tolist()]
+        object.__setattr__(self, "_min_value", min(self.value(x) for x in xs))
         return self._min_value
 
 

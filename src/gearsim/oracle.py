@@ -9,6 +9,10 @@ that lattice, and kicks shift the amplitude array.  A component is
 diagonalised on demand: only those the ground-state search cannot rule out
 by their Gershgorin bound, and those the state carries amplitude on.
 Agreement with the fast pipeline is a genuine cross-check, not a tautology.
+
+The components are found with numpy, and each block is solved densely by
+LAPACK's dsyevr, called as scipy.linalg.eigh calls it, from the compiled
+module `gearsim._lapack` loads; so the oracle imports no scipy package.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._lapack import dsyevr, dsyevr_lwork
 from .errors import ConvergenceFailure, TruncationBreach
 from .model import GearConfig
 
@@ -69,9 +74,11 @@ class LatticeState:
         _check_edges(self.config, self.cutoff, np.abs(self.amplitudes) ** 2)
 
 
-def build_full_hamiltonian(config: GearConfig, cutoff: int) -> scipy.sparse.csr_matrix:
-    """Sparse two-rotor Hamiltonian on the truncated lattice."""
-    import scipy.sparse as sp
+def build_full_hamiltonian(config: GearConfig, cutoff: int):
+    """Two-rotor Hamiltonian on the truncated lattice, as numpy arrays
+    (diag, src, tgt, strength): the diagonal in ravel order of (i1, i2),
+    and each hop once, H[src, tgt] = H[tgt, src] = strength, the hops of
+    each harmonic in ascending order of src."""
     if cutoff < config.n1 + config.n2:
         raise ValueError(
             f"cutoff {cutoff} too small; need at least n1 + n2 = {config.n1 + config.n2}"
@@ -82,63 +89,106 @@ def build_full_hamiltonian(config: GearConfig, cutoff: int) -> scipy.sparse.csr_
     diag = (m1g ** 2 / (2.0 * config.I1) + m2g ** 2 / (2.0 * config.I2)
             - config.V0 * config.potential.a0).ravel()
 
-    rows = [np.arange(N * N)]
-    cols = [np.arange(N * N)]
-    vals = [diag]
-    i1g, i2g = np.meshgrid(np.arange(N), np.arange(N), indexing="ij")
+    none = np.empty(0, dtype=np.intp)
+    src, tgt, strength = [none], [none], [np.empty(0)]
     for p, a_p in config.potential.harmonics():
         if config.V0 * a_p == 0.0:
             continue
-        d1, d2 = p * config.n1, -p * config.n2
-        mask = ((i1g + d1 >= 0) & (i1g + d1 < N)
-                & (i2g + d2 >= 0) & (i2g + d2 < N))
-        src = (i1g[mask] * N + i2g[mask])
-        tgt = ((i1g[mask] + d1) * N + (i2g[mask] + d2))
-        strength = np.full(src.size, -config.V0 * a_p / 2.0)
-        rows.extend([tgt, src])
-        cols.extend([src, tgt])
-        vals.extend([strength, strength])
-    H = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(N * N, N * N),
-    )
-    return H.tocsr()
+        d1, d2 = p * config.n1, p * config.n2
+        # (i1, i2) -> (i1 + d1, i2 - d2), both inside the window
+        hops = (np.arange(N - d1)[:, None] * N + np.arange(d2, N)).ravel()
+        src.append(hops)
+        tgt.append(hops + (d1 * N - d2))
+        strength.append(np.full(hops.size, -config.V0 * a_p / 2.0))
+    return diag, np.concatenate(src), np.concatenate(tgt), np.concatenate(strength)
+
+
+def _component_roots(size: int, src: np.ndarray, tgt: np.ndarray) -> np.ndarray:
+    """The smallest site index of each site's hopping component.
+
+    Min-label propagation with pointer jumping: every site starts as its
+    own root; each round hooks the larger root of every hop that joins two
+    trees under the smaller one, then jumps pointers until each site points
+    at its root.  A pointer never rises, so each tree's root is its
+    smallest site."""
+    label = np.arange(size)
+    while True:
+        a, b = label[src], label[tgt]
+        join = a != b
+        if not join.any():
+            return label
+        a, b = a[join], b[join]
+        np.minimum.at(label, np.maximum(a, b), np.minimum(a, b))
+        while True:
+            up = label[label]
+            if np.array_equal(up, label):
+                break
+            label = up
+
+
+def _eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (ascending) and eigenvectors of the symmetric matrix `a`:
+    LAPACK dsyevr, as scipy.linalg.eigh(a) runs it, with the same refusal
+    of a non-finite matrix."""
+    if not np.isfinite(a).all():
+        raise ConvergenceFailure("component eigensolver given a non-finite matrix")
+    lwork, liwork, info = dsyevr_lwork(a.shape[0], lower=1)
+    if info == 0:
+        w, v, _, _, info = dsyevr(a, compute_v=1, lower=1,
+                                  lwork=int(lwork), liwork=liwork)
+    if info != 0:
+        raise ConvergenceFailure(
+            f"component eigensolver failed (LAPACK dsyevr info={info})")
+    return w, v
 
 
 class Components:
     """The lattice Hamiltonian's hopping components, each diagonalised the
     first time it is needed.  Every harmonic hops by a multiple of (n1, -n2),
-    so H is block diagonal in its connected components; each block is
-    diagonalised densely on its own.  Solved blocks live as long as this
-    object; the public functions build one per call unless given one."""
+    so H is block diagonal in its connected components.  Components are
+    numbered by their smallest lattice index; `order` lists the sites of
+    component 0, then 1, ..., each in ascending lattice order, component k
+    being order[starts[k]:ends[k]].  A block is assembled densely from its
+    own hops and diagonalised on its own.  Solved blocks live as long as
+    this object; the public functions build one per call unless given one."""
 
     def __init__(self, config: GearConfig, cutoff: int):
-        from scipy.sparse.csgraph import connected_components
-        H = build_full_hamiltonian(config, cutoff)
-        _, labels = connected_components(H, directed=False)
-        self.order = np.argsort(labels, kind="stable")
-        self.H = H[self.order][:, self.order]  # each component a contiguous block
-        sizes = np.bincount(labels)
+        diag, src, tgt, strength = build_full_hamiltonian(config, cutoff)
+        root = _component_roots(diag.size, src, tgt)
+        # number the components in ascending order of their smallest site
+        label = (np.cumsum(root == np.arange(diag.size)) - 1)[root]
+        self.order = np.argsort(label, kind="stable")
+        sizes = np.bincount(label)
         self.ends = np.cumsum(sizes)
         self.starts = self.ends - sizes
         # Gershgorin: no eigenvalue of a block lies below min_i H_ii - sum_j!=i |H_ij|
-        diag = self.H.diagonal()
-        radius = np.asarray(abs(self.H).sum(axis=1)).ravel() - np.abs(diag)
-        self.bounds = np.minimum.reduceat(diag - radius, self.starts)
+        weight = np.abs(strength)
+        radius = (np.bincount(src, weight, minlength=diag.size)
+                  + np.bincount(tgt, weight, minlength=diag.size))
+        self.bounds = np.minimum.reduceat((diag - radius)[self.order], self.starts)
         # far above eigh's round-off; a wider margin only solves more blocks
         self.margin = 1e-8 * (1.0 + np.abs(diag).max())
+        self._diag = diag
+        # the hops grouped by component, each end as its site's row in the block
+        row = np.empty_like(self.order)
+        row[self.order] = np.arange(diag.size) - np.repeat(self.starts, sizes)
+        by_component = np.argsort(label[src], kind="stable")
+        self._hops = (row[src[by_component]], row[tgt[by_component]],
+                      strength[by_component])
+        self._hop_bounds = np.concatenate(
+            ([0], np.cumsum(np.bincount(label[src], minlength=sizes.size))))
         self._solved: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
     def __getitem__(self, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(lattice indices, eigenvalues, eigenvectors) of component k."""
         if k not in self._solved:
-            import scipy.linalg
-            s, e = int(self.starts[k]), int(self.ends[k])
-            try:
-                w, v = scipy.linalg.eigh(self.H[s:e, s:e].toarray())
-            except np.linalg.LinAlgError as exc:
-                raise ConvergenceFailure(f"component eigensolve failed: {exc}") from exc
-            self._solved[k] = (self.order[s:e], w, v)
+            idx = self.order[self.starts[k]:self.ends[k]]
+            block = np.diag(self._diag[idx])
+            lo, hi = self._hop_bounds[k:k + 2]
+            i, j, s = (a[lo:hi] for a in self._hops)
+            block[i, j] = s
+            block[j, i] = s
+            self._solved[k] = (idx, *_eigh(block))
         return self._solved[k]
 
     def ground(self) -> int:

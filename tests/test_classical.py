@@ -74,31 +74,45 @@ def test_separatrix_launch_is_rejected(geom22):
         mean_relative_momentum(geom22, ClassicalState(0.0, geom22.L_r_threshold))
 
 
-# 1:1, u = .4 cos x + .3 cos 2x: the true minimum of u is -11/30 at
-# cos x = -1/3, between the points PotentialSpec.min_value samples, so the
-# sampled ceiling is too low and an ell = 3 kick at this depth lands
-# between the sampled and the true separatrix
+# 1:1, u = .4 cos x + .3 cos 2x: the minimum of u is -11/30 at cos x = -1/3,
+# between any two points of a uniform sample, and at this depth an ell = 3
+# kick lands 4e-9 inside the exact separatrix, which puts it within the
+# separatrix guard's round-off band; a sampled minimum (8,192 points) put the
+# ceiling below the kick and called the orbit drifting
+PROFILE = PotentialSpec(((1, 0.4), (2, 0.3)))
 SEPARATRIX = {"gears": {"n1": 1, "n2": 1, "V0": 2.1093750019},
               "potential": {"fourier": [[1, 0.4], [2, 0.3]]},
               "sweep": {"ell": [3]}}
 
 
 def test_drift_quadrature_inside_the_separatrix_is_a_typed_error():
-    config = GearConfig(1, 1, V0=SEPARATRIX["gears"]["V0"],
-                        potential=PotentialSpec(((1, 0.4), (2, 0.3))))
+    geom = derive_geometry(GearConfig(1, 1, V0=SEPARATRIX["gears"]["V0"], potential=PROFILE))
+    E = classical._energy(geom, 0.0, 3.0)
+    assert E < classical._potential_ceiling(geom)
     with pytest.raises(ConvergenceFailure, match="does not clear the potential"):
-        classical_transmission(derive_geometry(config), KickProtocol(ell=3, num_kicks=1))
+        classical._drift_average_quadrature(geom, E, 1.0)
 
 
 def test_classical_inside_the_separatrix_is_one_error_line(tmp_path, capsys):
+    geom = derive_geometry(GearConfig(1, 1, V0=SEPARATRIX["gears"]["V0"], potential=PROFILE))
+    assert geom.ell_threshold > 3.0
     path = tmp_path / "separatrix.json"
     path.write_text(json.dumps(SEPARATRIX), encoding="utf-8")
     out = tmp_path / "out"
     assert cli.main(["classical", "--config", str(path), "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: drifting orbit at energy")
-    assert err.count("\n") == 1
+    assert err == "error: energy indistinguishable from the separatrix\n"
     assert not out.exists()
+
+
+def test_kick_just_inside_the_exact_separatrix_interlocks():
+    """4e-9 inside the separatrix, just outside the guard's band: a sampled
+    minimum called this orbit drifting and its quadrature failed."""
+    geom = derive_geometry(GearConfig(1, 1, V0=2.10937500373125, potential=PROFILE))
+    res = classical_transmission(geom, KickProtocol(ell=3, num_kicks=1))
+    assert not res.above_threshold
+    assert res.r == 0.5
+    assert res.r_measured == pytest.approx(0.5, abs=1e-6)
 
 
 def test_below_threshold_gears_interlock(geom22, geom42):

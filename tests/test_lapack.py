@@ -1,8 +1,9 @@
 """The compiled scipy entry points `gearsim._lapack` loads, pinned against the
 public scipy functions they stand in for.
 
-`dsbevd`, `_brentq` and `_qagse` are private to scipy and called
-positionally; their signatures can change between scipy versions.  These
+`dsbevd`, `dsyevr`, `_brentq` and `_qagse` are private to scipy and called
+positionally or with the keywords the public wrappers use; their signatures
+can change between scipy versions.  These
 tests are where such a change shows: each compares the library's call with
 the public function on random inputs, bit for bit, and checks that every
 guard of the public wrapper survives as a typed error.
@@ -16,7 +17,7 @@ import scipy.linalg
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from gearsim import _lapack, classical, relative
+from gearsim import _lapack, classical, oracle, relative
 from gearsim.errors import ConvergenceFailure
 
 
@@ -25,6 +26,8 @@ def test_entry_points_are_the_functions_scipy_itself_calls():
     from scipy.optimize import _zeros
     band = np.ones((2, 3))
     assert _lapack.dsbevd is scipy.linalg.get_lapack_funcs(("sbevd",), (band,))[0]
+    assert (_lapack.dsyevr, _lapack.dsyevr_lwork) == tuple(
+        scipy.linalg.get_lapack_funcs(("syevr", "syevr_lwork"), (band,)))
     assert _lapack.load_extension("optimize/_zeros") is _zeros
     assert _lapack.load_extension("integrate/_quadpack") is _quadpack
 
@@ -62,6 +65,38 @@ def test_dsbevd_info_is_checked(monkeypatch):
     monkeypatch.setattr(relative, "dsbevd", failing)
     with pytest.raises(ConvergenceFailure, match="info=3"):
         relative._eig(np.ones((2, 4)))
+
+
+def test_dsyevr_equals_eigh_bit_for_bit():
+    """The oracle's block solver against scipy.linalg.eigh on random
+    symmetric matrices, some with the lattice blocks' banded sparsity."""
+    rng = np.random.default_rng(22)
+    for n in range(1, 201):
+        a = rng.standard_normal((n, n))
+        if n % 2:
+            a = np.triu(np.tril(a, 3), -3)
+        a = a + a.T + np.diag(rng.uniform(0.0, 100.0, n))
+        w, v = oracle._eigh(a)
+        want_w, want_v = scipy.linalg.eigh(a)
+        assert np.array_equal(w, want_w) and np.array_equal(v, want_v), n
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_block_is_a_convergence_failure(bad):
+    a = np.eye(4)
+    a[1, 2] = a[2, 1] = bad
+    with pytest.raises(ConvergenceFailure, match="non-finite"):
+        oracle._eigh(a)
+
+
+def test_dsyevr_info_is_checked(monkeypatch):
+    def failing(a, **kwargs):
+        n = a.shape[0]
+        return np.zeros(n), np.eye(n), n, np.zeros(2 * n, dtype=np.int32), 5
+
+    monkeypatch.setattr(oracle, "dsyevr", failing)
+    with pytest.raises(ConvergenceFailure, match="info=5"):
+        oracle._eigh(np.eye(3))
 
 
 def test_root_equals_brentq_bit_for_bit():

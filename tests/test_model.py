@@ -69,6 +69,33 @@ def test_two_harmonic_potential():
     assert u.value(x) == pytest.approx(expected, rel=1e-15)
 
 
+def test_potential_minimum_between_samples_is_exact():
+    # u = .4 cos x + .3 cos 2x is least, -11/30, at cos x = -1/3
+    u = PotentialSpec(((1, 0.4), (2, 0.3)))
+    assert abs(u.min_value() + 11 / 30) <= 4 * math.ulp(11 / 30)
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(st.dictionaries(st.integers(1, 60), st.floats(-1.0, 1.0), min_size=1, max_size=4))
+@example({2: 0.3, 3: 0.2})
+@example({1: 0.4, 2: 0.1})
+# a top harmonic below round-off, which must not swamp the root search
+@example({4: 1.0, 5: 4.643511129697013e-227})
+# high harmonics, whose power-basis coefficients grow as 2^p
+@example({60: 0.7, 41: -0.3, 7: 0.2})
+def test_potential_minimum_is_at_or_below_a_fine_sample(harmonics):
+    """The minimum is attained (it is u somewhere) and lies at or below u at
+    every point of a 20,001-point sample, up to round-off."""
+    u = PotentialSpec(((0, 0.5), *harmonics.items()))
+    xs = np.linspace(0.0, 2.0 * math.pi, 20001)
+    sampled = float(np.min(0.5 + sum(a * np.cos(p * xs) for p, a in harmonics.items())))
+    assert u.min_value() <= sampled + 1e-12
+    # a sample point within pi/20000 of the minimiser is above it by at
+    # most half the largest |u''| times that distance squared
+    curvature = sum(p * p * abs(a) for p, a in harmonics.items())
+    assert u.min_value() >= sampled - 0.5 * curvature * (math.pi / 20000) ** 2 - 1e-12
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         GearConfig(0, 2)

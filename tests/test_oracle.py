@@ -4,10 +4,11 @@ while sharing none of its machinery."""
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gearsim import dynamics
+from gearsim import dynamics, oracle
 from gearsim.dynamics import (
     KickProtocol,
     run_protocol,
@@ -40,19 +41,36 @@ def moments(state):
             "L2_sq": (m * m) @ p2}
 
 
+def sparse_hamiltonian(config, cutoff):
+    """The full lattice Hamiltonian as a scipy CSR matrix, assembled from
+    build_full_hamiltonian's diagonal and hop list, each hop both ways."""
+    diag, src, tgt, strength = build_full_hamiltonian(config, cutoff)
+    sites = np.arange(diag.size)
+    H = scipy.sparse.coo_matrix(
+        (np.concatenate([diag, strength, strength]),
+         (np.concatenate([sites, tgt, src]), np.concatenate([sites, src, tgt]))),
+        shape=(diag.size, diag.size))
+    return H.tocsr()
+
+
 def ground_energy_of(config, cutoff):
     """<gs|H|gs> of the oracle ground state, H the full lattice Hamiltonian."""
     c = oracle_ground_state(config, cutoff).amplitudes.ravel()
-    return float(np.real(np.vdot(c, build_full_hamiltonian(config, cutoff) @ c)))
+    return float(np.real(np.vdot(c, sparse_hamiltonian(config, cutoff) @ c)))
 
 
 def test_hamiltonian_is_hermitian(cfg22):
-    H = build_full_hamiltonian(cfg22, 10)
+    H = sparse_hamiltonian(cfg22, 10)
     assert (H - H.T).nnz == 0
+    # each hop is listed once, in one direction, and none is a diagonal entry
+    _, src, tgt, _ = build_full_hamiltonian(cfg22, 10)
+    pairs = {(int(i), int(j)) for i, j in zip(src, tgt)}
+    assert len(pairs) == src.size and not any((j, i) in pairs for i, j in pairs)
+    assert np.all(src != tgt)
 
 
 def test_hamiltonian_couples_only_tooth_multiples(cfg42):
-    H = build_full_hamiltonian(cfg42, 8).tocoo()
+    H = sparse_hamiltonian(cfg42, 8).tocoo()
     dim = 2 * 8 + 1
     for i, j in zip(H.row, H.col):
         m1_i, m2_i = divmod(int(i), dim)
@@ -75,7 +93,7 @@ def brute_force_ground_amplitudes(config, cutoff):
     """Every hopping component diagonalised, the lowest eigenvalue taken by
     min() (first component on a tie), sign fixed as the oracle fixes it."""
     from scipy.sparse.csgraph import connected_components
-    H = build_full_hamiltonian(config, cutoff)
+    H = sparse_hamiltonian(config, cutoff)
     _, labels = connected_components(H, directed=False)
     order = np.argsort(labels, kind="stable")
     H = H[order][:, order]
@@ -113,13 +131,13 @@ def test_oracle_run_solves_only_the_components_it_needs(monkeypatch):
     config, cutoff = GearConfig(2, 2, V0=10.0), 24
     total = Components(config, cutoff).ends.size
     solves = []
-    eigh = scipy.linalg.eigh
+    eigh = oracle._eigh
 
-    def counting_eigh(a, *args, **kwargs):
+    def counting_eigh(a):
         solves.append(a.shape[0])
-        return eigh(a, *args, **kwargs)
+        return eigh(a)
 
-    monkeypatch.setattr(scipy.linalg, "eigh", counting_eigh)
+    monkeypatch.setattr(oracle, "_eigh", counting_eigh)
     oracle_run(config, KickProtocol(ell=3, num_kicks=1), np.linspace(0.0, 5.0, 11),
                cutoff=cutoff)
     assert total == 192
@@ -240,6 +258,43 @@ def test_pipeline_matches_oracle(n, inertia, V0, profile, train):
     np.testing.assert_allclose(series.gear2, gear2, rtol=0, atol=1e-8)
 
 
+P23 = PotentialSpec(((2, 0.3), (3, 0.2)))
+
+
+@settings(max_examples=30, derandomize=True, database=None, deadline=None)
+@given(n=st.tuples(st.integers(1, 5), st.integers(1, 5)),
+       V0=st.sampled_from([0.0, 4.0, 10.0]),
+       profile=st.sampled_from(PROFILES + [P23]),
+       extra=st.integers(0, 12))
+# every lattice site is its own component
+@example(n=(2, 3), V0=0.0, profile=PROFILES[0], extra=5)
+# no p = 1 term: the p = 2 hops split each p = 1 component in two
+@example(n=(2, 2), V0=10.0, profile=PROFILES[3], extra=16)
+# p = 2 and 3 alone: one component per line, reached only through both hops
+@example(n=(1, 1), V0=10.0, profile=P23, extra=14)
+@example(n=(2, 3), V0=10.0, profile=P23, extra=7)
+# the smallest lattice allowed
+@example(n=(3, 2), V0=10.0, profile=SECOND, extra=0)
+def test_components_match_scipy_connected_components(n, V0, profile, extra):
+    """Components' labelling against scipy.sparse.csgraph on the same
+    lattice: the same components, numbered by their smallest lattice index,
+    each listed in ascending lattice order; and each Gershgorin bound at or
+    below its block's lowest eigenvalue, up to the eigensolver's round-off."""
+    from scipy.sparse.csgraph import connected_components
+    config = GearConfig(*n, V0=V0, potential=profile)
+    cutoff = sum(n) + extra
+    _, labels = connected_components(sparse_hamiltonian(config, cutoff), directed=False)
+    components = Components(config, cutoff)
+    sizes = np.bincount(labels)
+    np.testing.assert_array_equal(components.order, np.argsort(labels, kind="stable"))
+    np.testing.assert_array_equal(components.ends, np.cumsum(sizes))
+    np.testing.assert_array_equal(components.starts, np.cumsum(sizes) - sizes)
+    # Gershgorin holds exactly; the eigensolver can return an eigenvalue an
+    # ulp below it (a one-site block), far inside the margin ground() allows
+    for k in range(sizes.size):
+        assert components.bounds[k] <= components[k][1][0] + 1e-4 * components.margin
+
+
 @pytest.mark.parametrize("config,cutoff,kick", [
     pytest.param(GearConfig(1, 3, V0=6.0, potential=THIRD), 18, (2, 0),
                  id="13-third-c18"),
@@ -248,7 +303,7 @@ def test_pipeline_matches_oracle(n, inertia, V0, profile, train):
     pytest.param(GearConfig(4, 2, V0=6.0), 16, (0, 2), id="42-c16"),
 ])
 def test_component_split_matches_dense_eigensolve(config, cutoff, kick):
-    w, v = scipy.linalg.eigh(build_full_hamiltonian(config, cutoff).toarray())
+    w, v = scipy.linalg.eigh(sparse_hamiltonian(config, cutoff).toarray())
     assert ground_energy_of(config, cutoff) == pytest.approx(w[0], abs=1e-12)
     kicked = oracle_apply_kick(oracle_ground_state(config, cutoff), *kick)
     # a faint admixture puts weight on every component, so none may be skipped
