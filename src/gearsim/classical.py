@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import _lapack
-from .errors import ConvergenceFailure
+from .errors import ConfigError, ConvergenceFailure
 from .model import (
     DerivedGeometry,
     angular_momentum_split,
@@ -98,7 +98,7 @@ def _step_grid(t_final: float, dt: float) -> tuple[int, float]:
     """(number of steps, step) of a fixed-step run that lands on t_final:
     dt shrunk to an integer divisor of t_final."""
     if not t_final > 0:
-        raise ValueError("t_final must be > 0")
+        raise ConfigError(f"t_final must be > 0, got {t_final!r}")
     n_steps = max(1, math.ceil(t_final / dt - 1e-12))
     return n_steps, t_final / n_steps
 
@@ -194,7 +194,7 @@ def _root(f, b: float) -> float:
     def guarded(x: float) -> float:
         fx = f(x)
         if math.isnan(fx):
-            raise ValueError(f"root function is NaN at x={x!r}")
+            raise ConvergenceFailure(f"root function is NaN at x={x!r}")
         return fx
 
     try:

@@ -1,11 +1,15 @@
 """Command-line front end: JSON experiment configs in, CSV tables out.
 
-Every subcommand reads one config file, runs the corresponding computation,
-and writes `<command>.csv` into the output directory.  Output is meant to be
-byte-identical across reruns and worker counts: floats are printed with 15
-significant digits, rows are emitted in sorted axis order, and sweep points
-are computed independently of each other, from one geometry derived once
-per subcommand.
+Every subcommand but `verify` reads one config file, runs the corresponding
+computation, and writes `<command>.csv` into the output directory.  Output
+is meant to be byte-identical across reruns and worker counts: floats are
+printed with 15 significant digits, rows are emitted in sorted axis order,
+and sweep points are computed independently of each other, from one geometry
+derived once per subcommand.
+
+The CLI checks only what the JSON alone decides: its sections and keys,
+counts given as integral floats (2.0), the `times` grid and `workers`.  The
+library checks every value it is handed and raises ConfigError itself.
 """
 
 from __future__ import annotations
@@ -85,22 +89,15 @@ def _gear_config(doc: dict) -> GearConfig:
         _require_keys(pot, {"fourier"}, "potential")
         if "fourier" not in pot:
             raise ConfigError("potential section needs 'fourier'")
-        try:
-            potential = PotentialSpec(tuple((_integer(p, "harmonic"), float(a))
-                                            for p, a in pot["fourier"]))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad potential.fourier: {exc}") from None
-    try:
-        return GearConfig(
-            n1=_integer(gears["n1"], "gears.n1"),
-            n2=_integer(gears["n2"], "gears.n2"),
-            I1=float(gears.get("I1", 1.0)),
-            I2=float(gears.get("I2", 1.0)),
-            V0=float(gears.get("V0", 0.0)),
-            potential=potential,
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad gears section: {exc}") from None
+        potential = PotentialSpec(pot["fourier"])
+    return GearConfig(
+        n1=_integer(gears["n1"], "gears.n1"),
+        n2=_integer(gears["n2"], "gears.n2"),
+        I1=gears.get("I1", 1.0),
+        I2=gears.get("I2", 1.0),
+        V0=gears.get("V0", 0.0),
+        potential=potential,
+    )
 
 
 def _protocol(doc: dict, ell=None, default_num_kicks=None) -> KickProtocol:
@@ -111,16 +108,13 @@ def _protocol(doc: dict, ell=None, default_num_kicks=None) -> KickProtocol:
             raise ConfigError("protocol section needs 'ell'")
         ell = proto["ell"]
     num_kicks = proto.get("num_kicks", default_num_kicks)
-    try:
-        return KickProtocol(
-            ell=_integer(ell, "protocol.ell"),
-            num_kicks=(None if num_kicks is None
-                       else _integer(num_kicks, "protocol.num_kicks")),
-            delta_t=float(proto.get("delta_t", 0.0)),
-            target_gear=_integer(proto.get("target_gear", 1), "protocol.target_gear"),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad protocol: {exc}") from None
+    return KickProtocol(
+        ell=_integer(ell, "protocol.ell"),
+        num_kicks=(None if num_kicks is None
+                   else _integer(num_kicks, "protocol.num_kicks")),
+        delta_t=proto.get("delta_t", 0.0),
+        target_gear=_integer(proto.get("target_gear", 1), "protocol.target_gear"),
+    )
 
 
 def _times(doc: dict) -> np.ndarray:
@@ -241,8 +235,6 @@ def _occupation_rows(geom, protocol):
 def _cmd_bands(doc, out_dir, workers):
     config = _gear_config(doc)
     num_bands = _integer(doc.get("num_bands", 3), "num_bands")
-    if num_bands < 1:
-        raise ConfigError("num_bands must be a positive integer")
     bs = band_structure(derive_geometry(config), num_bands)
     rows = [
         (float(k), band + 1, bs.energies[band, i])
@@ -254,14 +246,8 @@ def _cmd_bands(doc, out_dir, workers):
 
 def _sweep_jobs(geom, template: KickProtocol, key: str, values):
     """(geom, protocol) jobs: the template with `key` set to each value,
-    each checked up front (ConfigError)."""
-    jobs = []
-    for value in values:
-        try:
-            jobs.append((geom, dataclasses.replace(template, **{key: value})))
-        except ValueError as exc:
-            raise ConfigError(f"bad protocol for {key}={value}: {exc}") from None
-    return jobs
+    each checked up front by KickProtocol (ConfigError)."""
+    return [(geom, dataclasses.replace(template, **{key: value})) for value in values]
 
 
 def _ell_sweep_jobs(doc, geom):
@@ -345,16 +331,18 @@ def _cmd_oracle(doc, out_dir, workers):
     oracle_doc = doc.get("oracle", {})
     _require_keys(oracle_doc, {"cutoff"}, "oracle")
     cutoff = _integer(oracle_doc.get("cutoff", 24), "oracle.cutoff")
-    if cutoff < 1:
-        raise ConfigError("oracle.cutoff must be a positive integer")
     series = oracle_run(config, protocol, times, cutoff=cutoff)
     rows = zip(series.times, series.L1, series.L2, series.L2_sq, series.norm)
     _emit(out_dir, "oracle.csv", ["t", "L1", "L2", "L2_sq", "norm"], rows)
 
 
-def _cmd_verify(doc, out_dir, workers, only=None):
+def _cmd_verify(only) -> int:
+    try:
+        ids = {int(tok) for tok in only.split(",") if tok.strip()} if only else None
+    except ValueError:
+        raise ConfigError("--only expects comma-separated integers") from None
     from .verification import run_all
-    results = run_all(only=only)
+    results = run_all(only=ids)
     failed = 0
     for res in results:
         tag = "PASS" if res.passed else "FAIL"
@@ -367,15 +355,16 @@ def _cmd_verify(doc, out_dir, workers, only=None):
     return 0
 
 
+# name: (handler(doc, out_dir, workers), help); `verify` takes no config
 _COMMANDS = {
-    "bands": _cmd_bands,
-    "transmission": _cmd_transmission,
-    "multikick": _cmd_multikick,
-    "classical": _cmd_classical,
-    "occupations": _cmd_occupations,
-    "evolve": _cmd_evolve,
-    "ergotropy": _cmd_ergotropy,
-    "oracle": _cmd_oracle,
+    "bands": (_cmd_bands, "Bloch band energies over the physical quasi-momenta"),
+    "transmission": (_cmd_transmission, "long-time transmission ratio vs kick strength"),
+    "multikick": (_cmd_multikick, "transmission of a unit-kick train vs kick delay"),
+    "classical": (_cmd_classical, "classical transmission ratio vs kick strength"),
+    "occupations": (_cmd_occupations, "eigenstate occupations and spectrum after a kick"),
+    "evolve": (_cmd_evolve, "expectation values on a time grid after a kick protocol"),
+    "ergotropy": (_cmd_ergotropy, "extractable work of the driven gear over time"),
+    "oracle": (_cmd_oracle, "raw-lattice reference evolution (independent path)"),
 }
 
 
@@ -387,27 +376,14 @@ def _parser() -> argparse.ArgumentParser:
         description="Angular-momentum transmission between coupled quantum rotors",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    helps = {
-        "bands": "Bloch band energies over the physical quasi-momenta",
-        "transmission": "long-time transmission ratio vs kick strength",
-        "multikick": "transmission of a unit-kick train vs kick delay",
-        "classical": "classical transmission ratio vs kick strength",
-        "occupations": "eigenstate occupations and spectrum after a kick",
-        "evolve": "expectation values on a time grid after a kick protocol",
-        "ergotropy": "extractable work of the driven gear over time",
-        "oracle": "raw-lattice reference evolution (independent path)",
-        "verify": "run the built-in acceptance checks",
-    }
-    for name in list(_COMMANDS) + ["verify"]:
-        p = sub.add_parser(name, help=helps[name])
-        p.add_argument("--config", required=name != "verify",
-                       help="JSON experiment description")
+    for name, (_, text) in _COMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        p.add_argument("--config", required=True, help="JSON experiment description")
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--workers", type=int, default=None,
                        help="parallel sweep processes")
-        if name == "verify":
-            p.add_argument("--only", default=None,
-                           help="comma-separated criterion numbers")
+    sub.add_parser("verify", help="run the built-in acceptance checks").add_argument(
+        "--only", default=None, help="comma-separated criterion numbers")
     return parser
 
 
@@ -415,18 +391,11 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
 
     try:
-        doc = _load_config(args.config) if args.config else {}
-        workers = _workers(doc, args.workers)
-        out_dir = _out_dir(doc, args.out)
         if args.command == "verify":
-            only = None
-            if args.only:
-                try:
-                    only = {int(tok) for tok in args.only.split(",") if tok.strip()}
-                except ValueError:
-                    raise ConfigError("--only expects comma-separated integers") from None
-            return _cmd_verify(doc, out_dir, workers, only=only)
-        _COMMANDS[args.command](doc, out_dir, workers)
+            return _cmd_verify(args.only)
+        doc = _load_config(args.config)
+        handler, _ = _COMMANDS[args.command]
+        handler(doc, _out_dir(doc, args.out), _workers(doc, args.workers))
         return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

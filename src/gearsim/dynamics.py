@@ -25,7 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import InternalInconsistency
+from .errors import ConfigError, InternalInconsistency
 from .model import (
     DerivedGeometry,
     GridSpec,
@@ -33,6 +33,8 @@ from .model import (
     _exact_float,
     _integer_A,
     _lattice_point,
+    _real,
+    _sample_times,
     angular_momentum_split,
 )
 from .relative import (
@@ -82,19 +84,22 @@ class KickProtocol:
 
     def __post_init__(self):
         if not isinstance(self.ell, int) or isinstance(self.ell, bool):
-            raise ValueError("ell must be an integer")
+            raise ConfigError(f"ell must be an integer, got {self.ell!r}")
         if self.num_kicks is not None:
             if (not isinstance(self.num_kicks, int) or isinstance(self.num_kicks, bool)
                     or self.num_kicks < 1):
-                raise ValueError("num_kicks must be a positive integer")
+                raise ConfigError(
+                    f"num_kicks must be a positive integer, got {self.num_kicks!r}")
             if self.ell % self.num_kicks != 0:
-                raise ValueError(
+                raise ConfigError(
                     f"ell={self.ell} does not divide into {self.num_kicks} equal kicks"
                 )
-        if not (self.delta_t >= 0 and math.isfinite(self.delta_t)):
-            raise ValueError("delta_t must be finite and >= 0")
+        delta_t = _real(self.delta_t, "delta_t")
+        if not (delta_t >= 0 and math.isfinite(delta_t)):
+            raise ConfigError(f"delta_t={delta_t!r} must be finite and >= 0")
+        object.__setattr__(self, "delta_t", delta_t)
         if isinstance(self.target_gear, bool) or self.target_gear not in (1, 2):
-            raise ValueError("target_gear must be 1 or 2")
+            raise ConfigError(f"target_gear must be 1 or 2, got {self.target_gear!r}")
 
     def resolved_num_kicks(self) -> int:
         if self.num_kicks is not None:
@@ -139,7 +144,7 @@ def apply_kick(state: RotorState, l1: int = 0, l2: int = 0) -> RotorState:
     """
     for name, l in (("l1", l1), ("l2", l2)):
         if not isinstance(l, int) or isinstance(l, bool):
-            raise ValueError(f"{name} must be an integer")
+            raise ConfigError(f"{name} must be an integer, got {l!r}")
     return _refit_grid(state, *_lattice_point(state.geom, l1, l2))
 
 
@@ -172,9 +177,7 @@ def _amplitudes(state: RotorState, times) -> tuple[RotorState, np.ndarray]:
     """The propagation kernel: the state on its adequate window and the
     (T, dim) matrix C whose row i holds the amplitudes at times[i],
     C = X V^T with X = e^{-iEt} * a for every time at once."""
-    times = np.asarray(times, dtype=float)
-    if not np.all((times >= 0) & np.isfinite(times)):
-        raise ValueError("times must be finite and >= 0")
+    times = _sample_times(times)
     state, es, a = _ensure_window(state)
     X = np.exp(np.outer(times, -1j * es.energies)) * a
     VT = es.vectors.T

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InternalInconsistency
+from .errors import ConfigError, InternalInconsistency
 from .dynamics import KickProtocol, _amplitudes, run_protocol
 from .model import DerivedGeometry
 from .relative import RotorState
@@ -46,7 +46,7 @@ class MomentumDistribution:
 
     def __post_init__(self):
         if self.inertia <= 0:
-            raise ValueError("inertia must be positive")
+            raise ConfigError(f"inertia must be positive, got {self.inertia!r}")
         total = 0.0
         seen = set()
         clean = []
@@ -54,15 +54,15 @@ class MomentumDistribution:
             m = int(m)
             p = float(p)
             if m in seen:
-                raise ValueError(f"duplicate momentum {m}")
+                raise ConfigError(f"duplicate momentum {m}")
             if p < -1e-15:
-                raise ValueError(f"negative probability {p} at m={m}")
+                raise ConfigError(f"negative probability {p} at m={m}")
             seen.add(m)
             if p > 0.0:
                 clean.append((m, p))
                 total += p
         if abs(total - 1.0) > _NORM_TOL:
-            raise ValueError(f"probabilities sum to {total}, expected 1")
+            raise ConfigError(f"probabilities sum to {total}, expected 1")
         object.__setattr__(self, "probs", tuple(sorted(clean)))
 
 

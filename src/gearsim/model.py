@@ -31,7 +31,7 @@ from numbers import Rational
 
 import numpy as np
 
-from .errors import NonPhysicalError
+from .errors import ConfigError, NonPhysicalError
 
 __all__ = [
     "PotentialSpec",
@@ -56,9 +56,25 @@ def _as_fraction(x, what: str) -> Fraction:
         return Fraction(x)
     if isinstance(x, float):
         if not math.isfinite(x):
-            raise ValueError(f"{what} must be finite, got {x!r}")
+            raise ConfigError(f"{what} must be finite, got {x!r}")
         return Fraction(x)
-    raise TypeError(f"{what} must be a rational number, got {type(x).__name__}")
+    raise ConfigError(f"{what} must be a rational number, got {type(x).__name__}")
+
+
+def _real(x, what: str) -> float:
+    """float(x); ConfigError when x has no float value."""
+    try:
+        return float(x)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{what} must be a real number, got {x!r}") from None
+
+
+def _sample_times(times) -> np.ndarray:
+    """times as a float array; ConfigError unless each is finite and >= 0."""
+    times = np.asarray(times, dtype=float)
+    if not np.all((times >= 0) & np.isfinite(times)):
+        raise ConfigError("times must be finite and >= 0")
+    return times
 
 
 def _exact_float(i: int, q: Fraction) -> float:
@@ -91,24 +107,28 @@ class PotentialSpec:
     fourier: tuple[tuple[int, float], ...] = ((0, 0.5), (1, 0.5))
 
     def __post_init__(self):
+        try:
+            pairs = [(p, a) for p, a in self.fourier]
+        except (TypeError, ValueError):
+            raise ConfigError("fourier must list (harmonic, coefficient) pairs, "
+                              f"got {self.fourier!r}") from None
         clean = []
         seen = set()
-        for item in self.fourier:
-            p, a = item
+        for p, a in pairs:
             try:
                 whole = not isinstance(p, (bool, np.bool_)) and int(p) == p
             except (TypeError, ValueError, OverflowError):
                 whole = False
             if not whole:
-                raise ValueError(f"harmonic index must be a whole number, got {p!r}")
+                raise ConfigError(f"harmonic index must be a whole number, got {p!r}")
             p = int(p)
             if p < 0:
-                raise ValueError(f"harmonic index must be >= 0, got {p}")
+                raise ConfigError(f"harmonic index must be >= 0, got {p}")
             if p in seen:
-                raise ValueError(f"duplicate harmonic index {p}")
-            a = float(a)
+                raise ConfigError(f"duplicate harmonic index {p}")
+            a = _real(a, f"coefficient of harmonic {p}")
             if not math.isfinite(a):
-                raise ValueError(f"non-finite coefficient for harmonic {p}")
+                raise ConfigError(f"non-finite coefficient for harmonic {p}")
             seen.add(p)
             clean.append((p, a))
         object.__setattr__(self, "fourier", tuple(clean))
@@ -191,20 +211,20 @@ class GearConfig:
         for name in ("n1", "n2"):
             v = getattr(self, name)
             if not isinstance(v, int) or isinstance(v, bool):
-                raise ValueError(f"{name} must be an integer, got {v!r}")
+                raise ConfigError(f"{name} must be an integer, got {v!r}")
             if v < 1:
-                raise ValueError(f"{name} must be >= 1, got {v}")
+                raise ConfigError(f"{name} must be >= 1, got {v}")
         for name in ("I1", "I2"):
-            v = float(getattr(self, name))
+            v = _real(getattr(self, name), name)
             if not math.isfinite(v) or v <= 0:
-                raise ValueError(f"{name} must be positive and finite, got {v!r}")
+                raise ConfigError(f"{name} must be positive and finite, got {v!r}")
             object.__setattr__(self, name, v)
-        v0 = float(self.V0)
+        v0 = _real(self.V0, "V0")
         if not math.isfinite(v0) or v0 < 0:
-            raise ValueError(f"V0 must be >= 0 and finite, got {v0!r}")
+            raise ConfigError(f"V0 must be >= 0 and finite, got {v0!r}")
         object.__setattr__(self, "V0", v0)
         if not isinstance(self.potential, PotentialSpec):
-            raise ValueError("potential must be a PotentialSpec")
+            raise ConfigError("potential must be a PotentialSpec")
 
 
 @dataclass(frozen=True)
@@ -239,9 +259,9 @@ class GridSpec:
 
     def __post_init__(self):
         if not all(type(v) is int for v in (self.offset, self.spacing, self.half_width)):
-            raise ValueError("grid offset, spacing and half_width must be ints")
+            raise ConfigError("grid offset, spacing and half_width must be ints")
         if self.spacing <= 0 or self.half_width < 0:
-            raise ValueError("grid spacing must be positive, half_width >= 0")
+            raise ConfigError("grid spacing must be positive, half_width >= 0")
         half_step = 2 * self.offset == self.spacing
         lo = -self.half_width - 1 if half_step else -self.half_width
         object.__setattr__(self, "lo", lo)

@@ -1,7 +1,8 @@
 """Brute-force reference on the raw (m1, m2) momentum lattice.
 
 This module deliberately shares nothing with the transformed-coordinate
-pipeline beyond the configuration object: the Hamiltonian is assembled
+pipeline beyond the configuration object and the check on sample times
+(`model._sample_times`): the Hamiltonian is assembled
 directly from the two-rotor momentum representation (kinetic diagonal, each
 cosine harmonic p hopping (m1, m2) -> (m1 + p n1, m2 - p n2)), states are
 evolved by exact diagonalisation of each disconnected hopping component of
@@ -22,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._lapack import dsyevr, dsyevr_lwork
-from .errors import ConvergenceFailure, TruncationBreach
-from .model import GearConfig
+from .errors import ConfigError, ConvergenceFailure, TruncationBreach
+from .model import GearConfig, _sample_times
 
 __all__ = [
     "LatticeState",
@@ -50,7 +51,7 @@ def _check_edges(config: GearConfig, cutoff: int, p: np.ndarray) -> None:
     m = np.abs(np.arange(-cutoff, cutoff + 1))
     edge = (m[:, None] > cutoff - config.n1) | (m[None, :] > cutoff - config.n2)
     occ = float(np.max(p[edge].sum(axis=0), initial=0.0))
-    if occ > _EDGE_TOL:
+    if not occ <= _EDGE_TOL:  # NaN fails too
         raise TruncationBreach(
             f"probability {occ:.3e} at the lattice boundary; enlarge cutoff"
         )
@@ -80,7 +81,7 @@ def build_full_hamiltonian(config: GearConfig, cutoff: int):
     and each hop once, H[src, tgt] = H[tgt, src] = strength, the hops of
     each harmonic in ascending order of src."""
     if cutoff < config.n1 + config.n2:
-        raise ValueError(
+        raise ConfigError(
             f"cutoff {cutoff} too small; need at least n1 + n2 = {config.n1 + config.n2}"
         )
     N = 2 * cutoff + 1
@@ -251,7 +252,7 @@ def oracle_apply_kick(state: LatticeState, l1: int = 0, l2: int = 0) -> LatticeS
     dst2 = slice(max(0, l2), min(N, N + l2))
     new[dst1, dst2] = state.amplitudes[src1, src2]
     dropped = state.norm() - float(np.sum(np.abs(new) ** 2))
-    if dropped > _EDGE_TOL:
+    if not dropped <= _EDGE_TOL:  # NaN fails too
         raise TruncationBreach(
             f"kick ({l1}, {l2}) pushed probability {dropped:.3e} off the lattice"
         )
@@ -294,8 +295,9 @@ def oracle_run(config: GearConfig, protocol, times, cutoff: int) -> OracleSeries
     """Ground state -> kick train -> sampled evolution, all on the raw
     lattice.  `protocol` provides kick_momenta(), resolved_num_kicks() and
     delta_t with the same semantics as the pipeline's KickProtocol
-    (duck-typed: this module never imports it)."""
-    times = np.asarray(times, dtype=float)
+    (duck-typed: this module never imports it).  Times are refused, as
+    the pipeline refuses them, unless each is finite and >= 0."""
+    times = _sample_times(times)
     components = Components(config, cutoff)
     state = oracle_ground_state(config, cutoff, components)
     l1, l2 = protocol.kick_momenta()

@@ -345,3 +345,24 @@ def test_calls_share_one_parser(capsys):
 def test_cell_format_is_pinned(value, text):
     from gearsim import cli
     assert cli._fmt(value) == text
+
+
+def test_oracle_cutoff_below_n1_plus_n2_is_one_config_error_line(tmp_path, capsys):
+    # the library's bound, n1 + n2 = 4 on 2:2, reaches the user as a config
+    # error instead of a traceback
+    doc = dict(BASE, protocol={"ell": 1}, times={"stop": 1.0, "num": 3},
+               oracle={"cutoff": 3})
+    code, out = run(tmp_path, "oracle", doc)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cutoff 3 too small")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("extra", [["--out", "x"], ["--workers", "2"], ["--config", "f"]])
+def test_verify_refuses_config_out_and_workers(capsys, extra):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--only", "8", *extra])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

@@ -14,7 +14,7 @@ from gearsim.dynamics import (
     run_protocol,
     time_series,
 )
-from gearsim.errors import TruncationBreach
+from gearsim.errors import ConfigError, TruncationBreach
 from gearsim.model import GearConfig, PotentialSpec, derive_geometry
 from gearsim.oracle import (
     Components,
@@ -337,3 +337,25 @@ def test_gear2_marginal_is_a_distribution(cfg22):
         probs = np.asarray(snapshot)
         assert np.all(probs >= -1e-14)
         assert probs.sum() == pytest.approx(1.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("t", [np.nan, -1.0, np.inf])
+def test_oracle_run_refuses_the_times_the_pipeline_refuses(cfg22, geom22, t):
+    """The oracle refuses the times `time_series` refuses: a NaN time would
+    give NaN moments with no error, and a negative one would run backwards."""
+    protocol = KickProtocol(ell=2, num_kicks=1)
+    with pytest.raises(ConfigError, match="finite"):
+        time_series(run_protocol(geom22, protocol), [t, 1.0])
+    with pytest.raises(ConfigError, match="finite"):
+        oracle_run(cfg22, protocol, [t, 1.0], cutoff=CUTOFF)
+
+
+def test_edge_checks_fail_on_nan(cfg22):
+    """NaN probability is not below the edge tolerance: both checks raise."""
+    N = 2 * CUTOFF + 1
+    with pytest.raises(TruncationBreach):
+        oracle._check_edges(cfg22, CUTOFF, np.full((N, N), np.nan))
+    state = oracle_ground_state(cfg22, CUTOFF)
+    state.amplitudes[CUTOFF, CUTOFF] = np.nan
+    with pytest.raises(TruncationBreach):
+        oracle_apply_kick(state, l1=1)
