@@ -15,7 +15,6 @@ library checks every value it is handed and raises ConfigError itself.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import math
@@ -34,7 +33,7 @@ from .dynamics import (
 )
 from .ergotropy import ergotropy_time_series
 from .errors import ConfigError, GearsError
-from .model import GearConfig, PotentialSpec, derive_geometry
+from .model import GearConfig, PotentialSpec, _real, derive_geometry
 from .oracle import oracle_run
 from .relative import band_structure
 
@@ -100,21 +99,20 @@ def _gear_config(doc: dict) -> GearConfig:
     )
 
 
-def _protocol(doc: dict, ell=None, default_num_kicks=None) -> KickProtocol:
+def _protocol(doc: dict, default_num_kicks=None, **point) -> KickProtocol:
+    """The config's protocol with each field in `point` replaced: one sweep
+    point, or with no `point` the protocol itself."""
     proto = doc.get("protocol", {})
     _require_keys(proto, {"ell", "num_kicks", "delta_t", "target_gear"}, "protocol")
-    if ell is None:
-        if "ell" not in proto:
-            raise ConfigError("protocol section needs 'ell'")
-        ell = proto["ell"]
-    num_kicks = proto.get("num_kicks", default_num_kicks)
-    return KickProtocol(
-        ell=_integer(ell, "protocol.ell"),
-        num_kicks=(None if num_kicks is None
-                   else _integer(num_kicks, "protocol.num_kicks")),
-        delta_t=proto.get("delta_t", 0.0),
-        target_gear=_integer(proto.get("target_gear", 1), "protocol.target_gear"),
-    )
+    fields = {"num_kicks": default_num_kicks, **proto}
+    for key in ("ell", "num_kicks", "target_gear"):
+        if key in fields and not (key == "num_kicks" and fields[key] is None):
+            fields[key] = _integer(fields[key], f"protocol.{key}")
+    for key, value in point.items():
+        fields[key] = (_integer if key == "ell" else _real)(value, f"sweep.{key}")
+    if "ell" not in fields:
+        raise ConfigError("protocol section needs 'ell'")
+    return KickProtocol(**fields)
 
 
 def _times(doc: dict) -> np.ndarray:
@@ -137,21 +135,26 @@ def _times(doc: dict) -> np.ndarray:
     return np.linspace(start, stop, num)
 
 
-def _sweep_values(doc: dict, key: str, cast, fallback=None):
+def _sweep(doc: dict, key: str, default_num_kicks=None) -> list:
+    """(geom, protocol) jobs sorted by the swept field: one geometry, and the
+    config's protocol with `key` replaced by each value of sweep.<key> (an
+    ell sweep falls back to protocol.ell).  Every protocol is built, and so
+    checked, before any point runs."""
+    geom = derive_geometry(_gear_config(doc))
     sweep = doc.get("sweep", {})
     _require_keys(sweep, {"ell", "delta_t"}, "sweep")
-    if key not in sweep:
-        if fallback is not None:
-            return fallback
+    proto = doc.get("protocol", {})
+    if key in sweep:
+        values = sweep[key]
+        if not isinstance(values, list) or not values:
+            raise ConfigError(f"sweep.{key} must be a non-empty list")
+        points = [{key: value} for value in values]
+    elif key == "ell" and isinstance(proto, dict) and "ell" in proto:
+        points = [{}]
+    else:
         raise ConfigError(f"config needs sweep.{key} for this command")
-    values = sweep[key]
-    if not isinstance(values, list) or not values:
-        raise ConfigError(f"sweep.{key} must be a non-empty list")
-    try:
-        values = [cast(v) for v in values]
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad sweep.{key}: {exc}") from None
-    return sorted(values)
+    jobs = [(geom, _protocol(doc, default_num_kicks, **point)) for point in points]
+    return sorted(jobs, key=lambda job: getattr(job[1], key))
 
 
 def _workers(doc: dict, override) -> int:
@@ -195,14 +198,6 @@ def _write_csv(path: str, header: list[str], rows) -> None:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def _emit(out_dir: str, name: str, header: list[str], rows) -> str:
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, name)
-    _write_csv(path, header, rows)
-    print(path)
-    return path
-
-
 def _map_sweep(fn, jobs, workers: int):
     """fn(geom, protocol) for every (geom, protocol) job, in order."""
     if workers <= 1 or len(jobs) <= 1:
@@ -232,7 +227,7 @@ def _occupation_rows(geom, protocol):
 
 # ----------------------------------------------------------- subcommands ---
 
-def _cmd_bands(doc, out_dir, workers):
+def _cmd_bands(doc, workers):
     config = _gear_config(doc)
     num_bands = _integer(doc.get("num_bands", 3), "num_bands")
     bs = band_structure(derive_geometry(config), num_bands)
@@ -241,75 +236,51 @@ def _cmd_bands(doc, out_dir, workers):
         for band in range(bs.num_bands)
         for i, k in enumerate(bs.ks)
     ]
-    _emit(out_dir, "bands.csv", ["k", "band", "energy"], rows)
+    return ["k", "band", "energy"], rows
 
 
-def _sweep_jobs(geom, template: KickProtocol, key: str, values):
-    """(geom, protocol) jobs: the template with `key` set to each value,
-    each checked up front by KickProtocol (ConfigError)."""
-    return [(geom, dataclasses.replace(template, **{key: value})) for value in values]
-
-
-def _ell_sweep_jobs(doc, geom):
-    proto = doc.get("protocol", {})
-    fallback = [_integer(proto["ell"], "protocol.ell")] if "ell" in proto else None
-    ells = _sweep_values(doc, "ell", lambda v: _integer(v, "sweep.ell"),
-                         fallback=fallback)
-    template = _protocol(doc, ell=0, default_num_kicks=1)
-    return _sweep_jobs(geom, template, "ell", ells)
-
-
-def _cmd_transmission(doc, out_dir, workers):
-    geom = derive_geometry(_gear_config(doc))
-    jobs = _ell_sweep_jobs(doc, geom)
+def _cmd_transmission(doc, workers):
+    jobs = _sweep(doc, "ell", default_num_kicks=1)
     rows = [(p.ell, res.r, res.L1_bar, res.L2_bar, res.L_r_bar, res.period_estimate)
             for (_, p), res in zip(jobs, _map_sweep(transmission_ratio, jobs, workers))]
-    _emit(out_dir, "transmission.csv",
-          ["ell", "r", "L1_bar", "L2_bar", "L_r_bar", "period_estimate"], rows)
+    return ["ell", "r", "L1_bar", "L2_bar", "L_r_bar", "period_estimate"], rows
 
 
-def _cmd_multikick(doc, out_dir, workers):
-    geom = derive_geometry(_gear_config(doc))
-    template = _protocol(doc)
-    if template.num_kicks is not None:
+def _cmd_multikick(doc, workers):
+    jobs = _sweep(doc, "delta_t")
+    if jobs[0][1].num_kicks is not None:
         raise ConfigError("multikick sends |ell| unit kicks and takes no "
                           "protocol.num_kicks")
-    dts = _sweep_values(doc, "delta_t", float)
-    jobs = _sweep_jobs(geom, template, "delta_t", dts)
     rows = [(p.delta_t, res.r, res.L1_bar, res.L2_bar, res.L_r_bar)
             for (_, p), res in zip(jobs, _map_sweep(transmission_ratio, jobs, workers))]
-    _emit(out_dir, "multikick.csv",
-          ["delta_t", "r", "L1_bar", "L2_bar", "L_r_bar"], rows)
+    return ["delta_t", "r", "L1_bar", "L2_bar", "L_r_bar"], rows
 
 
-def _cmd_classical(doc, out_dir, workers):
-    geom = derive_geometry(_gear_config(doc))
-    jobs = _ell_sweep_jobs(doc, geom)
+def _cmd_classical(doc, workers):
+    jobs = _sweep(doc, "ell", default_num_kicks=1)
+    geom = jobs[0][0]
     print(f"L_r threshold {geom.L_r_threshold:.6g}; "
           f"gear-1 kick threshold {geom.ell_threshold:.6g}")
     rows = _map_sweep(_classical_point, jobs, workers)
-    _emit(out_dir, "classical.csv",
-          ["ell", "r", "r_measured", "L_r_bar", "above_threshold"], rows)
+    return ["ell", "r", "r_measured", "L_r_bar", "above_threshold"], rows
 
 
-def _cmd_occupations(doc, out_dir, workers):
-    jobs = _ell_sweep_jobs(doc, derive_geometry(_gear_config(doc)))
+def _cmd_occupations(doc, workers):
+    jobs = _sweep(doc, "ell", default_num_kicks=1)
     nested = _map_sweep(_occupation_rows, jobs, workers)
     rows = [row for chunk in nested for row in chunk]
-    _emit(out_dir, "occupations.csv",
-          ["ell", "state", "k", "energy", "kinetic_energy", "occupation"], rows)
+    return ["ell", "state", "k", "energy", "kinetic_energy", "occupation"], rows
 
 
-def _cmd_evolve(doc, out_dir, workers):
+def _cmd_evolve(doc, workers):
     geom = derive_geometry(_gear_config(doc))
     protocol = _protocol(doc, default_num_kicks=1)
     ts = time_series(run_protocol(geom, protocol), _times(doc))
     rows = zip(ts.times, ts.L1, ts.L2, ts.L2_sq, ts.energy_r, ts.norm)
-    _emit(out_dir, "evolve.csv",
-          ["t", "L1", "L2", "L2_sq", "energy_r", "norm"], rows)
+    return ["t", "L1", "L2", "L2_sq", "energy_r", "norm"], rows
 
 
-def _cmd_ergotropy(doc, out_dir, workers):
+def _cmd_ergotropy(doc, workers):
     geom = derive_geometry(_gear_config(doc))
     protocol = _protocol(doc, default_num_kicks=1)
     times = _times(doc)
@@ -319,12 +290,11 @@ def _cmd_ergotropy(doc, out_dir, workers):
          rep.ratio_ergotropy, rep.ratio_net)
         for t, rep in zip(times, reports)
     ]
-    _emit(out_dir, "ergotropy.csv",
-          ["t", "kinetic", "net_kinetic", "ergotropy",
-           "ratio_ergotropy", "ratio_net"], rows)
+    return ["t", "kinetic", "net_kinetic", "ergotropy",
+            "ratio_ergotropy", "ratio_net"], rows
 
 
-def _cmd_oracle(doc, out_dir, workers):
+def _cmd_oracle(doc, workers):
     config = _gear_config(doc)
     protocol = _protocol(doc, default_num_kicks=1)
     times = _times(doc)
@@ -333,7 +303,7 @@ def _cmd_oracle(doc, out_dir, workers):
     cutoff = _integer(oracle_doc.get("cutoff", 24), "oracle.cutoff")
     series = oracle_run(config, protocol, times, cutoff=cutoff)
     rows = zip(series.times, series.L1, series.L2, series.L2_sq, series.norm)
-    _emit(out_dir, "oracle.csv", ["t", "L1", "L2", "L2_sq", "norm"], rows)
+    return ["t", "L1", "L2", "L2_sq", "norm"], rows
 
 
 def _cmd_verify(only) -> int:
@@ -355,7 +325,8 @@ def _cmd_verify(only) -> int:
     return 0
 
 
-# name: (handler(doc, out_dir, workers), help); `verify` takes no config
+# name: (handler(doc, workers) -> (header, rows), help); each writes
+# <name>.csv, and `verify` takes no config
 _COMMANDS = {
     "bands": (_cmd_bands, "Bloch band energies over the physical quasi-momenta"),
     "transmission": (_cmd_transmission, "long-time transmission ratio vs kick strength"),
@@ -395,7 +366,12 @@ def main(argv=None) -> int:
             return _cmd_verify(args.only)
         doc = _load_config(args.config)
         handler, _ = _COMMANDS[args.command]
-        handler(doc, _out_dir(doc, args.out), _workers(doc, args.workers))
+        out_dir = _out_dir(doc, args.out)
+        header, rows = handler(doc, _workers(doc, args.workers))
+        os.makedirs(out_dir, exist_ok=True)
+        path = os.path.join(out_dir, f"{args.command}.csv")
+        _write_csv(path, header, rows)
+        print(path)
         return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -4,10 +4,10 @@ Evolution is exact within the truncated window: states are expanded in the
 eigenbasis of the banded relative Hamiltonian and phases applied in closed
 form.  Every returned state is checked against the tail-occupation bound and
 the window is regrown, up to MAX_HALF_WIDTH, when a kick or long evolution
-pushes probability toward an edge.  `_ensure_window` fits the window and
-projects the state onto its eigenstates once; the propagation kernel
-`_amplitudes` turns that into the amplitudes at all T sample times as one
-(T, dim) matrix, by two real products with the eigenvectors.  `evolve`,
+pushes probability toward an edge.  `relative._ensure_window` fits the
+window and projects the state onto its eigenstates once; the propagation
+kernel `_amplitudes` turns that into the amplitudes at all T sample times as
+one (T, dim) matrix, by two real products with the eigenvectors.  `evolve`,
 `evolved_states`, `time_series` and `ergotropy_time_series` read its rows;
 `time_series` checks every sample's L1 and L2 two independent ways.
 
@@ -41,15 +41,12 @@ from .relative import (
     MARGIN_STEPS,
     MIN_HALF_WIDTH,
     SUPPORT_EPS,
-    TAIL_BOUND,
     EigenSystem,
     RotorState,
-    _check_growth,
+    _ensure_window,
     _start_half_width,
     build_hamiltonian,
-    eigensystem_for,
     ground_state,
-    widen,
 )
 
 __all__ = [
@@ -148,28 +145,8 @@ def apply_kick(state: RotorState, l1: int = 0, l2: int = 0) -> RotorState:
     return _refit_grid(state, *_lattice_point(state.geom, l1, l2))
 
 
-def _ensure_window(state: RotorState) -> tuple[RotorState, EigenSystem, np.ndarray]:
-    """Grow the window until evolution can never push visible probability
-    into its edges.  Returns the state on that window, its eigensystem and
-    the state's eigen-amplitudes a = V^T c."""
-    while True:
-        es = eigensystem_for(state.geom, state.grid)
-        c = state.amplitudes
-        # two real products: V times a complex array would upcast all of V
-        a = es.vectors.T @ c.real + 1j * (es.vectors.T @ c.imag)
-        # bound on the edge occupation at *any* time, by the triangle
-        # inequality: (sum_i |a_i| * ||edge rows of v_i||)^2
-        tail = float(np.sum(np.abs(a) * es.edge_norms)) ** 2
-        if tail < TAIL_BOUND:
-            return state, es, a
-        _check_growth(state.grid, tail)
-        state = widen(state)
-
-
 def evolve(state: RotorState, t: float) -> RotorState:
     """Free evolution for time t under the relative Hamiltonian."""
-    if t == 0:
-        return state.copy()
     return evolved_states(state, [t])[0]
 
 
@@ -209,7 +186,7 @@ def time_series(state: RotorState, times) -> TimeSeries:
     exact integer (m1, m2) behind each grid point and, independently, from
     the collective split formula; the two must agree to 1e-12 at every
     sample or the state bookkeeping is corrupt."""
-    times = np.asarray(times, dtype=float)
+    times = _sample_times(times)
     state, C = _amplitudes(state, times)
     m1, m2 = state.momentum_pairs()
     m2 = m2.astype(float)

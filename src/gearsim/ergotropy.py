@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ConfigError, InternalInconsistency
 from .dynamics import KickProtocol, _amplitudes, run_protocol
-from .model import DerivedGeometry
+from .model import DerivedGeometry, _real, _whole
 from .relative import RotorState
 
 # tolerance on |sum of probabilities - 1| of a gear-2 distribution
@@ -45,18 +45,20 @@ class MomentumDistribution:
     inertia: float
 
     def __post_init__(self):
-        if self.inertia <= 0:
-            raise ConfigError(f"inertia must be positive, got {self.inertia!r}")
+        inertia = _real(self.inertia, "inertia")
+        if not 0 < inertia < np.inf:
+            raise ConfigError(f"inertia must be positive and finite, got {inertia!r}")
+        object.__setattr__(self, "inertia", inertia)
         total = 0.0
         seen = set()
         clean = []
         for m, p in self.probs:
-            m = int(m)
-            p = float(p)
+            m = _whole(m, "momentum")
+            p = _real(p, f"probability at m={m}")
             if m in seen:
                 raise ConfigError(f"duplicate momentum {m}")
-            if p < -1e-15:
-                raise ConfigError(f"negative probability {p} at m={m}")
+            if not p >= -1e-15:
+                raise ConfigError(f"negative or NaN probability {p} at m={m}")
             seen.add(m)
             if p > 0.0:
                 clean.append((m, p))

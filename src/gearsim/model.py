@@ -69,11 +69,28 @@ def _real(x, what: str) -> float:
         raise ConfigError(f"{what} must be a real number, got {x!r}") from None
 
 
+def _whole(x, what: str) -> int:
+    """int(x) for a whole number x (2 or 2.0, not True); ConfigError
+    otherwise: nothing is truncated."""
+    try:
+        whole = not isinstance(x, (bool, np.bool_)) and int(x) == x
+    except (TypeError, ValueError, OverflowError):
+        whole = False
+    if not whole:
+        raise ConfigError(f"{what} must be a whole number, got {x!r}")
+    return int(x)
+
+
 def _sample_times(times) -> np.ndarray:
-    """times as a float array; ConfigError unless each is finite and >= 0."""
-    times = np.asarray(times, dtype=float)
-    if not np.all((times >= 0) & np.isfinite(times)):
-        raise ConfigError("times must be finite and >= 0")
+    """times as a 1-D float array; ConfigError unless it is one and each
+    time is finite and >= 0."""
+    try:
+        times = np.asarray(times, dtype=float)
+    except (TypeError, ValueError):
+        times = None
+    if (times is None or times.ndim != 1
+            or not np.all((times >= 0) & np.isfinite(times))):
+        raise ConfigError("times must be a flat list, each finite and >= 0")
     return times
 
 
@@ -115,13 +132,7 @@ class PotentialSpec:
         clean = []
         seen = set()
         for p, a in pairs:
-            try:
-                whole = not isinstance(p, (bool, np.bool_)) and int(p) == p
-            except (TypeError, ValueError, OverflowError):
-                whole = False
-            if not whole:
-                raise ConfigError(f"harmonic index must be a whole number, got {p!r}")
-            p = int(p)
+            p = _whole(p, "harmonic index")
             if p < 0:
                 raise ConfigError(f"harmonic index must be >= 0, got {p}")
             if p in seen:

@@ -295,9 +295,6 @@ class RotorState:
             )
         return m1, m2
 
-    def copy(self) -> "RotorState":
-        return replace(self, amplitudes=self.amplitudes.copy())
-
 
 def _edges(size: int) -> tuple[slice, slice]:
     """Low and high edge rows of a window of `size` states: together the
@@ -361,6 +358,24 @@ def _fitted(geom: DerivedGeometry, grid: GridSpec, pick) -> EigenSystem:
             return es
         _check_growth(grid, tail)
         grid = _wider(grid)
+
+
+def _ensure_window(state: RotorState) -> tuple[RotorState, EigenSystem, np.ndarray]:
+    """Grow the window until evolution can never push visible probability
+    into its edges.  Returns the state on that window, its eigensystem and
+    the state's eigen-amplitudes a = V^T c."""
+    while True:
+        es = eigensystem_for(state.geom, state.grid)
+        c = state.amplitudes
+        # two real products: V times a complex array would upcast all of V
+        a = es.vectors.T @ c.real + 1j * (es.vectors.T @ c.imag)
+        # bound on the edge occupation at *any* time, by the triangle
+        # inequality: (sum_i |a_i| * ||edge rows of v_i||)^2
+        tail = float(np.sum(np.abs(a) * es.edge_norms)) ** 2
+        if tail < TAIL_BOUND:
+            return state, es, a
+        _check_growth(state.grid, tail)
+        state = widen(state)
 
 
 def _lowest_in_sector_zero(es: EigenSystem) -> int:

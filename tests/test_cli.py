@@ -185,6 +185,14 @@ def test_negative_delay_is_a_config_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_bad_sweep_delay_names_its_key(tmp_path, capsys):
+    doc = dict(BASE, protocol={"ell": 2}, sweep={"delta_t": [1.0, "soon"]})
+    code, out = run(tmp_path, "multikick", doc)
+    assert code == 2
+    assert "sweep.delta_t" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_multikick_refuses_num_kicks(tmp_path, capsys):
     # the command always sends |ell| unit kicks; a num_kicks it would ignore
     # is refused instead

@@ -184,7 +184,6 @@ def test_window_growth_stops_at_the_cap(geom22, monkeypatch):
     monkeypatch.setattr(relative, "MAX_HALF_WIDTH", cap)
     # no window ever passes a zero bound, so only the cap ends the growth
     monkeypatch.setattr(relative, "TAIL_BOUND", 0.0)
-    monkeypatch.setattr(dynamics, "TAIL_BOUND", 0.0)
     with pytest.raises(ConvergenceFailure, match=f"tail .* at half-width {cap};"):
         evolve(kicked, 1.0)
     monkeypatch.setattr(relative, "MAX_HALF_WIDTH", 40)

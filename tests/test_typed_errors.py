@@ -15,11 +15,11 @@ import types
 import pytest
 
 from gearsim.classical import _step_grid
-from gearsim.dynamics import KickProtocol, apply_kick
+from gearsim.dynamics import KickProtocol, apply_kick, evolve, time_series
 from gearsim.errors import ConfigError, GearsError
 from gearsim.ergotropy import MomentumDistribution
 from gearsim.model import GearConfig, GridSpec, PotentialSpec, _as_fraction
-from gearsim.oracle import build_full_hamiltonian
+from gearsim.oracle import build_full_hamiltonian, oracle_run
 from gearsim.relative import band_structure, ground_state
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "gearsim"
@@ -59,6 +59,10 @@ def test_the_guard_reports_an_untyped_raise(tmp_path):
                                              "probe.py:3 errors.Unknown"]
 
 
+def kicked(geom):
+    return apply_kick(ground_state(geom), l1=2)
+
+
 @pytest.mark.parametrize("make", [
     lambda geom: GearConfig(0, 2),
     lambda geom: GearConfig(2, 2, I1="heavy"),
@@ -76,9 +80,23 @@ def test_the_guard_reports_an_untyped_raise(tmp_path):
     lambda geom: build_full_hamiltonian(geom.config, 3),
     lambda geom: MomentumDistribution(((0, 0.5), (1, 0.4)), inertia=1.0),
     lambda geom: _step_grid(0.0, 0.1),
+    lambda geom: time_series(kicked(geom), ["soon"]),
+    lambda geom: time_series(kicked(geom), [[0.0, 1.0]]),
+    lambda geom: evolve(kicked(geom), "x"),
+    lambda geom: evolve(kicked(geom), [1.0, 2.0]),
+    lambda geom: oracle_run(geom.config, KickProtocol(1), ["soon"], 16),
+    lambda geom: oracle_run(geom.config, KickProtocol(1), [[0.0, 1.0]], 16),
+    lambda geom: MomentumDistribution(((0, 0.5), (1, 0.5)), inertia="heavy"),
+    lambda geom: MomentumDistribution(((0, 0.5), (1, 0.5)), inertia=math.inf),
+    lambda geom: MomentumDistribution(((0, 1.0), (1, "x")), inertia=1.0),
+    lambda geom: MomentumDistribution(((0.5, 1.0),), inertia=1.0),
+    lambda geom: MomentumDistribution(((0, 1.0), (1, math.nan)), inertia=1.0),
 ], ids=["n1", "I1-string", "V0-nan", "harmonic", "coefficient", "fourier",
         "grid-spacing", "fraction", "delta_t", "delta_t-string", "target_gear",
-        "kick", "num_bands", "cutoff", "distribution", "t_final"])
+        "kick", "num_bands", "cutoff", "distribution", "t_final",
+        "times-string", "times-2d", "evolve-string", "evolve-list",
+        "oracle-times-string", "oracle-times-2d", "inertia-string", "inertia-inf",
+        "probability-string", "momentum-half", "probability-nan"])
 def test_invalid_input_is_a_config_error(geom22, make):
     """The library owns each check; ConfigError is still a ValueError, so
     callers that catch ValueError keep working."""
