@@ -27,7 +27,8 @@ import os
 import sys
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
 
-__all__ = ["load_extension", "dsbevd", "dsyevr", "dsyevr_lwork", "brentq", "qagse"]
+__all__ = ["load_extension", "dsbevd", "dsyevr", "dsyevr_lwork", "dgeev", "brentq",
+           "qagse"]
 
 
 def load_extension(relative: str):
@@ -61,6 +62,8 @@ dsbevd = _flapack.dsbevd
 # dsyevr(a, compute_v, lower, lwork, liwork) -> (w, v, m, isuppz, info);
 # dsyevr_lwork(n, lower) -> (lwork, liwork, info)
 dsyevr, dsyevr_lwork = _flapack.dsyevr, _flapack.dsyevr_lwork
+# dgeev(a, compute_vl, compute_vr, lwork, overwrite_a) -> (wr, wi, vl, vr, info)
+dgeev = _flapack.dgeev
 
 
 def brentq(f, a: float, b: float, xtol: float, rtol: float, maxiter: int):

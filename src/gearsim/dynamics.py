@@ -150,20 +150,22 @@ def evolve(state: RotorState, t: float) -> RotorState:
     return evolved_states(state, [t])[0]
 
 
-def _amplitudes(state: RotorState, times) -> tuple[RotorState, np.ndarray]:
-    """The propagation kernel: the state on its adequate window and the
-    (T, dim) matrix C whose row i holds the amplitudes at times[i],
-    C = X V^T with X = e^{-iEt} * a for every time at once."""
+def _amplitudes(state: RotorState, times
+                ) -> tuple[RotorState, np.ndarray, np.ndarray]:
+    """The propagation kernel: the state on its adequate window, the times
+    as `model._sample_times` checked them, and the (T, dim) matrix C whose
+    row i holds the amplitudes at times[i], C = X V^T with X = e^{-iEt} * a
+    for every time at once."""
     times = _sample_times(times)
     state, es, a = _ensure_window(state)
     X = np.exp(np.outer(times, -1j * es.energies)) * a
     VT = es.vectors.T
-    return state, X.real @ VT + 1j * (X.imag @ VT)
+    return state, times, X.real @ VT + 1j * (X.imag @ VT)
 
 
 def evolved_states(state: RotorState, times) -> list[RotorState]:
     """The state at each requested time, sharing one eigendecomposition."""
-    state, C = _amplitudes(state, times)
+    state, _, C = _amplitudes(state, times)
     return [RotorState(state.geom, state.A, state.grid, c) for c in C]
 
 
@@ -186,8 +188,7 @@ def time_series(state: RotorState, times) -> TimeSeries:
     exact integer (m1, m2) behind each grid point and, independently, from
     the collective split formula; the two must agree to 1e-12 at every
     sample or the state bookkeeping is corrupt."""
-    times = _sample_times(times)
-    state, C = _amplitudes(state, times)
+    state, times, C = _amplitudes(state, times)
     m1, m2 = state.momentum_pairs()
     m2 = m2.astype(float)
     P = np.abs(C) ** 2

@@ -173,7 +173,7 @@ def ergotropy_time_series(
     geom: DerivedGeometry, protocol: KickProtocol, times
 ) -> list[ErgotropyReport]:
     """Ergotropy of gear 2 at each time after a kick protocol."""
-    state, C = _amplitudes(run_protocol(geom, protocol), times)
+    state, _, C = _amplitudes(run_protocol(geom, protocol), times)
     # every sample shares one window, so the momentum map is made once and
     # all samples go through the kernel together, each row normalised by
     # its own sum in grid order

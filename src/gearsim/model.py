@@ -31,7 +31,8 @@ from numbers import Rational
 
 import numpy as np
 
-from .errors import ConfigError, NonPhysicalError
+from . import _lapack
+from .errors import ConfigError, ConvergenceFailure, NonPhysicalError
 
 __all__ = [
     "PotentialSpec",
@@ -143,14 +144,19 @@ class PotentialSpec:
             seen.add(p)
             clean.append((p, a))
         object.__setattr__(self, "fourier", tuple(clean))
+        # value and derivative run inside the classical limit's event
+        # searches and quadrature, so their terms are built once here
+        object.__setattr__(self, "_a0", dict(self.fourier).get(0, 0.0))
+        object.__setattr__(self, "_harmonics", tuple(
+            (p, a) for p, a in self.fourier if p >= 1 and a != 0.0))
 
     @property
     def a0(self) -> float:
-        return dict(self.fourier).get(0, 0.0)
+        return self._a0
 
     def harmonics(self) -> tuple[tuple[int, float], ...]:
         """The p >= 1 terms with nonzero coefficient."""
-        return tuple((p, a) for p, a in self.fourier if p >= 1 and a != 0.0)
+        return self._harmonics
 
     def value(self, x: float) -> float:
         """u(x)."""
@@ -196,7 +202,15 @@ class PotentialSpec:
         n = b.size - 1
         colleague = (np.eye(n, k=1) + np.eye(n, k=-1)) / 2.0
         colleague[-1:] -= b[:-1] / (2.0 * b[-1])
-        c = np.linalg.eigvals(colleague).real
+        # LAPACK dgeev from the module the banded solver comes from, so
+        # that numpy's own LAPACK is not started for one small matrix; it
+        # refuses a 0 x 0 one, which has no roots to give
+        c = np.empty(0)
+        if n:
+            c, _, _, _, info = _lapack.dgeev(colleague, compute_vl=0, compute_vr=0)
+            if info != 0:
+                raise ConvergenceFailure(
+                    f"potential minimum eigensolver failed (LAPACK dgeev info={info})")
         xs = [0.0, math.pi, *np.arccos(c[np.abs(c) <= 1.0]).tolist()]
         object.__setattr__(self, "_min_value", min(self.value(x) for x in xs))
         return self._min_value

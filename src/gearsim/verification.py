@@ -247,7 +247,7 @@ def check_11_oracle_equivalence() -> CriterionResult:
         state = run_protocol(geom, proto)
         ts = time_series(state, times)
         kin = oracle_run(CONFIG_22, proto, times, cutoff=24)
-        window, C = _amplitudes(state, times)
+        window, _, C = _amplitudes(state, times)
         _, m2 = window.momentum_pairs()
         column = {m: j for j, m in enumerate(m2.tolist())}
         P = np.abs(C) ** 2

@@ -6,8 +6,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from gearsim import classical, cli
+from gearsim import _ckernel, classical, cli
 from gearsim.classical import (
     ClassicalState,
     classical_kick,
@@ -179,19 +181,31 @@ def _walk_cases():
     ]
 
 
+def _count_steps(monkeypatch) -> list[int]:
+    """The step count of every RK4 call the classical limit makes from now
+    on, compiled kernel or Python loop, in order."""
+    steps = []
+    stepper = classical._stepper
+
+    def counted_stepper(geom):
+        step = stepper(geom)
+
+        def counted(th, l, dt, n_steps):
+            steps.append(n_steps)
+            return step(th, l, dt, n_steps)
+
+        return counted
+
+    monkeypatch.setattr(classical, "_stepper", counted_stepper)
+    return steps
+
+
 @pytest.mark.parametrize("chunk_steps", [classical._CHUNK_STEPS, 300])
 def test_block_walk_is_bit_identical(monkeypatch, chunk_steps):
     """Stopping at the first block in which the event fires gives exactly
     the floats of scanning whole chunks, for any block size."""
     monkeypatch.setattr(classical, "_CHUNK_STEPS", chunk_steps)
-    rk4_steps = []
-    rk4 = classical._rk4
-
-    def counted(geom, th, l, dt, n_steps):
-        rk4_steps.append(n_steps)
-        return rk4(geom, th, l, dt, n_steps)
-
-    monkeypatch.setattr(classical, "_rk4", counted)
+    rk4_steps = _count_steps(monkeypatch)
     cases = [(derive_geometry(cfg), proto) for cfg, proto in _walk_cases()]
     results = {}
     for block in (1, 7, classical._BLOCK_STEPS, chunk_steps):
@@ -268,20 +282,62 @@ def test_rk4_matches_the_closure_loop_bit_for_bit(config, th, l, n_steps):
         assert np.array_equal(np.signbit(g), np.signbit(w))
 
 
+_HARMONICS = st.lists(
+    st.tuples(st.integers(1, 8), st.floats(-1.0, 1.0).filter(lambda a: a != 0.0)),
+    max_size=3, unique_by=lambda term: term[0])
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(n=st.tuples(st.integers(1, 5), st.integers(1, 5)),
+       inertia=st.tuples(st.floats(0.1, 10.0), st.floats(0.1, 10.0)),
+       V0=st.one_of(st.just(0.0), st.floats(0.0, 60.0)),
+       harmonics=_HARMONICS,
+       th=st.one_of(st.floats(-10.0, 10.0), st.floats(-1e9, 1e9)),
+       l=st.floats(-60.0, 60.0),
+       dt_scale=st.floats(0.1, 100.0),
+       n_steps=st.integers(1, 400))
+@example(n=(2, 3), inertia=(1.0, 1.0), V0=0.0, harmonics=[(1, 0.5)], th=0.0, l=3.0,
+         dt_scale=1.0, n_steps=1)
+@example(n=(3, 2), inertia=(0.7, 1.3), V0=7.5, harmonics=[(1, .3), (2, .2), (3, .1)],
+         th=-0.0, l=-0.0, dt_scale=1.0, n_steps=1)
+@example(n=(5, 4), inertia=(2.0, 0.3), V0=60.0, harmonics=[(8, 0.9), (1, -0.4)],
+         th=-7.5e8, l=-60.0, dt_scale=30.0, n_steps=400)
+@example(n=(1, 1), inertia=(1.0, 1.0), V0=25.0, harmonics=[], th=2.0, l=-5.0,
+         dt_scale=1.0, n_steps=50)
+def test_compiled_kernel_matches_the_closure_loop_bit_for_bit(
+        n, inertia, V0, harmonics, th, l, dt_scale, n_steps):
+    """The C kernel gives exactly the closure loop's floats, signs of zero
+    included, for 0 to 3 harmonics, V0 = 0, single steps and large |theta|.
+
+    The bits depend on libm's `sin` (the kernel calls the one `math.sin`
+    calls) and on the kernel being compiled without FMA contraction or fast
+    math (`_ckernel`'s -ffp-contract=off), as tests/test_golden.py's bytes
+    depend on the BLAS build.  With another libm, or a compiler that fuses
+    multiply-adds regardless, this test is where the difference shows."""
+    if _ckernel.rk4() is None:
+        pytest.skip("no C compiler: the classical limit runs the Python loop")
+    curvature = sum(p * p * a for p, a in harmonics)
+    if curvature < 0:  # keep x = 0 a well, as derive_geometry requires
+        harmonics = [(p, -a) for p, a in harmonics]
+    geom = derive_geometry(GearConfig(*n, *inertia, V0=V0,
+                                      potential=PotentialSpec(((0, 0.5), *harmonics))))
+    dt = dt_scale * 1e-3 * 2.0 * math.pi / max(geom.omega0, geom.omega0_harmonic, 1.0)
+    got = classical._stepper(geom)(th, l, dt, n_steps)
+    want = _rk4_reference(geom, th, l, dt, n_steps)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.shape == w.shape == (n_steps + 1,)
+        assert np.array_equal(g, w, equal_nan=True)
+        assert np.array_equal(np.signbit(g), np.signbit(w))
+
+
 def test_event_search_stops_within_a_block_of_the_event(monkeypatch, tmp_path):
-    """`gearsim classical` on configs/classical_22.json: 128-step blocks
-    integrate 16,384 RK4 steps over its 12 points, where 1024-step blocks
-    integrated 20,480."""
-    steps = []
-    rk4 = classical._rk4
-
-    def counted(geom, th, l, dt, n_steps):
-        steps.append(n_steps)
-        return rk4(geom, th, l, dt, n_steps)
-
-    monkeypatch.setattr(classical, "_rk4", counted)
+    """`gearsim classical` on configs/classical_22.json: 512-step blocks
+    integrate 17,920 RK4 steps over its 12 points, where 128-step blocks
+    integrated 16,384 and 1024-step blocks 20,480."""
+    steps = _count_steps(monkeypatch)
     config = Path(__file__).resolve().parents[1] / "configs" / "classical_22.json"
     assert len(json.loads(config.read_text())["sweep"]["ell"]) == 12
     assert cli.main(["classical", "--config", str(config),
                      "--out", str(tmp_path)]) == 0
-    assert sum(steps) <= 16_384
+    assert classical._BLOCK_STEPS == 512
+    assert sum(steps) == 17_920

@@ -7,7 +7,9 @@ files; so no scipy package (`scipy.linalg`, `scipy.sparse`,
 loads LAPACK alone; the classical limit loads the root finder and the
 quadrature when it first calls them.  Only `verify` needs the acceptance
 checks, and imports them where it uses them, so the other subcommands do
-not pay for them at start-up.
+not pay for them at start-up.  Neither do `subprocess`, which only a build
+of the compiled RK4 kernel imports, nor `hashlib`, whose OpenSSL would add
+to every run's memory.
 """
 
 import os
@@ -19,7 +21,7 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
 
 DEFERRED = ("scipy.integrate", "scipy.optimize", "scipy.linalg", "scipy.sparse",
-            "gearsim.verification")
+            "gearsim.verification", "subprocess", "hashlib")
 
 
 def _probe(code: str) -> str:

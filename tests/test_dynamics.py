@@ -246,7 +246,8 @@ SMALL_SECOND = PotentialSpec(((0, 0.5), (1, 0.4), (2, 0.1)))
 def test_kernel_is_the_per_time_propagator(config, protocol):
     state = run_protocol(derive_geometry(config), protocol)
     times = np.array([0.0, 0.3, 1.7, 4.0, 12.5, 60.0])
-    window, C = dynamics._amplitudes(state, times)
+    window, checked, C = dynamics._amplitudes(state, times)
+    assert np.array_equal(checked, times)
     assert C.shape == (len(times), window.grid.size)
     es = relative.eigensystem_for(window.geom, window.grid)
     a = es.vectors.T @ window.amplitudes

@@ -177,10 +177,10 @@ def test_time_series_rejects_a_sample_that_is_no_distribution(
     kernel = module._amplitudes
 
     def broken(state, times):
-        window, C = kernel(state, times)
+        window, times, C = kernel(state, times)
         C[-1] = 0.0
         C[-1, 0] = value
-        return window, C
+        return window, times, C
 
     monkeypatch.setattr(module, "_amplitudes", broken)
     with np.errstate(invalid="ignore"), \

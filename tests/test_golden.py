@@ -19,6 +19,7 @@ import pathlib
 
 import pytest
 
+from gearsim import _ckernel
 from gearsim.cli import main
 
 CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
@@ -59,3 +60,13 @@ def test_every_golden_entry_has_a_config():
 def test_verify_stdout_matches_golden_bytes(capsys):
     assert main(["verify"]) == 0
     assert _sha256(capsys.readouterr().out.encode()) == VERIFY
+
+
+def test_classical_csv_is_the_same_on_the_python_loop(tmp_path, no_compiler):
+    """Where the RK4 kernel cannot be built, the Python loop writes the same
+    classical CSV bytes as the compiled kernel."""
+    config = CONFIGS / "classical_22.json"
+    assert main(["classical", "--config", str(config), "--out", str(tmp_path)]) == 0
+    assert _ckernel.rk4() is None
+    got = _sha256((tmp_path / "classical.csv").read_bytes())
+    assert got == GOLDEN["classical_22.json/classical.csv"]

@@ -1,7 +1,7 @@
 """The compiled scipy entry points `gearsim._lapack` loads, pinned against the
 public scipy functions they stand in for.
 
-`dsbevd`, `dsyevr`, `_brentq` and `_qagse` are private to scipy and called
+`dsbevd`, `dsyevr`, `dgeev`, `_brentq` and `_qagse` are private to scipy and called
 positionally or with the keywords the public wrappers use; their signatures
 can change between scipy versions.  These
 tests are where such a change shows: each compares the library's call with
@@ -19,6 +19,7 @@ from scipy.optimize import brentq
 
 from gearsim import _lapack, classical, oracle, relative
 from gearsim.errors import ConvergenceFailure
+from gearsim.model import PotentialSpec
 
 
 def test_entry_points_are_the_functions_scipy_itself_calls():
@@ -28,6 +29,7 @@ def test_entry_points_are_the_functions_scipy_itself_calls():
     assert _lapack.dsbevd is scipy.linalg.get_lapack_funcs(("sbevd",), (band,))[0]
     assert (_lapack.dsyevr, _lapack.dsyevr_lwork) == tuple(
         scipy.linalg.get_lapack_funcs(("syevr", "syevr_lwork"), (band,)))
+    assert _lapack.dgeev is scipy.linalg.get_lapack_funcs(("geev",), (band,))[0]
     assert _lapack.load_extension("optimize/_zeros") is _zeros
     assert _lapack.load_extension("integrate/_quadpack") is _quadpack
 
@@ -97,6 +99,35 @@ def test_dsyevr_info_is_checked(monkeypatch):
     monkeypatch.setattr(oracle, "dsyevr", failing)
     with pytest.raises(ConvergenceFailure, match="info=5"):
         oracle._eigh(np.eye(3))
+
+
+def test_dgeev_equals_numpy_eigvals_bit_for_bit():
+    """`PotentialSpec.min_value`'s eigensolver against np.linalg.eigvals,
+    which runs dgeev from numpy's own LAPACK, on random dense matrices and on
+    colleague matrices like the ones `min_value` builds.  The match is
+    exact, real and imaginary parts alike, in the same order."""
+    rng = np.random.default_rng(23)
+    for _ in range(1000):
+        n = int(rng.integers(1, 33))
+        if rng.random() < 0.5:
+            a = rng.standard_normal((n, n))
+        else:
+            a = (np.eye(n, k=1) + np.eye(n, k=-1)) / 2.0
+            a[-1:] -= rng.standard_normal(n)
+        wr, wi, _, _, info = _lapack.dgeev(a, compute_vl=0, compute_vr=0)
+        want = np.linalg.eigvals(a)
+        assert info == 0
+        assert np.array_equal(wr, want.real) and np.array_equal(wi, want.imag), n
+
+
+def test_dgeev_info_is_checked(monkeypatch):
+    def failing(a, **kwargs):
+        n = a.shape[0]
+        return np.zeros(n), np.zeros(n), np.zeros((1, n)), np.zeros((1, n)), 2
+
+    monkeypatch.setattr(_lapack, "dgeev", failing)
+    with pytest.raises(ConvergenceFailure, match="info=2"):
+        PotentialSpec(((0, 0.4), (1, 0.3), (2, 0.2), (3, 0.1))).min_value()
 
 
 def test_root_equals_brentq_bit_for_bit():

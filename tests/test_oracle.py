@@ -243,7 +243,7 @@ def test_pipeline_matches_oracle(n, inertia, V0, profile, train):
                             target_gear=gear)
     times = np.array([0.0, 0.9, 2.5, 7.0])
     state = run_protocol(derive_geometry(config), protocol)
-    window, C = dynamics._amplitudes(state, times)
+    window, _, C = dynamics._amplitudes(state, times)
     m1, m2 = window.momentum_pairs()
     P = np.abs(C) ** 2
     seen = P.max(axis=0) > 1e-16
