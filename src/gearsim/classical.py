@@ -9,15 +9,18 @@ period in either case, with event times refined by cubic Hermite
 interpolation so the O(dt^4) integrator accuracy survives into the average.
 
 The RK4 steps run in a C kernel (`_rk4.c`, built on first use by
-`_ckernel`) that evaluates the Python loop `_rk4`'s expressions in the same
-order, so it gives the same floats; where the kernel cannot be built, `_rk4`
-itself runs.  Either way the integration stops at the first block of
-_BLOCK_STEPS steps in which the event fires.
+`_ckernel`) that evaluates the Python loops' expressions in the same order,
+so it gives the same floats; where the kernel cannot be built, the loops
+`_rk4` and `_rk4_until` themselves run.  An event search (an L_r sign
+change, or theta_r reaching a target) steps inside the kernel until the
+step that fires it and refines the event time from that step's two
+samples, so the integration stops at the event.
 """
 
 from __future__ import annotations
 
 import ctypes
+import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -43,16 +46,12 @@ __all__ = [
 
 # fraction of the natural period used as the integrator step
 _DT_FRACTION = 1e-3
-# event searches integrate at most _MAX_CHUNKS chunks of _CHUNK_STEPS steps,
-# looking for the event after every _BLOCK_STEPS steps: on average a search
-# runs half a block past its event.  With the compiled kernel a step costs
-# about 0.1 us and the Python side of a block (the call, the time grid and
-# the event check) about 13 us (2-vCPU x86-64): on single-kick ell sweeps
-# of a 2:2 and a 3:2 pair, 512-step blocks took 11.7 ms where 128 took
-# 16.6, 256 took 13.5, 1024 took 11.3 and 2048 took 12.7
+# event searches integrate at most _MAX_CHUNKS chunks of _CHUNK_STEPS steps
 _CHUNK_STEPS = 20000
 _MAX_CHUNKS = 200
-_BLOCK_STEPS = 512
+# the events of _rk4_until and gearsim_rk4_until: L_r changes sign, or
+# theta_r reaches a target
+_TURNING, _CROSSING = 0, 1
 # scipy.optimize.brentq's defaults for rtol and maxiter
 _BRENT_RTOL = 4 * np.finfo(float).eps
 _BRENT_MAXITER = 100
@@ -113,21 +112,18 @@ def _step_grid(t_final: float, dt: float) -> tuple[int, float]:
     return n_steps, t_final / n_steps
 
 
-def _rk4(geom: DerivedGeometry, th: float, l: float, dt: float,
-         n_steps: int) -> tuple[np.ndarray, np.ndarray]:
-    """n_steps RK4 steps of size dt from (th, l): the (theta, L) samples,
-    starting point included.  Each stage sums the force n V0 u'(x) inline,
-    in the order of PotentialSpec.derivative.  `_rk4.c` evaluates the same
-    expressions in the same order; this loop runs where it cannot be
-    built."""
+def _rk4_steps(geom: DerivedGeometry, th: float, l: float, dt: float):
+    """Endless RK4 steps of size dt from (th, l), yielding each new
+    (theta, L).  Each stage sums the force n V0 u'(x) inline, in the order
+    of PotentialSpec.derivative.  `_rk4.c` evaluates the same expressions in
+    the same order; this loop runs where it cannot be built."""
     I_r = geom.I_r
     n = geom.n
     nV0 = n * geom.config.V0
     terms = tuple((p, p * a) for p, a in geom.config.potential.harmonics())
     sin = math.sin
     half = 0.5 * dt  # th + 0.5 * dt * k already groups as th + (0.5 * dt) * k
-    theta, L = [th], [l]
-    for _ in range(n_steps):
+    while True:
         x, du = n * th, 0.0
         for p, pa in terms:
             du -= pa * sin(p * x)
@@ -149,31 +145,85 @@ def _rk4(geom: DerivedGeometry, th: float, l: float, dt: float,
         k4t, k4l = l4 / I_r, nV0 * du
         th += dt * (k1t + 2 * k2t + 2 * k3t + k4t) / 6.0
         l += dt * (k1l + 2 * k2l + 2 * k3l + k4l) / 6.0
+        yield th, l
+
+
+def _rk4(geom: DerivedGeometry, th: float, l: float, dt: float,
+         n_steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """n_steps RK4 steps of size dt from (th, l): the (theta, L) samples,
+    starting point included."""
+    theta, L = [th], [l]
+    for th, l in itertools.islice(_rk4_steps(geom, th, l, dt), n_steps):
         theta.append(th)
         L.append(l)
     return np.array(theta), np.array(L)
 
 
-def _stepper(geom: DerivedGeometry):
-    """`_rk4` for this geometry, as (th, l, dt, n_steps) -> (theta, L): the
-    compiled kernel (`_ckernel`) with the force's terms converted once, or
-    the Python loop when the kernel cannot be built.  Both give the same
-    floats."""
-    kernel = _ckernel.rk4()
-    if kernel is None:
-        return lambda th, l, dt, n_steps: _rk4(geom, th, l, dt, n_steps)
+def _rk4_until(geom: DerivedGeometry, th: float, l: float, dt: float,
+               n_steps: int, mode: int, target: float, direction: float):
+    """RK4 steps from (th, l) until the newest pair of samples fires the
+    event: (index of that step, or 0 if none of n_steps does, and the
+    samples theta0, L0, theta1, L1 before and after the last step taken;
+    the start twice if none was).  _TURNING fires when L changes sign, as
+    numpy's sign(L[i+1]) * sign(L[i]) < 0, so a zero or NaN never fires;
+    _CROSSING fires when (theta - target) * direction >= 0."""
+    t0, l0 = t1, l1 = th, l
+    for i, (th, l) in enumerate(itertools.islice(_rk4_steps(geom, th, l, dt), n_steps), 1):
+        t0, l0, t1, l1 = t1, l1, th, l
+        if (((l0 > 0 and l1 < 0) or (l0 < 0 and l1 > 0)) if mode == _TURNING
+                else (t1 - target) * direction >= 0):
+            return i, t0, l0, t1, l1
+    return 0, t0, l0, t1, l1
+
+
+def _kernel_args(geom: DerivedGeometry):
+    """The compiled kernel (`_ckernel`) and the arguments (n, I_r, nV0, k,
+    p, pa) its functions take for this geometry, the force's terms
+    converted once; None where the kernel cannot be built."""
+    lib = _ckernel.library()
+    if lib is None:
+        return None
     harmonics = geom.config.potential.harmonics()
     terms = ctypes.c_double * len(harmonics)
-    args = (geom.n, geom.I_r, geom.n * geom.config.V0, len(harmonics),
-            terms(*(p for p, _ in harmonics)), terms(*(p * a for p, a in harmonics)))
+    return lib, (geom.n, geom.I_r, geom.n * geom.config.V0, len(harmonics),
+                 terms(*(p for p, _ in harmonics)), terms(*(p * a for p, a in harmonics)))
+
+
+def _stepper(geom: DerivedGeometry):
+    """`_rk4` for this geometry, as (th, l, dt, n_steps) -> (theta, L): the
+    compiled kernel or the Python loop, with the same floats."""
+    compiled = _kernel_args(geom)
+    if compiled is None:
+        return lambda th, l, dt, n_steps: _rk4(geom, th, l, dt, n_steps)
+    lib, args = compiled
+    rk4 = lib.gearsim_rk4
 
     def step(th: float, l: float, dt: float, n_steps: int):
         out = np.empty((2, n_steps + 1))
         theta = out.ctypes.data
-        kernel(*args, th, l, dt, n_steps, theta, theta + out.strides[0])
+        rk4(*args, th, l, dt, n_steps, theta, theta + out.strides[0])
         return out[0], out[1]
 
     return step
+
+
+def _searcher(geom: DerivedGeometry):
+    """`_rk4_until` for this geometry, as (th, l, dt, n_steps, mode, target,
+    direction) -> (step, theta0, L0, theta1, L1): the compiled kernel or the
+    Python loop, with the same floats."""
+    compiled = _kernel_args(geom)
+    if compiled is None:
+        return lambda *run: _rk4_until(geom, *run)
+    lib, args = compiled
+    until = lib.gearsim_rk4_until
+    bracket = (ctypes.c_double * 4)()
+
+    def search(th: float, l: float, dt: float, n_steps: int, mode: int,
+               target: float, direction: float):
+        return (until(*args, th, l, dt, n_steps, mode, target, direction, bracket),
+                *bracket)
+
+    return search
 
 
 def simulate_relative(
@@ -237,30 +287,33 @@ def _root(f, b: float) -> float:
         raise ConvergenceFailure(f"classical event root search failed: {exc}") from exc
 
 
-def _simulate_until(geom: DerivedGeometry, state: ClassicalState, event,
-                    dt: float) -> float:
-    """Integrate until `event(traj)` returns a refined event time; return it.
+def _simulate_until(geom: DerivedGeometry, state: ClassicalState, dt: float,
+                    event, mode: int, target: float = 0.0,
+                    direction: float = 0.0) -> float:
+    """Integrate until `event` returns a refined event time; return it.
 
     The run is cut into chunks of _CHUNK_STEPS steps, each on its own time
-    grid, and every chunk is walked in blocks of _BLOCK_STEPS steps, so the
-    integration stops at the first block in which the event fires, on
-    average half a block past the event.  A block starts on the last sample
-    of the one before it: `event` sees every pair of neighbouring samples
-    once, in order, so the result does not depend on the block size.
+    grid t0 + h k.  Inside a chunk, `_searcher` steps from the last sample
+    until a step fires `mode`'s event (see `_rk4_until`), and `event` gets
+    that step's bracket (t0, theta0, L0, t1, theta1, L1).  If it returns
+    None the search goes on from the bracket's newer sample, so `event`
+    sees every firing pair of neighbouring samples once, in order, and the
+    integration stops at the step of the event it accepts.
     """
     n_steps, h = _step_grid(_CHUNK_STEPS * dt, dt)
-    step = _stepper(geom)
+    search = _searcher(geom)
     t0, th, l = state.time, state.theta_r, state.L_r
     for _ in range(_MAX_CHUNKS):
-        for start in range(0, n_steps, _BLOCK_STEPS):
-            stop = min(start + _BLOCK_STEPS, n_steps)
-            theta, L = step(th, l, h, stop - start)
-            times = t0 + h * np.arange(start, stop + 1)
-            hit = event(Trajectory(geom, times, theta, L, state.L_c))
+        k = 0
+        while k < n_steps:
+            fired, th0, l0, th, l = search(th, l, h, n_steps - k, mode, target, direction)
+            if not fired:
+                break
+            k += fired
+            hit = event(t0 + h * float(k - 1), th0, l0, t0 + h * float(k), th, l)
             if hit is not None:
                 return hit
-            th, l = float(theta[-1]), float(L[-1])
-        t0 = float(times[-1])
+        t0 += h * float(n_steps)
     raise ConvergenceFailure("classical event not found within time budget")
 
 
@@ -289,21 +342,15 @@ def mean_relative_momentum(geom: DerivedGeometry, state: ClassicalState) -> floa
         direction = 1.0 if state.L_r > 0 else -1.0
         target = state.theta_r + direction * span
 
-        def crossed(traj: Trajectory):
-            th, times = traj.theta, traj.times
-            past = (th - target) * direction >= 0
-            idx = np.flatnonzero(past)
-            if idx.size == 0:
-                return None
-            i = int(idx[0])
-            if i == 0:
-                return float(times[0])
-            h = float(times[i] - times[i - 1])
-            f = _hermite(float(th[i - 1] - target), float(traj.L[i - 1] / geom.I_r),
-                         float(th[i] - target), float(traj.L[i] / geom.I_r), h)
-            return float(times[i - 1]) + _root(f, h)
+        def crossed(t0, th0, L0, t1, th1, L1):
+            h = t1 - t0
+            f = _hermite(th0 - target, L0 / geom.I_r, th1 - target, L1 / geom.I_r, h)
+            return t0 + _root(f, h)
 
-        t_cross = _simulate_until(geom, state, crossed, dt)
+        if (state.theta_r - target) * direction >= 0:
+            t_cross = state.time  # the start is already past the target
+        else:
+            t_cross = _simulate_until(geom, state, dt, crossed, _CROSSING, target, direction)
         period = t_cross - state.time
         return geom.I_r * direction * span / period
 
@@ -311,30 +358,21 @@ def mean_relative_momentum(geom: DerivedGeometry, state: ClassicalState) -> floa
     turnings: list[tuple[float, float]] = []  # (time, theta at turning)
     tiny = 1e-13 * (abs(state.L_r) + math.sqrt(2.0 * geom.I_r * scale))
 
-    def third_turning(traj: Trajectory):
-        th, L, times = traj.theta, traj.L, traj.times
-        sign_change = np.flatnonzero(np.sign(L[1:]) * np.sign(L[:-1]) < 0)
-        for i in sign_change:
-            i = int(i)
-            h = float(times[i + 1] - times[i])
-            fL = _hermite(float(L[i]), float(geom.n * cfg.V0
-                          * cfg.potential.derivative(geom.n * th[i])),
-                          float(L[i + 1]), float(geom.n * cfg.V0
-                          * cfg.potential.derivative(geom.n * th[i + 1])), h)
-            s = _root(fL, h)
-            t_turn = float(times[i]) + s
-            if turnings and t_turn <= turnings[-1][0] + 10 * dt:
-                continue
-            fth = _hermite(float(th[i]), float(L[i] / geom.I_r),
-                           float(th[i + 1]), float(L[i + 1] / geom.I_r), h)
-            turnings.append((t_turn, fth(s)))
-            if len(turnings) == 3:
-                return t_turn
-        return None
+    def third_turning(t0, th0, L0, t1, th1, L1):
+        h = t1 - t0
+        fL = _hermite(L0, geom.n * cfg.V0 * cfg.potential.derivative(geom.n * th0),
+                      L1, geom.n * cfg.V0 * cfg.potential.derivative(geom.n * th1), h)
+        s = _root(fL, h)
+        t_turn = t0 + s
+        if turnings and t_turn <= turnings[-1][0] + 10 * dt:
+            return None
+        fth = _hermite(th0, L0 / geom.I_r, th1, L1 / geom.I_r, h)
+        turnings.append((t_turn, fth(s)))
+        return t_turn if len(turnings) == 3 else None
 
     if abs(state.L_r) < tiny and abs(cfg.potential.derivative(geom.n * state.theta_r)) < 1e-15:
         return 0.0  # resting at an equilibrium point
-    _simulate_until(geom, state, third_turning, dt)
+    _simulate_until(geom, state, dt, third_turning, _TURNING)
     (t1, th1), _, (t3, th3) = turnings[:3]
     return geom.I_r * (th3 - th1) / (t3 - t1)
 

@@ -28,13 +28,13 @@ def geom42(cfg42):
 def no_compiler(monkeypatch, tmp_path):
     """The classical limit as it runs where no C compiler is found: PATH
     holds only an empty directory and the kernel builds into a fresh one,
-    so `_ckernel.rk4` tries a build, fails and leaves the Python loop.
+    so `_ckernel.library` tries a build, fails and leaves the Python loop.
     Yields the build directory."""
     build = tmp_path / "build"
     empty = tmp_path / "empty"
     empty.mkdir()
     monkeypatch.setenv("PATH", str(empty))
     monkeypatch.setattr(_ckernel, "_BUILD_DIR", str(build))
-    _ckernel.rk4.cache_clear()
+    _ckernel.library.cache_clear()
     yield build
-    _ckernel.rk4.cache_clear()
+    _ckernel.library.cache_clear()

@@ -182,10 +182,11 @@ def _walk_cases():
 
 
 def _count_steps(monkeypatch) -> list[int]:
-    """The step count of every RK4 call the classical limit makes from now
-    on, compiled kernel or Python loop, in order."""
+    """The number of RK4 steps of every integration the classical limit
+    makes from now on, fixed runs and event searches, compiled kernel or
+    Python loop, in order."""
     steps = []
-    stepper = classical._stepper
+    stepper, searcher = classical._stepper, classical._searcher
 
     def counted_stepper(geom):
         step = stepper(geom)
@@ -196,31 +197,147 @@ def _count_steps(monkeypatch) -> list[int]:
 
         return counted
 
+    def counted_searcher(geom):
+        search = searcher(geom)
+
+        def counted(th, l, dt, n_steps, *event):
+            found = search(th, l, dt, n_steps, *event)
+            steps.append(found[0] or n_steps)
+            return found
+
+        return counted
+
     monkeypatch.setattr(classical, "_stepper", counted_stepper)
+    monkeypatch.setattr(classical, "_searcher", counted_searcher)
     return steps
 
 
-@pytest.mark.parametrize("chunk_steps", [classical._CHUNK_STEPS, 300])
-def test_block_walk_is_bit_identical(monkeypatch, chunk_steps):
-    """Stopping at the first block in which the event fires gives exactly
-    the floats of scanning whole chunks, for any block size."""
+def _whole_chunk_mean_relative_momentum(geom, state):
+    """`mean_relative_momentum` as it was before the event search moved
+    into the kernel: `_rk4` over each whole chunk of _CHUNK_STEPS steps,
+    then numpy scans of the chunk for the event.  The reference the event
+    search must match float for float."""
+    cfg = geom.config
+    dt = classical._default_dt(geom, math.inf)
+    if math.isinf(dt):
+        return state.L_r
+    E = classical._energy(geom, state.theta_r, state.L_r)
+    scale = cfg.V0 + abs(E) + 1.0
+    if abs(E - classical._potential_ceiling(geom)) < 1e-9 * scale:
+        raise ConvergenceFailure("energy indistinguishable from the separatrix")
+    hermite, root = classical._hermite, classical._root
+
+    def simulate_until(event):
+        n_steps, h = classical._step_grid(classical._CHUNK_STEPS * dt, dt)
+        t0, th, l = state.time, state.theta_r, state.L_r
+        for _ in range(classical._MAX_CHUNKS):
+            theta, L = classical._rk4(geom, th, l, h, n_steps)
+            times = t0 + h * np.arange(n_steps + 1)
+            hit = event(times, theta, L)
+            if hit is not None:
+                return hit
+            t0, th, l = float(times[-1]), float(theta[-1]), float(L[-1])
+        raise ConvergenceFailure("classical event not found within time budget")
+
+    if E > classical._potential_ceiling(geom):
+        span = 2.0 * math.pi / geom.n
+        direction = 1.0 if state.L_r > 0 else -1.0
+        target = state.theta_r + direction * span
+
+        def crossed(times, th, L):
+            idx = np.flatnonzero((th - target) * direction >= 0)
+            if idx.size == 0:
+                return None
+            i = int(idx[0])
+            if i == 0:
+                return float(times[0])
+            h = float(times[i] - times[i - 1])
+            f = hermite(float(th[i - 1] - target), float(L[i - 1] / geom.I_r),
+                        float(th[i] - target), float(L[i] / geom.I_r), h)
+            return float(times[i - 1]) + root(f, h)
+
+        return geom.I_r * direction * span / (simulate_until(crossed) - state.time)
+
+    turnings = []
+    tiny = 1e-13 * (abs(state.L_r) + math.sqrt(2.0 * geom.I_r * scale))
+
+    def third_turning(times, th, L):
+        for i in np.flatnonzero(np.sign(L[1:]) * np.sign(L[:-1]) < 0):
+            i = int(i)
+            h = float(times[i + 1] - times[i])
+            fL = hermite(float(L[i]), float(geom.n * cfg.V0
+                         * cfg.potential.derivative(geom.n * th[i])),
+                         float(L[i + 1]), float(geom.n * cfg.V0
+                         * cfg.potential.derivative(geom.n * th[i + 1])), h)
+            s = root(fL, h)
+            t_turn = float(times[i]) + s
+            if turnings and t_turn <= turnings[-1][0] + 10 * dt:
+                continue
+            fth = hermite(float(th[i]), float(L[i] / geom.I_r),
+                          float(th[i + 1]), float(L[i + 1] / geom.I_r), h)
+            turnings.append((t_turn, fth(s)))
+            if len(turnings) == 3:
+                return t_turn
+        return None
+
+    if abs(state.L_r) < tiny and abs(cfg.potential.derivative(geom.n * state.theta_r)) < 1e-15:
+        return 0.0
+    simulate_until(third_turning)
+    (t1, th1), _, (t3, th3) = turnings[:3]
+    return geom.I_r * (th3 - th1) / (t3 - t1)
+
+
+def _on_path(request, path):
+    """Run the test on the compiled kernel or, with `no_compiler`, on the
+    Python loops."""
+    if path == "python":
+        request.getfixturevalue("no_compiler")
+    elif _ckernel.library() is None:
+        pytest.skip("no C compiler: the classical limit runs the Python loops")
+
+
+@pytest.mark.parametrize("path", ["compiled", "python"])
+@pytest.mark.parametrize("chunk_steps", [classical._CHUNK_STEPS, 300, 37])
+def test_event_search_matches_the_whole_chunk_scan(request, monkeypatch, chunk_steps, path):
+    """Stopping at the step that fires the event gives exactly the floats of
+    scanning whole chunks, for any chunk size, on either path.  A step is a
+    thousandth of the well period and an interlocked search spans about a
+    period, so at 300 and 37 steps every search crosses chunk boundaries."""
+    _on_path(request, path)
     monkeypatch.setattr(classical, "_CHUNK_STEPS", chunk_steps)
-    rk4_steps = _count_steps(monkeypatch)
     cases = [(derive_geometry(cfg), proto) for cfg, proto in _walk_cases()]
-    results = {}
-    for block in (1, 7, classical._BLOCK_STEPS, chunk_steps):
-        monkeypatch.setattr(classical, "_BLOCK_STEPS", block)
-        rk4_steps.clear()
-        results[block] = [classical_transmission(geom, proto) for geom, proto in cases]
-    for block in results:
-        assert results[block] == results[chunk_steps]
-    assert [res.above_threshold for res in results[1]] == \
+    got = [classical_transmission(geom, proto) for geom, proto in cases]
+    monkeypatch.setattr(classical, "mean_relative_momentum",
+                        _whole_chunk_mean_relative_momentum)
+    want = [classical_transmission(geom, proto) for geom, proto in cases]
+    assert got == want
+    assert [res.above_threshold for res in got] == \
         [False, True, True, False, True, False, False, True, False, False]
-    if chunk_steps == 300:
-        # one event search per case, each a whole chunk per call when the
-        # block is the chunk: more calls than cases means events past a
-        # chunk boundary were reached
-        assert rk4_steps.count(300) > len(cases)
+
+
+@pytest.mark.parametrize("path", ["compiled", "python"])
+def test_a_nan_start_exhausts_the_time_budget(request, monkeypatch, geom22, path):
+    """NaN never fires an event, so the search runs every chunk and fails."""
+    _on_path(request, path)
+    monkeypatch.setattr(classical, "_CHUNK_STEPS", 37)
+    steps = _count_steps(monkeypatch)
+    with pytest.raises(ConvergenceFailure, match="^classical event not found within time budget$"):
+        mean_relative_momentum(geom22, ClassicalState(0.0, math.nan))
+    assert steps == [37] * classical._MAX_CHUNKS
+
+
+def test_a_start_already_past_its_target_takes_no_step(monkeypatch, geom22):
+    """Far out, theta_r + 2 pi / n rounds back to theta_r, so a drifting
+    start is already past its own target: the crossing time is the start
+    time, as the whole-chunk scan's start sample gave, and the zero period
+    divides by zero in both."""
+    state = ClassicalState(1e17, 20.0)
+    with pytest.raises(ZeroDivisionError):
+        _whole_chunk_mean_relative_momentum(geom22, state)
+    steps = _count_steps(monkeypatch)
+    with pytest.raises(ZeroDivisionError):
+        mean_relative_momentum(geom22, state)
+    assert steps == []
 
 
 def _rk4_reference(geom, th, l, dt, n_steps):
@@ -282,6 +399,18 @@ def test_rk4_matches_the_closure_loop_bit_for_bit(config, th, l, n_steps):
         assert np.array_equal(np.signbit(g), np.signbit(w))
 
 
+def _random_geometry(n, inertia, V0, harmonics, dt_scale):
+    """The pair with u = 0.5 + the harmonics, sign-flipped if need be to keep
+    x = 0 a well, as derive_geometry requires, and a step of dt_scale
+    thousandths of its period."""
+    curvature = sum(p * p * a for p, a in harmonics)
+    if curvature < 0:
+        harmonics = [(p, -a) for p, a in harmonics]
+    geom = derive_geometry(GearConfig(*n, *inertia, V0=V0,
+                                      potential=PotentialSpec(((0, 0.5), *harmonics))))
+    return geom, dt_scale * 1e-3 * 2.0 * math.pi / max(geom.omega0, geom.omega0_harmonic, 1.0)
+
+
 _HARMONICS = st.lists(
     st.tuples(st.integers(1, 8), st.floats(-1.0, 1.0).filter(lambda a: a != 0.0)),
     max_size=3, unique_by=lambda term: term[0])
@@ -314,14 +443,9 @@ def test_compiled_kernel_matches_the_closure_loop_bit_for_bit(
     math (`_ckernel`'s -ffp-contract=off), as tests/test_golden.py's bytes
     depend on the BLAS build.  With another libm, or a compiler that fuses
     multiply-adds regardless, this test is where the difference shows."""
-    if _ckernel.rk4() is None:
+    if _ckernel.library() is None:
         pytest.skip("no C compiler: the classical limit runs the Python loop")
-    curvature = sum(p * p * a for p, a in harmonics)
-    if curvature < 0:  # keep x = 0 a well, as derive_geometry requires
-        harmonics = [(p, -a) for p, a in harmonics]
-    geom = derive_geometry(GearConfig(*n, *inertia, V0=V0,
-                                      potential=PotentialSpec(((0, 0.5), *harmonics))))
-    dt = dt_scale * 1e-3 * 2.0 * math.pi / max(geom.omega0, geom.omega0_harmonic, 1.0)
+    geom, dt = _random_geometry(n, inertia, V0, harmonics, dt_scale)
     got = classical._stepper(geom)(th, l, dt, n_steps)
     want = _rk4_reference(geom, th, l, dt, n_steps)
     for g, w in zip(got, want):
@@ -330,14 +454,85 @@ def test_compiled_kernel_matches_the_closure_loop_bit_for_bit(
         assert np.array_equal(np.signbit(g), np.signbit(w))
 
 
-def test_event_search_stops_within_a_block_of_the_event(monkeypatch, tmp_path):
-    """`gearsim classical` on configs/classical_22.json: 512-step blocks
-    integrate 17,920 RK4 steps over its 12 points, where 128-step blocks
-    integrated 16,384 and 1024-step blocks 20,480."""
+def _event_searches(test):
+    """Hypothesis cases for `_rk4_until`: random geometries, both events,
+    starts with L = 0.0, -0.0 and NaN, targets on either side of the start,
+    searches that fire and searches that run out of steps."""
+    one = dict(n=(2, 2), inertia=(1.0, 1.0), V0=10.0, harmonics=[(1, 0.5)], th=0.4,
+               dt_scale=1.0, n_steps=2000, offset=0.5, direction=1.0)
+    for l in (0.0, -0.0, math.nan, 3.0):
+        for mode in (classical._TURNING, classical._CROSSING):
+            test = example(**{**one, "l": l, "mode": mode})(test)
+    test = example(**{**one, "l": 3.0, "mode": classical._CROSSING,
+                      "direction": -1.0})(test)
+    test = example(**{**one, "l": -2.0, "mode": classical._TURNING, "n_steps": 0})(test)
+    # at rest with no force theta stays on the target: fires on step 1
+    test = example(**{**one, "V0": 0.0, "l": 0.0, "mode": classical._CROSSING,
+                      "offset": 0.0})(test)
+    return settings(max_examples=150, derandomize=True, database=None, deadline=None)(
+        given(n=st.tuples(st.integers(1, 5), st.integers(1, 5)),
+              inertia=st.tuples(st.floats(0.1, 10.0), st.floats(0.1, 10.0)),
+              V0=st.one_of(st.just(0.0), st.floats(0.0, 60.0)),
+              harmonics=_HARMONICS,
+              th=st.floats(-10.0, 10.0),
+              l=st.one_of(st.floats(-60.0, 60.0), st.sampled_from([0.0, -0.0, math.nan])),
+              dt_scale=st.floats(0.1, 100.0),
+              n_steps=st.integers(0, 2000),
+              mode=st.sampled_from([classical._TURNING, classical._CROSSING]),
+              offset=st.floats(-3.0, 3.0),
+              direction=st.sampled_from([1.0, -1.0]))(test))
+
+
+def _assert_same_search(got, want):
+    """The same step index and bitwise the same bracket, signs of zero and
+    NaNs included."""
+    assert type(got[0]) is int and got[0] == want[0]
+    g, w = np.array(got[1:], dtype=float), np.array(want[1:], dtype=float)
+    assert np.array_equal(g, w, equal_nan=True)
+    assert np.array_equal(np.signbit(g), np.signbit(w))
+
+
+@_event_searches
+def test_rk4_until_stops_where_the_numpy_scan_finds_the_event(
+        n, inertia, V0, harmonics, th, l, dt_scale, n_steps, mode, offset, direction):
+    """`_rk4_until` fires on the first step the whole-run numpy scan flags:
+    sign(L[i+1]) * sign(L[i]) < 0, or (theta - target) * direction >= 0."""
+    geom, dt = _random_geometry(n, inertia, V0, harmonics, dt_scale)
+    target = th + offset
+    theta, L = classical._rk4(geom, th, l, dt, n_steps)
+    if mode == classical._TURNING:
+        fires = np.flatnonzero(np.sign(L[1:]) * np.sign(L[:-1]) < 0) + 1
+    else:
+        fires = np.flatnonzero((theta[1:] - target) * direction >= 0) + 1
+    k = int(fires[0]) if fires.size else 0
+    last = k or n_steps
+    before = max(last - 1, 0)
+    _assert_same_search(
+        classical._rk4_until(geom, th, l, dt, n_steps, mode, target, direction),
+        (k, theta[before], L[before], theta[last], L[last]))
+
+
+@_event_searches
+def test_compiled_event_search_matches_the_python_twin_bit_for_bit(
+        n, inertia, V0, harmonics, th, l, dt_scale, n_steps, mode, offset, direction):
+    """`gearsim_rk4_until` returns `_rk4_until`'s step index and bracket, bit
+    for bit, signs of zero included (see the RK4 kernel test above for what
+    the bits depend on)."""
+    if _ckernel.library() is None:
+        pytest.skip("no C compiler: the classical limit runs the Python loop")
+    geom, dt = _random_geometry(n, inertia, V0, harmonics, dt_scale)
+    run = (th, l, dt, n_steps, mode, th + offset, direction)
+    _assert_same_search(classical._searcher(geom)(*run), classical._rk4_until(geom, *run))
+
+
+def test_event_search_stops_at_the_event_step(monkeypatch, tmp_path):
+    """`gearsim classical` on configs/classical_22.json integrates 15,677
+    RK4 steps over its 12 points: each search stops at the step of its
+    event, where 512-step blocks integrated 17,920 and 128-step blocks
+    16,384."""
     steps = _count_steps(monkeypatch)
     config = Path(__file__).resolve().parents[1] / "configs" / "classical_22.json"
     assert len(json.loads(config.read_text())["sweep"]["ell"]) == 12
     assert cli.main(["classical", "--config", str(config),
                      "--out", str(tmp_path)]) == 0
-    assert classical._BLOCK_STEPS == 512
-    assert sum(steps) == 17_920
+    assert sum(steps) == 15_677

@@ -1,14 +1,16 @@
 """End-to-end benchmark metrics of two checkouts, in alternating pairs.
 
     python tools/bench_pairs.py PARENT_ROOT CHANGE_ROOT --seeds 200-209
+    python tools/bench_pairs.py PARENT_ROOT CHANGE_ROOT --seeds 200-209 \
+        --workloads classical
 
 Runs `python3 gearbench/run.py --workload W --seed S --seconds T --trace 0`
 in each checkout (each run in its own root, so each side imports its own
 src/), once per side for every seed and every workload.  The parent goes
 first on the even-numbered pairs and the change on the odd ones, so a
-drift in machine speed falls on both sides alike.  The workloads, the run
-length T, the metrics and their bounds come from this repository's
-BENCHMARK.json.
+drift in machine speed falls on both sides alike.  The workloads (all of
+them, or those named in --workloads), the run length T, the metrics and
+their bounds come from this repository's BENCHMARK.json.
 
 Prints JSON in the shape of the BENCH_<pr>.json records: per workload the
 seeds, `failed` and `attempted` of every run, and per end-to-end metric
@@ -79,10 +81,17 @@ def main(argv=None) -> int:
     parser.add_argument("change", type=pathlib.Path, help="root of the changed checkout")
     parser.add_argument("--seeds", type=seed_range, required=True,
                         help="seed range A-B, one pair per seed")
+    parser.add_argument("--workloads", default=",".join(names), metavar="NAME[,NAME]",
+                        help="workloads to pair (default: all in BENCHMARK.json)")
     args = parser.parse_args(argv)
     seconds = bench["run_seconds"]
     if len(args.seeds) < 2:
         parser.error("quartiles need at least two seeds")
+    workloads = args.workloads.split(",")
+    unknown = [name for name in workloads if name not in names]
+    if unknown:
+        parser.error(f"unknown workload(s) {', '.join(unknown)}; "
+                     f"BENCHMARK.json has {', '.join(names)}")
     roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
 
     report = {
@@ -92,7 +101,7 @@ def main(argv=None) -> int:
                  "first on even-numbered pairs, change first on odd ones",
         "workloads": {},
     }
-    for workload in names:
+    for workload in workloads:
         results = {side: [] for side in SIDES}
         for i, seed in enumerate(args.seeds):
             for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
