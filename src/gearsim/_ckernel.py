@@ -1,10 +1,9 @@
-"""The C twins of `classical._rk4` and `classical._rk4_until` (`_rk4.c`),
-compiled on first use.
+"""The C twin of `classical._rk4` (`_rk4.c`), compiled on first use.
 
-`gearsim_rk4` integrates a fixed number of steps and keeps every sample;
-`gearsim_rk4_until` integrates until an event fires and keeps only the
-last two, so an event search stops at the step that finds its event.  Both
-come from one library.
+`gearsim_rk4` is the one entry point: it writes every sample into the
+caller's arrays and stops after a given number of steps, or earlier at the
+step that fires the event it is asked for (an L_r sign change, theta_r
+reaching a target, or none), so an event search stops at its event.
 
 Tests and benchmarks run gearsim from its source tree, with no build step,
 so the library builds the kernel itself: `cc -O2 -ffp-contract=off -fPIC
@@ -15,9 +14,9 @@ compiler writes a temporary file in that directory, which is then renamed
 into place, so a concurrent process never loads half a library.
 
 No fast math and no FMA contraction: the kernel must give the floats the
-Python loops give.  Where there is no compiler, the build fails or the
+Python loop gives.  Where there is no compiler, the build fails or the
 directory is read-only, `library` returns None for the rest of the process
-and the classical limit runs the Python loops instead, with the same
+and the classical limit runs the Python loop instead, with the same
 results.
 """
 
@@ -37,22 +36,19 @@ _BUILD_DIR = os.path.join(os.path.dirname(_SOURCE), "__pycache__")
 _FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 # a build that takes longer has failed
 _BUILD_TIMEOUT_S = 60.0
-# (n, I_r, nV0, k, p, pa, th, l, dt, n_steps), the arguments both share
-_STEP_ARGTYPES = (ctypes.c_double, ctypes.c_double, ctypes.c_double, ctypes.c_long,
-                  ctypes.c_void_p, ctypes.c_void_p, ctypes.c_double, ctypes.c_double,
-                  ctypes.c_double, ctypes.c_long)
-# gearsim_rk4(..., theta, L)
-_RK4_ARGTYPES = (*_STEP_ARGTYPES, ctypes.c_void_p, ctypes.c_void_p)
-# gearsim_rk4_until(..., mode, target, direction, bracket) -> step index
-_UNTIL_ARGTYPES = (*_STEP_ARGTYPES, ctypes.c_long, ctypes.c_double, ctypes.c_double,
-                   ctypes.c_void_p)
+# gearsim_rk4(n, I_r, nV0, k, p, pa, th, l, dt, n_steps, mode, target,
+# direction, theta, L) -> step index
+_RK4_ARGTYPES = (ctypes.c_double, ctypes.c_double, ctypes.c_double, ctypes.c_long,
+                 ctypes.c_void_p, ctypes.c_void_p, ctypes.c_double, ctypes.c_double,
+                 ctypes.c_double, ctypes.c_long, ctypes.c_long, ctypes.c_double,
+                 ctypes.c_double, ctypes.c_void_p, ctypes.c_void_p)
 
 
 @functools.cache
 def library():
-    """The kernel as a ctypes library with `gearsim_rk4` and
-    `gearsim_rk4_until` typed, built if need be, or None if it cannot be
-    built or loaded.  Tried once per process."""
+    """The kernel as a ctypes library with `gearsim_rk4` typed, built if
+    need be, or None if it cannot be built or loaded.  Tried once per
+    process."""
     try:
         with open(_SOURCE, "rb") as fh:
             source = fh.read()
@@ -65,11 +61,10 @@ def library():
         return None
     try:
         lib = ctypes.CDLL(path)
-        rk4, until = lib.gearsim_rk4, lib.gearsim_rk4_until
+        rk4 = lib.gearsim_rk4
     except (OSError, AttributeError):
         return None
-    rk4.argtypes, rk4.restype = _RK4_ARGTYPES, None
-    until.argtypes, until.restype = _UNTIL_ARGTYPES, ctypes.c_long
+    rk4.argtypes, rk4.restype = _RK4_ARGTYPES, ctypes.c_long
     return lib
 
 

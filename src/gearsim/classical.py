@@ -9,18 +9,18 @@ period in either case, with event times refined by cubic Hermite
 interpolation so the O(dt^4) integrator accuracy survives into the average.
 
 The RK4 steps run in a C kernel (`_rk4.c`, built on first use by
-`_ckernel`) that evaluates the Python loops' expressions in the same order,
-so it gives the same floats; where the kernel cannot be built, the loops
-`_rk4` and `_rk4_until` themselves run.  An event search (an L_r sign
-change, or theta_r reaching a target) steps inside the kernel until the
-step that fires it and refines the event time from that step's two
-samples, so the integration stops at the event.
+`_ckernel`) that evaluates the Python loop's expressions in the same order,
+so it gives the same floats; where the kernel cannot be built, the loop
+`_rk4` itself runs.  Both have one entry point with three modes: a fixed
+run (`_NONE`) and two event searches, which stop at the step where L_r
+changes sign (`_TURNING`) or theta_r reaches a target (`_CROSSING`); the
+event time is refined from that step's two samples, so the integration
+stops at the event.
 """
 
 from __future__ import annotations
 
 import ctypes
-import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -49,9 +49,9 @@ _DT_FRACTION = 1e-3
 # event searches integrate at most _MAX_CHUNKS chunks of _CHUNK_STEPS steps
 _CHUNK_STEPS = 20000
 _MAX_CHUNKS = 200
-# the events of _rk4_until and gearsim_rk4_until: L_r changes sign, or
-# theta_r reaches a target
-_TURNING, _CROSSING = 0, 1
+# the events `_rk4` and `gearsim_rk4` can stop at: L_r changes sign,
+# theta_r reaches a target, or none
+_TURNING, _CROSSING, _NONE = 0, 1, 2
 # scipy.optimize.brentq's defaults for rtol and maxiter
 _BRENT_RTOL = 4 * np.finfo(float).eps
 _BRENT_MAXITER = 100
@@ -106,16 +106,23 @@ def _energy(geom: DerivedGeometry, theta: float, L: float) -> float:
 def _step_grid(t_final: float, dt: float) -> tuple[int, float]:
     """(number of steps, step) of a fixed-step run that lands on t_final:
     dt shrunk to an integer divisor of t_final."""
-    if not t_final > 0:
-        raise ConfigError(f"t_final must be > 0, got {t_final!r}")
+    if not 0 < t_final < math.inf:
+        raise ConfigError(f"t_final must be > 0 and finite, got {t_final!r}")
     n_steps = max(1, math.ceil(t_final / dt - 1e-12))
     return n_steps, t_final / n_steps
 
 
-def _rk4_steps(geom: DerivedGeometry, th: float, l: float, dt: float):
-    """Endless RK4 steps of size dt from (th, l), yielding each new
-    (theta, L).  Each stage sums the force n V0 u'(x) inline, in the order
-    of PotentialSpec.derivative.  `_rk4.c` evaluates the same expressions in
+def _rk4(geom: DerivedGeometry, th: float, l: float, dt: float, n_steps: int,
+         mode: int, target: float, direction: float, theta, L) -> int:
+    """RK4 steps of size dt from (th, l), the samples written to theta[0:]
+    and L[0:], the start included, until n_steps steps are taken or the
+    newest pair of samples fires `mode`'s event: the index of that step, or
+    0.  _TURNING fires when L changes sign, as numpy's sign(L[i+1]) *
+    sign(L[i]) < 0, so a zero or NaN never fires; _CROSSING fires when
+    (theta - target) * direction >= 0; _NONE never fires.
+
+    Each stage sums the force n V0 u'(x) inline, in the order of
+    PotentialSpec.derivative.  `_rk4.c` evaluates the same expressions in
     the same order; this loop runs where it cannot be built."""
     I_r = geom.I_r
     n = geom.n
@@ -123,7 +130,9 @@ def _rk4_steps(geom: DerivedGeometry, th: float, l: float, dt: float):
     terms = tuple((p, p * a) for p, a in geom.config.potential.harmonics())
     sin = math.sin
     half = 0.5 * dt  # th + 0.5 * dt * k already groups as th + (0.5 * dt) * k
-    while True:
+    turning, crossing = mode == _TURNING, mode == _CROSSING
+    theta[0], L[0] = th, l
+    for i in range(1, n_steps + 1):
         x, du = n * th, 0.0
         for p, pa in terms:
             du -= pa * sin(p * x)
@@ -143,87 +152,42 @@ def _rk4_steps(geom: DerivedGeometry, th: float, l: float, dt: float):
         for p, pa in terms:
             du -= pa * sin(p * x)
         k4t, k4l = l4 / I_r, nV0 * du
+        lp = l
         th += dt * (k1t + 2 * k2t + 2 * k3t + k4t) / 6.0
         l += dt * (k1l + 2 * k2l + 2 * k3l + k4l) / 6.0
-        yield th, l
+        theta[i], L[i] = th, l
+        if (turning and ((lp > 0 and l < 0) or (lp < 0 and l > 0))
+                or crossing and (th - target) * direction >= 0):
+            return i
+    return 0
 
 
-def _rk4(geom: DerivedGeometry, th: float, l: float, dt: float,
-         n_steps: int) -> tuple[np.ndarray, np.ndarray]:
-    """n_steps RK4 steps of size dt from (th, l): the (theta, L) samples,
-    starting point included."""
-    theta, L = [th], [l]
-    for th, l in itertools.islice(_rk4_steps(geom, th, l, dt), n_steps):
-        theta.append(th)
-        L.append(l)
-    return np.array(theta), np.array(L)
-
-
-def _rk4_until(geom: DerivedGeometry, th: float, l: float, dt: float,
-               n_steps: int, mode: int, target: float, direction: float):
-    """RK4 steps from (th, l) until the newest pair of samples fires the
-    event: (index of that step, or 0 if none of n_steps does, and the
-    samples theta0, L0, theta1, L1 before and after the last step taken;
-    the start twice if none was).  _TURNING fires when L changes sign, as
-    numpy's sign(L[i+1]) * sign(L[i]) < 0, so a zero or NaN never fires;
-    _CROSSING fires when (theta - target) * direction >= 0."""
-    t0, l0 = t1, l1 = th, l
-    for i, (th, l) in enumerate(itertools.islice(_rk4_steps(geom, th, l, dt), n_steps), 1):
-        t0, l0, t1, l1 = t1, l1, th, l
-        if (((l0 > 0 and l1 < 0) or (l0 < 0 and l1 > 0)) if mode == _TURNING
-                else (t1 - target) * direction >= 0):
-            return i, t0, l0, t1, l1
-    return 0, t0, l0, t1, l1
-
-
-def _kernel_args(geom: DerivedGeometry):
-    """The compiled kernel (`_ckernel`) and the arguments (n, I_r, nV0, k,
-    p, pa) its functions take for this geometry, the force's terms
-    converted once; None where the kernel cannot be built."""
+def _integrator(geom: DerivedGeometry):
+    """`_rk4` for this geometry, as (th, l, dt, n_steps, mode, target,
+    direction, out) -> step index, writing theta and L to the rows of the
+    C-contiguous float array out: the compiled kernel, with the force's
+    terms converted once, or the Python loop, with the same floats."""
     lib = _ckernel.library()
     if lib is None:
-        return None
+        return (lambda th, l, dt, n_steps, mode, target, direction, out:
+                _rk4(geom, th, l, dt, n_steps, mode, target, direction, out[0], out[1]))
+    rk4 = lib.gearsim_rk4
     harmonics = geom.config.potential.harmonics()
     terms = ctypes.c_double * len(harmonics)
-    return lib, (geom.n, geom.I_r, geom.n * geom.config.V0, len(harmonics),
-                 terms(*(p for p, _ in harmonics)), terms(*(p * a for p, a in harmonics)))
+    args = (geom.n, geom.I_r, geom.n * geom.config.V0, len(harmonics),
+            terms(*(p for p, _ in harmonics)), terms(*(p * a for p, a in harmonics)))
 
-
-def _stepper(geom: DerivedGeometry):
-    """`_rk4` for this geometry, as (th, l, dt, n_steps) -> (theta, L): the
-    compiled kernel or the Python loop, with the same floats."""
-    compiled = _kernel_args(geom)
-    if compiled is None:
-        return lambda th, l, dt, n_steps: _rk4(geom, th, l, dt, n_steps)
-    lib, args = compiled
-    rk4 = lib.gearsim_rk4
-
-    def step(th: float, l: float, dt: float, n_steps: int):
-        out = np.empty((2, n_steps + 1))
+    def run(th: float, l: float, dt: float, n_steps: int, mode: int,
+            target: float, direction: float, out: np.ndarray) -> int:
+        if not (out.dtype == np.float64 and out.flags.c_contiguous
+                and out.shape[0] == 2 and out.shape[1] > n_steps):
+            raise ConfigError(f"samples need a C-contiguous float array of shape "
+                              f"(2, > {n_steps}), got {out.dtype} {out.shape}")
         theta = out.ctypes.data
-        rk4(*args, th, l, dt, n_steps, theta, theta + out.strides[0])
-        return out[0], out[1]
+        return rk4(*args, th, l, dt, n_steps, mode, target, direction,
+                   theta, theta + out.strides[0])
 
-    return step
-
-
-def _searcher(geom: DerivedGeometry):
-    """`_rk4_until` for this geometry, as (th, l, dt, n_steps, mode, target,
-    direction) -> (step, theta0, L0, theta1, L1): the compiled kernel or the
-    Python loop, with the same floats."""
-    compiled = _kernel_args(geom)
-    if compiled is None:
-        return lambda *run: _rk4_until(geom, *run)
-    lib, args = compiled
-    until = lib.gearsim_rk4_until
-    bracket = (ctypes.c_double * 4)()
-
-    def search(th: float, l: float, dt: float, n_steps: int, mode: int,
-               target: float, direction: float):
-        return (until(*args, th, l, dt, n_steps, mode, target, direction, bracket),
-                *bracket)
-
-    return search
+    return run
 
 
 def simulate_relative(
@@ -238,8 +202,9 @@ def simulate_relative(
     """
     n_steps, dt = _step_grid(t_final, _default_dt(geom, t_final))
     times = initial.time + dt * np.arange(n_steps + 1)
-    theta, L = _stepper(geom)(initial.theta_r, initial.L_r, dt, n_steps)
-    return Trajectory(geom, times, theta, L, initial.L_c)
+    out = np.empty((2, n_steps + 1))
+    _integrator(geom)(initial.theta_r, initial.L_r, dt, n_steps, _NONE, 0.0, 0.0, out)
+    return Trajectory(geom, times, out[0], out[1], initial.L_c)
 
 
 def classical_kick(geom: DerivedGeometry, state: ClassicalState,
@@ -293,23 +258,27 @@ def _simulate_until(geom: DerivedGeometry, state: ClassicalState, dt: float,
     """Integrate until `event` returns a refined event time; return it.
 
     The run is cut into chunks of _CHUNK_STEPS steps, each on its own time
-    grid t0 + h k.  Inside a chunk, `_searcher` steps from the last sample
-    until a step fires `mode`'s event (see `_rk4_until`), and `event` gets
-    that step's bracket (t0, theta0, L0, t1, theta1, L1).  If it returns
-    None the search goes on from the bracket's newer sample, so `event`
-    sees every firing pair of neighbouring samples once, in order, and the
-    integration stops at the step of the event it accepts.
+    grid t0 + h k.  Inside a chunk, `_integrator` steps from the last sample
+    until a step fires `mode`'s event (see `_rk4`), and `event` gets that
+    step's bracket (t0, theta0, L0, t1, theta1, L1), as Python floats.  If
+    it returns None the search goes on from the bracket's newer sample, so
+    `event` sees every firing pair of neighbouring samples once, in order,
+    and the integration stops at the step of the event it accepts.  Every
+    search writes its samples to one chunk-sized buffer.
     """
     n_steps, h = _step_grid(_CHUNK_STEPS * dt, dt)
-    search = _searcher(geom)
+    run = _integrator(geom)
+    out = np.empty((2, n_steps + 1))
     t0, th, l = state.time, state.theta_r, state.L_r
     for _ in range(_MAX_CHUNKS):
         k = 0
         while k < n_steps:
-            fired, th0, l0, th, l = search(th, l, h, n_steps - k, mode, target, direction)
+            fired = run(th, l, h, n_steps - k, mode, target, direction, out)
             if not fired:
+                th, l = out[:, n_steps - k].tolist()
                 break
             k += fired
+            (th0, th), (l0, l) = out[:, fired - 1:fired + 1].tolist()
             hit = event(t0 + h * float(k - 1), th0, l0, t0 + h * float(k), th, l)
             if hit is not None:
                 return hit
@@ -347,12 +316,12 @@ def mean_relative_momentum(geom: DerivedGeometry, state: ClassicalState) -> floa
             f = _hermite(th0 - target, L0 / geom.I_r, th1 - target, L1 / geom.I_r, h)
             return t0 + _root(f, h)
 
-        if (state.theta_r - target) * direction >= 0:
-            t_cross = state.time  # the start is already past the target
-        else:
-            t_cross = _simulate_until(geom, state, dt, crossed, _CROSSING, target, direction)
-        period = t_cross - state.time
-        return geom.I_r * direction * span / period
+        if target == state.theta_r:
+            raise ConvergenceFailure(
+                f"theta_r={state.theta_r!r} is too large for its cell width "
+                f"{span!r} to move it: the drift cannot be timed")
+        t_cross = _simulate_until(geom, state, dt, crossed, _CROSSING, target, direction)
+        return geom.I_r * direction * span / (t_cross - state.time)
 
     # interlocked: find three successive turning points (L_r sign changes)
     turnings: list[tuple[float, float]] = []  # (time, theta at turning)
@@ -437,8 +406,7 @@ def classical_transmission(
     for i in range(num):
         state = classical_kick(geom, state, l1, l2)
         if i < num - 1 and protocol.delta_t > 0:
-            traj = simulate_relative(geom, state, protocol.delta_t)
-            state = replace(traj.final(), L_c=state.L_c)
+            state = simulate_relative(geom, state, protocol.delta_t).final()
 
     E = _energy(geom, state.theta_r, state.L_r)
     ceiling = _potential_ceiling(geom)

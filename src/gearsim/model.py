@@ -70,6 +70,13 @@ def _real(x, what: str) -> float:
         raise ConfigError(f"{what} must be a real number, got {x!r}") from None
 
 
+def _int(x, what: str) -> int:
+    """x if it is an int, not a bool; ConfigError otherwise."""
+    if not isinstance(x, int) or isinstance(x, bool):
+        raise ConfigError(f"{what} must be an integer, got {x!r}")
+    return x
+
+
 def _whole(x, what: str) -> int:
     """int(x) for a whole number x (2 or 2.0, not True); ConfigError
     otherwise: nothing is truncated."""
@@ -234,9 +241,7 @@ class GearConfig:
 
     def __post_init__(self):
         for name in ("n1", "n2"):
-            v = getattr(self, name)
-            if not isinstance(v, int) or isinstance(v, bool):
-                raise ConfigError(f"{name} must be an integer, got {v!r}")
+            v = _int(getattr(self, name), name)
             if v < 1:
                 raise ConfigError(f"{name} must be >= 1, got {v}")
         for name in ("I1", "I2"):

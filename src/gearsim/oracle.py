@@ -24,7 +24,7 @@ import numpy as np
 
 from ._lapack import dsyevr, dsyevr_lwork
 from .errors import ConfigError, ConvergenceFailure, TruncationBreach
-from .model import GearConfig, _sample_times
+from .model import GearConfig, _int, _sample_times
 
 __all__ = [
     "LatticeState",
@@ -80,7 +80,7 @@ def build_full_hamiltonian(config: GearConfig, cutoff: int):
     (diag, src, tgt, strength): the diagonal in ravel order of (i1, i2),
     and each hop once, H[src, tgt] = H[tgt, src] = strength, the hops of
     each harmonic in ascending order of src."""
-    if cutoff < config.n1 + config.n2:
+    if _int(cutoff, "cutoff") < config.n1 + config.n2:
         raise ConfigError(
             f"cutoff {cutoff} too small; need at least n1 + n2 = {config.n1 + config.n2}"
         )

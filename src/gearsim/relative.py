@@ -26,7 +26,7 @@ import numpy as np
 from ._lapack import dsbevd
 from .errors import (ConfigError, ConvergenceFailure, InternalInconsistency,
                      NonPhysicalError, UnsupportedInertiaError)
-from .model import DerivedGeometry, GridSpec, _centred_divmod, _lattice_momenta
+from .model import DerivedGeometry, GridSpec, _centred_divmod, _int, _lattice_momenta
 
 __all__ = [
     "BandedHamiltonian",
@@ -433,7 +433,7 @@ def band_structure(geom: DerivedGeometry, num_bands: int = 3) -> BandStructure:
     `num_bands` states, and collect their energies.  Inertias that give
     more than MAX_BAND_RESIDUES residues raise UnsupportedInertiaError
     before any eigensolve."""
-    if num_bands < 1:
+    if _int(num_bands, "num_bands") < 1:
         raise ConfigError(f"num_bands must be >= 1, got {num_bands}")
     # physical mu_r are the multiples of u, so the residues mod n = P u are
     # the ints in (-P/2, P/2], times u

@@ -186,35 +186,32 @@ def _count_steps(monkeypatch) -> list[int]:
     makes from now on, fixed runs and event searches, compiled kernel or
     Python loop, in order."""
     steps = []
-    stepper, searcher = classical._stepper, classical._searcher
+    integrator = classical._integrator
 
-    def counted_stepper(geom):
-        step = stepper(geom)
-
-        def counted(th, l, dt, n_steps):
-            steps.append(n_steps)
-            return step(th, l, dt, n_steps)
-
-        return counted
-
-    def counted_searcher(geom):
-        search = searcher(geom)
+    def counted_integrator(geom):
+        run = integrator(geom)
 
         def counted(th, l, dt, n_steps, *event):
-            found = search(th, l, dt, n_steps, *event)
-            steps.append(found[0] or n_steps)
-            return found
+            fired = run(th, l, dt, n_steps, *event)
+            steps.append(fired or n_steps)
+            return fired
 
         return counted
 
-    monkeypatch.setattr(classical, "_stepper", counted_stepper)
-    monkeypatch.setattr(classical, "_searcher", counted_searcher)
+    monkeypatch.setattr(classical, "_integrator", counted_integrator)
     return steps
+
+
+def _fixed_run(geom, th, l, dt, n_steps):
+    """The n_steps + 1 samples (theta, L) of a `_rk4` run with no event."""
+    out = np.empty((2, n_steps + 1))
+    assert classical._rk4(geom, th, l, dt, n_steps, classical._NONE, 0.0, 0.0, *out) == 0
+    return out[0], out[1]
 
 
 def _whole_chunk_mean_relative_momentum(geom, state):
     """`mean_relative_momentum` as it was before the event search moved
-    into the kernel: `_rk4` over each whole chunk of _CHUNK_STEPS steps,
+    into the kernel: the Python loop over each whole chunk of _CHUNK_STEPS steps,
     then numpy scans of the chunk for the event.  The reference the event
     search must match float for float."""
     cfg = geom.config
@@ -231,7 +228,7 @@ def _whole_chunk_mean_relative_momentum(geom, state):
         n_steps, h = classical._step_grid(classical._CHUNK_STEPS * dt, dt)
         t0, th, l = state.time, state.theta_r, state.L_r
         for _ in range(classical._MAX_CHUNKS):
-            theta, L = classical._rk4(geom, th, l, h, n_steps)
+            theta, L = _fixed_run(geom, th, l, h, n_steps)
             times = t0 + h * np.arange(n_steps + 1)
             hit = event(times, theta, L)
             if hit is not None:
@@ -289,11 +286,11 @@ def _whole_chunk_mean_relative_momentum(geom, state):
 
 def _on_path(request, path):
     """Run the test on the compiled kernel or, with `no_compiler`, on the
-    Python loops."""
+    Python loop."""
     if path == "python":
         request.getfixturevalue("no_compiler")
     elif _ckernel.library() is None:
-        pytest.skip("no C compiler: the classical limit runs the Python loops")
+        pytest.skip("no C compiler: the classical limit runs the Python loop")
 
 
 @pytest.mark.parametrize("path", ["compiled", "python"])
@@ -328,15 +325,11 @@ def test_a_nan_start_exhausts_the_time_budget(request, monkeypatch, geom22, path
 
 def test_a_start_already_past_its_target_takes_no_step(monkeypatch, geom22):
     """Far out, theta_r + 2 pi / n rounds back to theta_r, so a drifting
-    start is already past its own target: the crossing time is the start
-    time, as the whole-chunk scan's start sample gave, and the zero period
-    divides by zero in both."""
-    state = ClassicalState(1e17, 20.0)
-    with pytest.raises(ZeroDivisionError):
-        _whole_chunk_mean_relative_momentum(geom22, state)
+    start is already at its own target and its drift cannot be timed: that
+    is a ConvergenceFailure, raised before any step."""
     steps = _count_steps(monkeypatch)
-    with pytest.raises(ZeroDivisionError):
-        mean_relative_momentum(geom22, state)
+    with pytest.raises(ConvergenceFailure, match="cannot be timed"):
+        mean_relative_momentum(geom22, ClassicalState(1e17, 20.0))
     assert steps == []
 
 
@@ -391,7 +384,7 @@ def _rk4_reference(geom, th, l, dt, n_steps):
 def test_rk4_matches_the_closure_loop_bit_for_bit(config, th, l, n_steps):
     geom = derive_geometry(config)
     dt = 1e-3 * 2.0 * math.pi / max(geom.omega0, geom.omega0_harmonic, 1.0)
-    got = classical._rk4(geom, th, l, dt, n_steps)
+    got = _fixed_run(geom, th, l, dt, n_steps)
     want = _rk4_reference(geom, th, l, dt, n_steps)
     for g, w in zip(got, want):
         assert g.dtype == w.dtype and g.shape == w.shape == (n_steps + 1,)
@@ -416,27 +409,103 @@ _HARMONICS = st.lists(
     max_size=3, unique_by=lambda term: term[0])
 
 
-@settings(max_examples=200, derandomize=True, database=None, deadline=None)
-@given(n=st.tuples(st.integers(1, 5), st.integers(1, 5)),
-       inertia=st.tuples(st.floats(0.1, 10.0), st.floats(0.1, 10.0)),
-       V0=st.one_of(st.just(0.0), st.floats(0.0, 60.0)),
-       harmonics=_HARMONICS,
-       th=st.one_of(st.floats(-10.0, 10.0), st.floats(-1e9, 1e9)),
-       l=st.floats(-60.0, 60.0),
-       dt_scale=st.floats(0.1, 100.0),
-       n_steps=st.integers(1, 400))
-@example(n=(2, 3), inertia=(1.0, 1.0), V0=0.0, harmonics=[(1, 0.5)], th=0.0, l=3.0,
-         dt_scale=1.0, n_steps=1)
-@example(n=(3, 2), inertia=(0.7, 1.3), V0=7.5, harmonics=[(1, .3), (2, .2), (3, .1)],
-         th=-0.0, l=-0.0, dt_scale=1.0, n_steps=1)
-@example(n=(5, 4), inertia=(2.0, 0.3), V0=60.0, harmonics=[(8, 0.9), (1, -0.4)],
-         th=-7.5e8, l=-60.0, dt_scale=30.0, n_steps=400)
-@example(n=(1, 1), inertia=(1.0, 1.0), V0=25.0, harmonics=[], th=2.0, l=-5.0,
-         dt_scale=1.0, n_steps=50)
-def test_compiled_kernel_matches_the_closure_loop_bit_for_bit(
-        n, inertia, V0, harmonics, th, l, dt_scale, n_steps):
-    """The C kernel gives exactly the closure loop's floats, signs of zero
-    included, for 0 to 3 harmonics, V0 = 0, single steps and large |theta|.
+def _runs(test):
+    """Hypothesis cases for `_rk4` in each mode: random geometries with 0 to
+    3 harmonics and V0 = 0, starts with L = 0.0, -0.0 and NaN and with
+    large |theta|, targets on either side of the start, single steps, no
+    step, and searches that fire and searches that run out of steps."""
+    one = dict(n=(2, 2), inertia=(1.0, 1.0), V0=10.0, harmonics=[(1, 0.5)], th=0.4,
+               dt_scale=1.0, n_steps=2000, offset=0.5, direction=1.0)
+    fixed = dict(one, mode=classical._NONE)
+    for l in (0.0, -0.0, math.nan, 3.0):
+        for mode in (classical._TURNING, classical._CROSSING, classical._NONE):
+            test = example(**{**one, "l": l, "mode": mode})(test)
+    test = example(**{**one, "l": 3.0, "mode": classical._CROSSING,
+                      "direction": -1.0})(test)
+    test = example(**{**one, "l": -2.0, "mode": classical._TURNING, "n_steps": 0})(test)
+    # at rest with no force theta stays on the target: fires on step 1
+    test = example(**{**one, "V0": 0.0, "l": 0.0, "mode": classical._CROSSING,
+                      "offset": 0.0})(test)
+    test = example(**{**fixed, "n": (2, 3), "V0": 0.0, "th": 0.0, "l": 3.0,
+                      "n_steps": 1})(test)
+    test = example(**{**fixed, "n": (3, 2), "inertia": (0.7, 1.3), "V0": 7.5,
+                      "harmonics": [(1, .3), (2, .2), (3, .1)], "th": -0.0, "l": -0.0,
+                      "n_steps": 1})(test)
+    test = example(**{**fixed, "n": (5, 4), "inertia": (2.0, 0.3), "V0": 60.0,
+                      "harmonics": [(8, 0.9), (1, -0.4)], "th": -7.5e8, "l": -60.0,
+                      "dt_scale": 30.0, "n_steps": 400})(test)
+    test = example(**{**fixed, "n": (1, 1), "V0": 25.0, "harmonics": [], "th": 2.0,
+                      "l": -5.0, "n_steps": 50})(test)
+    return settings(max_examples=200, derandomize=True, database=None, deadline=None)(
+        given(n=st.tuples(st.integers(1, 5), st.integers(1, 5)),
+              inertia=st.tuples(st.floats(0.1, 10.0), st.floats(0.1, 10.0)),
+              V0=st.one_of(st.just(0.0), st.floats(0.0, 60.0)),
+              harmonics=_HARMONICS,
+              th=st.one_of(st.floats(-10.0, 10.0), st.floats(-1e9, 1e9)),
+              l=st.one_of(st.floats(-60.0, 60.0), st.sampled_from([0.0, -0.0, math.nan])),
+              dt_scale=st.floats(0.1, 100.0),
+              n_steps=st.integers(0, 2000),
+              mode=st.sampled_from([classical._TURNING, classical._CROSSING,
+                                    classical._NONE]),
+              offset=st.floats(-3.0, 3.0),
+              direction=st.sampled_from([1.0, -1.0]))(test))
+
+
+def _assert_same_run(got, want):
+    """The same step index and bitwise the same samples, signs of zero and
+    NaNs included."""
+    assert type(got[0]) is int and got[0] == want[0]
+    for g, w in zip(got[1:], want[1:]):
+        assert g.dtype == w.dtype and g.shape == w.shape
+        assert np.array_equal(g, w, equal_nan=True)
+        assert np.array_equal(np.signbit(g), np.signbit(w))
+
+
+def _python_loop(geom):
+    """The Python loop `_rk4` as an `_integrator` callable, compiler or not."""
+    def integrate(*run):
+        *args, out = run
+        return classical._rk4(geom, *args, out[0], out[1])
+    return integrate
+
+
+def _written(integrate, th, l, dt, n_steps, mode, target, direction):
+    """(step index, theta, L) of one run of `integrate`, an `_integrator`
+    callable, cut to the samples it wrote."""
+    out = np.empty((2, n_steps + 1))
+    fired = integrate(th, l, dt, n_steps, mode, target, direction, out)
+    last = (fired or n_steps) + 1
+    return fired, out[0, :last], out[1, :last]
+
+
+@_runs
+def test_rk4_stops_where_the_numpy_scan_finds_the_event(
+        n, inertia, V0, harmonics, th, l, dt_scale, n_steps, mode, offset, direction):
+    """`_rk4` writes the closure loop's samples up to the first step the
+    whole-run numpy scan flags, sign(L[i+1]) * sign(L[i]) < 0 or (theta -
+    target) * direction >= 0, and returns that step; with no event, or none
+    in n_steps, it writes every sample and returns 0."""
+    geom, dt = _random_geometry(n, inertia, V0, harmonics, dt_scale)
+    target = th + offset
+    theta, L = _rk4_reference(geom, th, l, dt, n_steps)
+    if mode == classical._TURNING:
+        fires = np.flatnonzero(np.sign(L[1:]) * np.sign(L[:-1]) < 0) + 1
+    elif mode == classical._CROSSING:
+        fires = np.flatnonzero((theta[1:] - target) * direction >= 0) + 1
+    else:
+        fires = np.array([], dtype=int)
+    k = int(fires[0]) if fires.size else 0
+    last = (k or n_steps) + 1
+    _assert_same_run(
+        _written(_python_loop(geom), th, l, dt, n_steps, mode, target, direction),
+        (k, theta[:last], L[:last]))
+
+
+@_runs
+def test_compiled_kernel_matches_the_python_twin_bit_for_bit(
+        n, inertia, V0, harmonics, th, l, dt_scale, n_steps, mode, offset, direction):
+    """`gearsim_rk4` returns `_rk4`'s step index and writes its samples, bit
+    for bit, signs of zero included, in each mode.
 
     The bits depend on libm's `sin` (the kernel calls the one `math.sin`
     calls) and on the kernel being compiled without FMA contraction or fast
@@ -446,83 +515,9 @@ def test_compiled_kernel_matches_the_closure_loop_bit_for_bit(
     if _ckernel.library() is None:
         pytest.skip("no C compiler: the classical limit runs the Python loop")
     geom, dt = _random_geometry(n, inertia, V0, harmonics, dt_scale)
-    got = classical._stepper(geom)(th, l, dt, n_steps)
-    want = _rk4_reference(geom, th, l, dt, n_steps)
-    for g, w in zip(got, want):
-        assert g.dtype == w.dtype and g.shape == w.shape == (n_steps + 1,)
-        assert np.array_equal(g, w, equal_nan=True)
-        assert np.array_equal(np.signbit(g), np.signbit(w))
-
-
-def _event_searches(test):
-    """Hypothesis cases for `_rk4_until`: random geometries, both events,
-    starts with L = 0.0, -0.0 and NaN, targets on either side of the start,
-    searches that fire and searches that run out of steps."""
-    one = dict(n=(2, 2), inertia=(1.0, 1.0), V0=10.0, harmonics=[(1, 0.5)], th=0.4,
-               dt_scale=1.0, n_steps=2000, offset=0.5, direction=1.0)
-    for l in (0.0, -0.0, math.nan, 3.0):
-        for mode in (classical._TURNING, classical._CROSSING):
-            test = example(**{**one, "l": l, "mode": mode})(test)
-    test = example(**{**one, "l": 3.0, "mode": classical._CROSSING,
-                      "direction": -1.0})(test)
-    test = example(**{**one, "l": -2.0, "mode": classical._TURNING, "n_steps": 0})(test)
-    # at rest with no force theta stays on the target: fires on step 1
-    test = example(**{**one, "V0": 0.0, "l": 0.0, "mode": classical._CROSSING,
-                      "offset": 0.0})(test)
-    return settings(max_examples=150, derandomize=True, database=None, deadline=None)(
-        given(n=st.tuples(st.integers(1, 5), st.integers(1, 5)),
-              inertia=st.tuples(st.floats(0.1, 10.0), st.floats(0.1, 10.0)),
-              V0=st.one_of(st.just(0.0), st.floats(0.0, 60.0)),
-              harmonics=_HARMONICS,
-              th=st.floats(-10.0, 10.0),
-              l=st.one_of(st.floats(-60.0, 60.0), st.sampled_from([0.0, -0.0, math.nan])),
-              dt_scale=st.floats(0.1, 100.0),
-              n_steps=st.integers(0, 2000),
-              mode=st.sampled_from([classical._TURNING, classical._CROSSING]),
-              offset=st.floats(-3.0, 3.0),
-              direction=st.sampled_from([1.0, -1.0]))(test))
-
-
-def _assert_same_search(got, want):
-    """The same step index and bitwise the same bracket, signs of zero and
-    NaNs included."""
-    assert type(got[0]) is int and got[0] == want[0]
-    g, w = np.array(got[1:], dtype=float), np.array(want[1:], dtype=float)
-    assert np.array_equal(g, w, equal_nan=True)
-    assert np.array_equal(np.signbit(g), np.signbit(w))
-
-
-@_event_searches
-def test_rk4_until_stops_where_the_numpy_scan_finds_the_event(
-        n, inertia, V0, harmonics, th, l, dt_scale, n_steps, mode, offset, direction):
-    """`_rk4_until` fires on the first step the whole-run numpy scan flags:
-    sign(L[i+1]) * sign(L[i]) < 0, or (theta - target) * direction >= 0."""
-    geom, dt = _random_geometry(n, inertia, V0, harmonics, dt_scale)
-    target = th + offset
-    theta, L = classical._rk4(geom, th, l, dt, n_steps)
-    if mode == classical._TURNING:
-        fires = np.flatnonzero(np.sign(L[1:]) * np.sign(L[:-1]) < 0) + 1
-    else:
-        fires = np.flatnonzero((theta[1:] - target) * direction >= 0) + 1
-    k = int(fires[0]) if fires.size else 0
-    last = k or n_steps
-    before = max(last - 1, 0)
-    _assert_same_search(
-        classical._rk4_until(geom, th, l, dt, n_steps, mode, target, direction),
-        (k, theta[before], L[before], theta[last], L[last]))
-
-
-@_event_searches
-def test_compiled_event_search_matches_the_python_twin_bit_for_bit(
-        n, inertia, V0, harmonics, th, l, dt_scale, n_steps, mode, offset, direction):
-    """`gearsim_rk4_until` returns `_rk4_until`'s step index and bracket, bit
-    for bit, signs of zero included (see the RK4 kernel test above for what
-    the bits depend on)."""
-    if _ckernel.library() is None:
-        pytest.skip("no C compiler: the classical limit runs the Python loop")
-    geom, dt = _random_geometry(n, inertia, V0, harmonics, dt_scale)
     run = (th, l, dt, n_steps, mode, th + offset, direction)
-    _assert_same_search(classical._searcher(geom)(*run), classical._rk4_until(geom, *run))
+    _assert_same_run(_written(classical._integrator(geom), *run),
+                     _written(_python_loop(geom), *run))
 
 
 def test_event_search_stops_at_the_event_step(monkeypatch, tmp_path):

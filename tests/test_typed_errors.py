@@ -77,9 +77,14 @@ def kicked(geom):
     lambda geom: KickProtocol(2, target_gear=3),
     lambda geom: apply_kick(ground_state(geom), l1=1.5),
     lambda geom: band_structure(geom, 0),
+    lambda geom: band_structure(geom, 2.5),
+    lambda geom: band_structure(geom, True),
     lambda geom: build_full_hamiltonian(geom.config, 3),
+    lambda geom: oracle_run(geom.config, KickProtocol(1), [0.0], cutoff=24.0),
+    lambda geom: oracle_run(geom.config, KickProtocol(1), [0.0], cutoff=24.5),
     lambda geom: MomentumDistribution(((0, 0.5), (1, 0.4)), inertia=1.0),
     lambda geom: _step_grid(0.0, 0.1),
+    lambda geom: _step_grid(math.inf, 0.1),
     lambda geom: time_series(kicked(geom), ["soon"]),
     lambda geom: time_series(kicked(geom), [[0.0, 1.0]]),
     lambda geom: evolve(kicked(geom), "x"),
@@ -93,7 +98,8 @@ def kicked(geom):
     lambda geom: MomentumDistribution(((0, 1.0), (1, math.nan)), inertia=1.0),
 ], ids=["n1", "I1-string", "V0-nan", "harmonic", "coefficient", "fourier",
         "grid-spacing", "fraction", "delta_t", "delta_t-string", "target_gear",
-        "kick", "num_bands", "cutoff", "distribution", "t_final",
+        "kick", "num_bands", "num_bands-float", "num_bands-bool", "cutoff",
+        "cutoff-whole-float", "cutoff-float", "distribution", "t_final", "t_final-inf",
         "times-string", "times-2d", "evolve-string", "evolve-list",
         "oracle-times-string", "oracle-times-2d", "inertia-string", "inertia-inf",
         "probability-string", "momentum-half", "probability-nan"])

@@ -13,10 +13,12 @@ them, or those named in --workloads), the run length T, the metrics and
 their bounds come from this repository's BENCHMARK.json.
 
 Prints JSON in the shape of the BENCH_<pr>.json records: per workload the
-seeds, `failed` and `attempted` of every run, and per end-to-end metric
-both sides' runs, medians and quartiles, the number of pairs the change
-won, its relative worsening of the median and whether that is within the
-metric's bound.  Progress goes to stderr.  Standard library only.
+seeds, `correct`, `failed` and `attempted` of every run, and per end-to-end
+metric both sides' runs, medians and quartiles, the number of pairs the
+change won, its relative worsening of the median and whether that is
+within the metric's bound.  Progress goes to stderr.  Exits 1, naming the
+workload, seed and side of each, if any run's outputs failed the
+benchmark's checks (`correct: false`).  Standard library only.
 """
 
 import argparse
@@ -110,6 +112,7 @@ def main(argv=None) -> int:
         report["workloads"][workload] = {
             "pairs": len(args.seeds),
             "seeds": args.seeds,
+            "correct": {side: [r["correct"] for r in results[side]] for side in SIDES},
             "failed": {side: [r["failed"] for r in results[side]] for side in SIDES},
             "attempted": {side: [r["attempted"] for r in results[side]]
                           for side in SIDES},
@@ -121,7 +124,15 @@ def main(argv=None) -> int:
             },
         }
     print(json.dumps(report, indent=1))
-    return 0
+    incorrect = [f"{workload} seed {seed} {side}"
+                 for workload, record in report["workloads"].items()
+                 for side in SIDES
+                 for seed, correct in zip(record["seeds"], record["correct"][side])
+                 if not correct]
+    for run in incorrect:
+        print(f"bench_pairs: {run}: outputs failed the benchmark's checks",
+              file=sys.stderr)
+    return 1 if incorrect else 0
 
 
 if __name__ == "__main__":
