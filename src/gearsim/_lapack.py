@@ -1,10 +1,11 @@
-"""scipy's compiled eigensolvers, root finder and quadrature, without scipy's
+"""scipy's compiled LAPACK routines, root finder and quadrature, without scipy's
 packages.
 
 The library calls routines from three compiled scipy modules: LAPACK's
-dsbevd (what `scipy.linalg.eig_banded` runs for a full spectrum) and dsyevr
-(what `scipy.linalg.eigh` runs, for the raw-lattice oracle's blocks),
-Brent's method (`scipy.optimize.brentq`) and QUADPACK's qagse
+dsbevd (what `scipy.linalg.eig_banded` runs for a full spectrum), dsyevr
+and dpotrf (what `scipy.linalg.eigh` and `scipy.linalg.cholesky` run, for
+the raw-lattice oracle's blocks) and dgeev (what `np.linalg.eigvals`
+runs), Brent's method (`scipy.optimize.brentq`) and QUADPACK's qagse
 (`scipy.integrate.quad` on a finite interval).  Importing the public
 packages costs most of a short run's start-up, since their `__init__`
 modules pull in much else; the compiled modules themselves need only
@@ -27,8 +28,8 @@ import os
 import sys
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
 
-__all__ = ["load_extension", "dsbevd", "dsyevr", "dsyevr_lwork", "dgeev", "brentq",
-           "qagse"]
+__all__ = ["load_extension", "dsbevd", "dsyevr", "dsyevr_lwork", "dpotrf", "dgeev",
+           "brentq", "qagse"]
 
 
 def load_extension(relative: str):
@@ -62,6 +63,8 @@ dsbevd = _flapack.dsbevd
 # dsyevr(a, compute_v, lower, lwork, liwork) -> (w, v, m, isuppz, info);
 # dsyevr_lwork(n, lower) -> (lwork, liwork, info)
 dsyevr, dsyevr_lwork = _flapack.dsyevr, _flapack.dsyevr_lwork
+# dpotrf(a, lower, clean, overwrite_a) -> (c, info)
+dpotrf = _flapack.dpotrf
 # dgeev(a, compute_vl, compute_vr, lwork, overwrite_a) -> (wr, wi, vl, vr, info)
 dgeev = _flapack.dgeev
 

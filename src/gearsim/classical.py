@@ -46,9 +46,11 @@ __all__ = [
 
 # fraction of the natural period used as the integrator step
 _DT_FRACTION = 1e-3
-# event searches integrate at most _MAX_CHUNKS chunks of _CHUNK_STEPS steps
+# event searches integrate at most _MAX_CHUNKS chunks of _CHUNK_STEPS steps,
+# and no fixed run takes more steps than that
 _CHUNK_STEPS = 20000
 _MAX_CHUNKS = 200
+_MAX_STEPS = _MAX_CHUNKS * _CHUNK_STEPS
 # the events `_rk4` and `gearsim_rk4` can stop at: L_r changes sign,
 # theta_r reaches a target, or none
 _TURNING, _CROSSING, _NONE = 0, 1, 2
@@ -105,10 +107,15 @@ def _energy(geom: DerivedGeometry, theta: float, L: float) -> float:
 
 def _step_grid(t_final: float, dt: float) -> tuple[int, float]:
     """(number of steps, step) of a fixed-step run that lands on t_final:
-    dt shrunk to an integer divisor of t_final."""
+    dt shrunk to an integer divisor of t_final.  A run of more than
+    _MAX_STEPS steps is refused before anything is allocated."""
     if not 0 < t_final < math.inf:
         raise ConfigError(f"t_final must be > 0 and finite, got {t_final!r}")
-    n_steps = max(1, math.ceil(t_final / dt - 1e-12))
+    steps = t_final / dt - 1e-12
+    if not steps <= _MAX_STEPS:
+        raise ConfigError(f"t_final={t_final!r} needs {steps:.3g} steps of {dt:.3g}; "
+                          f"at most {_MAX_STEPS} are allowed")
+    n_steps = max(1, math.ceil(steps))
     return n_steps, t_final / n_steps
 
 

@@ -7,13 +7,15 @@ directly from the two-rotor momentum representation (kinetic diagonal, each
 cosine harmonic p hopping (m1, m2) -> (m1 + p n1, m2 - p n2)), states are
 evolved by exact diagonalisation of each disconnected hopping component of
 that lattice, and kicks shift the amplitude array.  A component is
-diagonalised on demand: only those the ground-state search cannot rule out
-by their Gershgorin bound, and those the state carries amplitude on.
-Agreement with the fast pipeline is a genuine cross-check, not a tautology.
+diagonalised on demand: only those the ground-state search cannot rule out,
+by their Gershgorin bound or by one Cholesky factorisation, and those the
+state carries amplitude on.  Agreement with the fast pipeline is a genuine
+cross-check, not a tautology.
 
 The components are found with numpy, and each block is solved densely by
-LAPACK's dsyevr, called as scipy.linalg.eigh calls it, from the compiled
-module `gearsim._lapack` loads; so the oracle imports no scipy package.
+LAPACK's dsyevr, called as scipy.linalg.eigh calls it, and screened by
+dpotrf, as scipy.linalg.cholesky calls it, from the compiled module
+`gearsim._lapack` loads; so the oracle imports no scipy package.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._lapack import dsyevr, dsyevr_lwork
+from ._lapack import dpotrf, dsyevr, dsyevr_lwork
 from .errors import ConfigError, ConvergenceFailure, TruncationBreach
 from .model import GearConfig, _int, _sample_times
 
@@ -143,6 +145,19 @@ def _eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w, v
 
 
+def _above(a: np.ndarray, level: float) -> bool:
+    """Whether every eigenvalue of the symmetric matrix `a` lies above
+    `level`: by Sylvester's law of inertia, when LAPACK dpotrf factorises
+    a - level I, up to round-off far inside the margin the ground-state
+    search adds to its level.  A non-finite matrix is never above, since
+    dpotrf can factorise one with NaN or inf in it."""
+    if not np.isfinite(a).all():
+        return False
+    shifted = a.copy()
+    shifted.flat[::a.shape[0] + 1] -= level
+    return dpotrf(shifted, lower=1, clean=0)[1] == 0
+
+
 class Components:
     """The lattice Hamiltonian's hopping components, each diagonalised the
     first time it is needed.  Every harmonic hops by a multiple of (n1, -n2),
@@ -151,7 +166,8 @@ class Components:
     component 0, then 1, ..., each in ascending lattice order, component k
     being order[starts[k]:ends[k]].  A block is assembled densely from its
     own hops and diagonalised on its own.  Solved blocks live as long as
-    this object; the public functions build one per call unless given one."""
+    this object; the public functions build one per call unless given one.
+    The ground-state search leaves unsolved every block it rules out."""
 
     def __init__(self, config: GearConfig, cutoff: int):
         diag, src, tgt, strength = build_full_hamiltonian(config, cutoff)
@@ -167,7 +183,8 @@ class Components:
         radius = (np.bincount(src, weight, minlength=diag.size)
                   + np.bincount(tgt, weight, minlength=diag.size))
         self.bounds = np.minimum.reduceat((diag - radius)[self.order], self.starts)
-        # far above eigh's round-off; a wider margin only solves more blocks
+        # far above eigh's and dpotrf's round-off; a wider margin only
+        # solves more blocks
         self.margin = 1e-8 * (1.0 + np.abs(diag).max())
         self._diag = diag
         # the hops grouped by component, each end as its site's row in the block
@@ -180,26 +197,38 @@ class Components:
             ([0], np.cumsum(np.bincount(label[src], minlength=sizes.size))))
         self._solved: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
+    def _block(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """(lattice indices, dense Hamiltonian block) of component k."""
+        idx = self.order[self.starts[k]:self.ends[k]]
+        block = np.diag(self._diag[idx])
+        lo, hi = self._hop_bounds[k:k + 2]
+        i, j, s = (a[lo:hi] for a in self._hops)
+        block[i, j] = s
+        block[j, i] = s
+        return idx, block
+
     def __getitem__(self, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(lattice indices, eigenvalues, eigenvectors) of component k."""
         if k not in self._solved:
-            idx = self.order[self.starts[k]:self.ends[k]]
-            block = np.diag(self._diag[idx])
-            lo, hi = self._hop_bounds[k:k + 2]
-            i, j, s = (a[lo:hi] for a in self._hops)
-            block[i, j] = s
-            block[j, i] = s
+            idx, block = self._block(k)
             self._solved[k] = (idx, *_eigh(block))
         return self._solved[k]
 
     def ground(self) -> int:
         """The component with the lowest eigenvalue, the first one on a tie.
-        Components are solved in ascending bound order until every bound
-        left lies above the best eigenvalue found."""
+        Components are visited in ascending bound order until every bound
+        left lies above the best eigenvalue found plus the margin.  Each one
+        visited after the first is skipped, unsolved, if the Cholesky screen
+        `_above` puts its whole spectrum above that level, so it could never
+        be chosen; it is diagonalised otherwise.  The screen refuses a
+        non-finite block, which `_eigh` then refuses as ConvergenceFailure."""
         best, ground = np.inf, -1
         for k in np.argsort(self.bounds, kind="stable").tolist():
             if self.bounds[k] > best + self.margin:
                 break
+            if (ground >= 0 and k not in self._solved
+                    and _above(self._block(k)[1], best + self.margin)):
+                continue
             lowest = self[k][1][0]
             if lowest < best or (lowest == best and k < ground):
                 best, ground = lowest, k

@@ -1,7 +1,7 @@
 """The compiled scipy entry points `gearsim._lapack` loads, pinned against the
 public scipy functions they stand in for.
 
-`dsbevd`, `dsyevr`, `dgeev`, `_brentq` and `_qagse` are private to scipy and called
+`dsbevd`, `dsyevr`, `dpotrf`, `dgeev`, `_brentq` and `_qagse` are private to scipy and called
 positionally or with the keywords the public wrappers use; their signatures
 can change between scipy versions.  These
 tests are where such a change shows: each compares the library's call with
@@ -29,6 +29,7 @@ def test_entry_points_are_the_functions_scipy_itself_calls():
     assert _lapack.dsbevd is scipy.linalg.get_lapack_funcs(("sbevd",), (band,))[0]
     assert (_lapack.dsyevr, _lapack.dsyevr_lwork) == tuple(
         scipy.linalg.get_lapack_funcs(("syevr", "syevr_lwork"), (band,)))
+    assert _lapack.dpotrf is scipy.linalg.get_lapack_funcs(("potrf",), (band,))[0]
     assert _lapack.dgeev is scipy.linalg.get_lapack_funcs(("geev",), (band,))[0]
     assert _lapack.load_extension("optimize/_zeros") is _zeros
     assert _lapack.load_extension("integrate/_quadpack") is _quadpack
@@ -99,6 +100,29 @@ def test_dsyevr_info_is_checked(monkeypatch):
     monkeypatch.setattr(oracle, "dsyevr", failing)
     with pytest.raises(ConvergenceFailure, match="info=5"):
         oracle._eigh(np.eye(3))
+
+
+def test_dpotrf_equals_cholesky_bit_for_bit():
+    """The oracle's screen factorises as scipy.linalg.cholesky does: on
+    random symmetric positive definite matrices the lower factor matches
+    bit for bit, also in the oracle's call, which leaves the upper
+    triangle uncleaned."""
+    rng = np.random.default_rng(24)
+    for n in range(1, 61):
+        b = rng.standard_normal((n, n))
+        a = b @ b.T + n * np.eye(n)
+        want = scipy.linalg.cholesky(a, lower=True)
+        c, info = _lapack.dpotrf(a, lower=1)
+        assert info == 0 and np.array_equal(c, want), n
+        c, info = _lapack.dpotrf(a, lower=1, clean=0)
+        assert info == 0 and np.array_equal(np.tril(c), want), n
+
+
+def test_dpotrf_reports_a_matrix_that_is_not_positive_definite():
+    a = np.diag([2.0, 1.0, -1e-3, 4.0])
+    assert _lapack.dpotrf(a, lower=1)[1] == 3
+    assert not oracle._above(a, 0.0)
+    assert oracle._above(a, -2e-3)
 
 
 def test_dgeev_equals_numpy_eigvals_bit_for_bit():

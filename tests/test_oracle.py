@@ -14,7 +14,7 @@ from gearsim.dynamics import (
     run_protocol,
     time_series,
 )
-from gearsim.errors import ConfigError, TruncationBreach
+from gearsim.errors import ConfigError, ConvergenceFailure, TruncationBreach
 from gearsim.model import GearConfig, PotentialSpec, derive_geometry
 from gearsim.oracle import (
     Components,
@@ -30,6 +30,8 @@ from gearsim.relative import eigensystem_for, ground_state
 CUTOFF = 16
 SECOND = PotentialSpec(((0, 0.5), (1, 0.4), (2, 0.1)))
 THIRD = PotentialSpec(((0, 0.5), (1, 0.45), (3, 0.05)))
+PROFILES = [PotentialSpec(), SECOND, THIRD, PotentialSpec(((0, 0.5), (2, 0.5)))]
+P23 = PotentialSpec(((2, 0.3), (3, 0.2)))
 
 
 def moments(state):
@@ -144,6 +146,126 @@ def test_oracle_run_solves_only_the_components_it_needs(monkeypatch):
     assert 0 < len(solves) < total / 4
 
 
+@pytest.mark.parametrize("config,cutoff", [
+    pytest.param(GearConfig(2, 2, V0=10.0), 24, id="22-c24"),
+    pytest.param(GearConfig(4, 2, V0=10.0, potential=SECOND), 20, id="42-second-c20"),
+    pytest.param(GearConfig(1, 1, V0=40.0), 24, id="11-V40-c24"),
+])
+def test_ground_search_diagonalises_only_the_ground(monkeypatch, config, cutoff):
+    """Every other component the Gershgorin bound leaves in the search
+    (13, 21 and 6 of them here) is ruled out by the Cholesky screen."""
+    solves = []
+    eigh = oracle._eigh
+
+    def counting_eigh(a):
+        solves.append(a.shape[0])
+        return eigh(a)
+
+    monkeypatch.setattr(oracle, "_eigh", counting_eigh)
+    oracle_ground_state(config, cutoff)
+    assert len(solves) == 1
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_block_is_never_screened_out(monkeypatch, bad):
+    """dpotrf factorises a block with NaN or inf on its diagonal; the screen
+    must refuse such a block, not skip it."""
+    config, cutoff = GearConfig(2, 2, V0=10.0), 24
+    components = Components(config, cutoff)
+    level = components[components.ground()][1][0] + components.margin
+    screened = [k for k in range(components.ends.size)
+                if components.bounds[k] <= level and k not in components._solved]
+    assert screened
+    block = Components._block
+
+    def poisoned(self, k):
+        idx, a = block(self, k)
+        if k == screened[0]:
+            a[0, 0] = bad
+        return idx, a
+
+    monkeypatch.setattr(Components, "_block", poisoned)
+    with pytest.raises(ConvergenceFailure, match="non-finite"):
+        oracle_ground_state(config, cutoff)
+
+
+def ground_search(config, cutoff):
+    """The chosen component and the ground state's amplitudes, or the
+    message of the TruncationBreach oracle_ground_state raises."""
+    components = Components(config, cutoff)
+    k = components.ground()
+    try:
+        return k, oracle_ground_state(config, cutoff, components).amplitudes
+    except TruncationBreach as exc:
+        return k, str(exc)
+
+
+def unscreened_ground_search(config, cutoff):
+    """ground_search with every component the bounds leave in diagonalised."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracle, "_above", lambda a, level: False)
+        return ground_search(config, cutoff)
+
+
+@st.composite
+def lattices(draw):
+    """A config and a cutoff from n1 + n2 to 26."""
+    n1, n2 = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    V0 = draw(st.one_of(st.just(0.0), st.floats(1.0, 60.0)))
+    profile = draw(st.sampled_from(PROFILES + [P23]))
+    return (GearConfig(n1, n2, V0=V0, potential=profile),
+            draw(st.integers(n1 + n2, 26)))
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(lattice=lattices())
+# the three searches of test_ground_search_diagonalises_only_the_ground
+@example(lattice=(GearConfig(2, 2, V0=10.0), 24))
+@example(lattice=(GearConfig(4, 2, V0=10.0, potential=SECOND), 20))
+@example(lattice=(GearConfig(1, 1, V0=40.0), 24))
+# every lattice site is its own component
+@example(lattice=(GearConfig(2, 3, V0=0.0), 10))
+# the ground is not the component with the lowest bound, so the screen
+# runs with a best eigenvalue that the search later lowers
+@example(lattice=(GearConfig(1, 2, V0=10.0), 3))
+@example(lattice=(GearConfig(1, 3, V0=40.0, potential=PROFILES[3]), 5))
+@example(lattice=(GearConfig(1, 2, V0=60.0, potential=P23), 3))
+# mirror-image components with bit-equal lowest eigenvalues: the tie-break
+# picks the one with the smaller index
+@example(lattice=(GearConfig(4, 1, V0=40.0, potential=PROFILES[3]), 5))
+@example(lattice=(GearConfig(4, 2, V0=30.0, potential=PROFILES[3]), 6))
+@example(lattice=(GearConfig(5, 3, V0=40.0, potential=PROFILES[3]), 8))
+def test_screened_ground_search_matches_the_unscreened_one(lattice):
+    """The Cholesky screen changes which components are diagonalised, never
+    which one is chosen or a bit of the ground state; and the state is the
+    one a diagonalisation of every component gives."""
+    k, got = ground_search(*lattice)
+    want_k, want = unscreened_ground_search(*lattice)
+    assert k == want_k
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert np.array_equal(got, want)
+        assert np.array_equal(got.ravel(), brute_force_ground_amplitudes(*lattice))
+
+
+@pytest.mark.parametrize("config,cutoff,twins", [
+    pytest.param(GearConfig(4, 1, V0=40.0, potential=PROFILES[3]), 5, 2, id="41"),
+    pytest.param(GearConfig(5, 3, V0=40.0, potential=PROFILES[3]), 8, 3, id="53"),
+])
+def test_tie_break_survives_the_screen(config, cutoff, twins):
+    """On these smallest lattices the lowest eigenvalue is shared, bit for
+    bit, by a pair of mirror-image components (at 5:3 by a third one too);
+    the screen cannot rule out a tied component, so the first one is
+    chosen, as without the screen."""
+    components = Components(config, cutoff)
+    ground = components.ground()
+    best = components[ground][1][0]
+    tied = [k for k, (_, w, _) in components._solved.items() if w[0] == best]
+    assert len(tied) == twins and ground == min(tied)
+    assert unscreened_ground_search(config, cutoff)[0] == ground
+
+
 def test_ground_state_is_stationary(cfg22):
     gs = oracle_ground_state(cfg22, CUTOFF)
     obs = moments(gs)
@@ -218,7 +340,6 @@ def test_time_series_agrees_at_large_ell():
                                    rtol=0, atol=1e-8, err_msg=name)
 
 
-PROFILES = [PotentialSpec(), SECOND, THIRD, PotentialSpec(((0, 0.5), (2, 0.5)))]
 INERTIAS = [0.5, 0.7, 1.0, 1.3, 1.5, 2.0]
 
 
@@ -256,9 +377,6 @@ def test_pipeline_matches_oracle(n, inertia, V0, profile, train):
                                    rtol=0, atol=1e-8, err_msg=name)
     gear2 = P @ (m2[:, None] == series.m_values[None, :])
     np.testing.assert_allclose(series.gear2, gear2, rtol=0, atol=1e-8)
-
-
-P23 = PotentialSpec(((2, 0.3), (3, 0.2)))
 
 
 @settings(max_examples=30, derandomize=True, database=None, deadline=None)

@@ -14,7 +14,7 @@ import types
 
 import pytest
 
-from gearsim.classical import _step_grid
+from gearsim.classical import ClassicalState, _step_grid, simulate_relative
 from gearsim.dynamics import KickProtocol, apply_kick, evolve, time_series
 from gearsim.errors import ConfigError, GearsError
 from gearsim.ergotropy import MomentumDistribution
@@ -85,6 +85,9 @@ def kicked(geom):
     lambda geom: MomentumDistribution(((0, 0.5), (1, 0.4)), inertia=1.0),
     lambda geom: _step_grid(0.0, 0.1),
     lambda geom: _step_grid(math.inf, 0.1),
+    # t_final / dt overflows to inf; at 1e13 the grid would need 101 PiB
+    lambda geom: simulate_relative(geom, ClassicalState(0.1, 0.0), 1e308),
+    lambda geom: simulate_relative(geom, ClassicalState(0.1, 0.0), 1e13),
     lambda geom: time_series(kicked(geom), ["soon"]),
     lambda geom: time_series(kicked(geom), [[0.0, 1.0]]),
     lambda geom: evolve(kicked(geom), "x"),
@@ -100,6 +103,7 @@ def kicked(geom):
         "grid-spacing", "fraction", "delta_t", "delta_t-string", "target_gear",
         "kick", "num_bands", "num_bands-float", "num_bands-bool", "cutoff",
         "cutoff-whole-float", "cutoff-float", "distribution", "t_final", "t_final-inf",
+        "t_final-overflow", "t_final-huge",
         "times-string", "times-2d", "evolve-string", "evolve-list",
         "oracle-times-string", "oracle-times-2d", "inertia-string", "inertia-inf",
         "probability-string", "momentum-half", "probability-nan"])
