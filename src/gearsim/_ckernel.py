@@ -1,9 +1,12 @@
-"""The C twin of `classical._rk4` (`_rk4.c`), compiled on first use.
+"""gearsim's C kernels (`_rk4.c`), compiled on first use.
 
-`gearsim_rk4` is the one entry point: it writes every sample into the
-caller's arrays and stops after a given number of steps, or earlier at the
-step that fires the event it is asked for (an L_r sign change, theta_r
-reaching a target, or none), so an event search stops at its event.
+The library has two entry points.  `gearsim_rk4`, the C twin of
+`classical._rk4`, writes every sample into the caller's arrays and stops
+after a given number of steps, or earlier at the step that fires the event
+it is asked for (an L_r sign change, theta_r reaching a target, or none),
+so an event search stops at its event.  `gearsim_phases` writes the phase
+matrix exp(-iEt) of `dynamics._amplitudes` for every sample time and
+energy, with the floats numpy's complex `exp` gives.
 
 Tests and benchmarks run gearsim from its source tree, with no build step,
 so the library builds the kernel itself: `cc -O2 -ffp-contract=off -fPIC
@@ -13,11 +16,11 @@ flags and the machine, so an edit to any of them builds afresh.  The
 compiler writes a temporary file in that directory, which is then renamed
 into place, so a concurrent process never loads half a library.
 
-No fast math and no FMA contraction: the kernel must give the floats the
-Python loop gives.  Where there is no compiler, the build fails or the
-directory is read-only, `library` returns None for the rest of the process
-and the classical limit runs the Python loop instead, with the same
-results.
+No fast math and no FMA contraction: the kernels must give the floats
+the Python loop and numpy give.  Where there is no compiler, the build
+fails or the directory is read-only, `library` returns None for the rest
+of the process: the classical limit runs the Python loop instead, and the
+propagation numpy's `np.exp`, with the same results.
 """
 
 from __future__ import annotations
@@ -42,13 +45,16 @@ _RK4_ARGTYPES = (ctypes.c_double, ctypes.c_double, ctypes.c_double, ctypes.c_lon
                  ctypes.c_void_p, ctypes.c_void_p, ctypes.c_double, ctypes.c_double,
                  ctypes.c_double, ctypes.c_long, ctypes.c_long, ctypes.c_double,
                  ctypes.c_double, ctypes.c_void_p, ctypes.c_void_p)
+# gearsim_phases(T, d, t, E, out)
+_PHASES_ARGTYPES = (ctypes.c_long, ctypes.c_long, ctypes.c_void_p,
+                    ctypes.c_void_p, ctypes.c_void_p)
 
 
 @functools.cache
 def library():
-    """The kernel as a ctypes library with `gearsim_rk4` typed, built if
-    need be, or None if it cannot be built or loaded.  Tried once per
-    process."""
+    """The kernels as a ctypes library with `gearsim_rk4` and
+    `gearsim_phases` typed, built if need be, or None if it cannot be built
+    or loaded.  Tried once per process."""
     try:
         with open(_SOURCE, "rb") as fh:
             source = fh.read()
@@ -61,10 +67,11 @@ def library():
         return None
     try:
         lib = ctypes.CDLL(path)
-        rk4 = lib.gearsim_rk4
+        rk4, phases = lib.gearsim_rk4, lib.gearsim_phases
     except (OSError, AttributeError):
         return None
     rk4.argtypes, rk4.restype = _RK4_ARGTYPES, ctypes.c_long
+    phases.argtypes, phases.restype = _PHASES_ARGTYPES, None
     return lib
 
 

@@ -21,6 +21,7 @@ stops at the event.
 from __future__ import annotations
 
 import ctypes
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -169,30 +170,37 @@ def _rk4(geom: DerivedGeometry, th: float, l: float, dt: float, n_steps: int,
     return 0
 
 
-def _integrator(geom: DerivedGeometry):
-    """`_rk4` for this geometry, as (th, l, dt, n_steps, mode, target,
-    direction, out) -> step index, writing theta and L to the rows of the
-    C-contiguous float array out: the compiled kernel, with the force's
-    terms converted once, or the Python loop, with the same floats."""
+def _integrator(geom: DerivedGeometry, out: np.ndarray):
+    """`_rk4` for this geometry and the sample buffer out, as (th, l, dt,
+    n_steps, mode, target, direction) -> step index, writing theta and L to
+    the rows of out: the compiled kernel, with the force's terms converted
+    once, or the Python loop, with the same floats.  out, a C-contiguous
+    float array of shape (2, m), is checked and its rows taken here, once;
+    each call checks only that n_steps < m."""
+    if not (out.dtype == np.float64 and out.flags.c_contiguous
+            and out.ndim == 2 and out.shape[0] == 2):
+        raise ConfigError(f"samples need a C-contiguous float array of shape "
+                          f"(2, m), got {out.dtype} {out.shape}")
     lib = _ckernel.library()
     if lib is None:
-        return (lambda th, l, dt, n_steps, mode, target, direction, out:
-                _rk4(geom, th, l, dt, n_steps, mode, target, direction, out[0], out[1]))
-    rk4 = lib.gearsim_rk4
-    harmonics = geom.config.potential.harmonics()
-    terms = ctypes.c_double * len(harmonics)
-    args = (geom.n, geom.I_r, geom.n * geom.config.V0, len(harmonics),
-            terms(*(p for p, _ in harmonics)), terms(*(p * a for p, a in harmonics)))
+        step, rows = functools.partial(_rk4, geom), (out[0], out[1])
+    else:
+        harmonics = geom.config.potential.harmonics()
+        terms = ctypes.c_double * len(harmonics)
+        step = functools.partial(
+            lib.gearsim_rk4, geom.n, geom.I_r, geom.n * geom.config.V0,
+            len(harmonics), terms(*(p for p, _ in harmonics)),
+            terms(*(p * a for p, a in harmonics)))
+        theta = out.ctypes.data
+        rows = (theta, theta + out.strides[0])
 
     def run(th: float, l: float, dt: float, n_steps: int, mode: int,
-            target: float, direction: float, out: np.ndarray) -> int:
-        if not (out.dtype == np.float64 and out.flags.c_contiguous
-                and out.shape[0] == 2 and out.shape[1] > n_steps):
-            raise ConfigError(f"samples need a C-contiguous float array of shape "
-                              f"(2, > {n_steps}), got {out.dtype} {out.shape}")
-        theta = out.ctypes.data
-        return rk4(*args, th, l, dt, n_steps, mode, target, direction,
-                   theta, theta + out.strides[0])
+            target: float, direction: float) -> int:
+        # reading out here also keeps it alive while the kernel holds its rows
+        if n_steps >= out.shape[1]:
+            raise ConfigError(f"{n_steps} steps need more than the buffer's "
+                              f"{out.shape[1]} samples")
+        return step(th, l, dt, n_steps, mode, target, direction, *rows)
 
     return run
 
@@ -210,7 +218,7 @@ def simulate_relative(
     n_steps, dt = _step_grid(t_final, _default_dt(geom, t_final))
     times = initial.time + dt * np.arange(n_steps + 1)
     out = np.empty((2, n_steps + 1))
-    _integrator(geom)(initial.theta_r, initial.L_r, dt, n_steps, _NONE, 0.0, 0.0, out)
+    _integrator(geom, out)(initial.theta_r, initial.L_r, dt, n_steps, _NONE, 0.0, 0.0)
     return Trajectory(geom, times, out[0], out[1], initial.L_c)
 
 
@@ -274,13 +282,13 @@ def _simulate_until(geom: DerivedGeometry, state: ClassicalState, dt: float,
     search writes its samples to one chunk-sized buffer.
     """
     n_steps, h = _step_grid(_CHUNK_STEPS * dt, dt)
-    run = _integrator(geom)
     out = np.empty((2, n_steps + 1))
+    run = _integrator(geom, out)
     t0, th, l = state.time, state.theta_r, state.L_r
     for _ in range(_MAX_CHUNKS):
         k = 0
         while k < n_steps:
-            fired = run(th, l, h, n_steps - k, mode, target, direction, out)
+            fired = run(th, l, h, n_steps - k, mode, target, direction)
             if not fired:
                 th, l = out[:, n_steps - k].tolist()
                 break

@@ -7,6 +7,11 @@ printed with 15 significant digits, rows are emitted in sorted axis order,
 and sweep points are computed independently of each other, from one geometry
 derived once per subcommand.
 
+Each handler returns its table as (header, columns): a time series hands
+over its arrays unchanged, a sweep one list per field.  The writer formats
+a column of floats only with one "%.15g" format over the whole column and
+any other column cell by cell with `_fmt`, to the same bytes.
+
 The CLI checks only what the JSON alone decides: its sections and keys,
 counts given as integral floats (2.0), the `times` grid and `workers`.  The
 library checks every value it is handed and raises ConfigError itself.
@@ -191,11 +196,29 @@ def _fmt(x) -> str:
     return f"{float(x) + 0.0:.15g}"
 
 
-def _write_csv(path: str, header: list[str], rows) -> None:
+def _cells(column) -> list[str]:
+    """`_fmt` of every cell of a column.  A float64 array, or a sequence of
+    floats only, is formatted with one "%.15g" format over all of it, with
+    -0.0 folded into 0.0 as `_fmt` folds it."""
+    if not (isinstance(column, np.ndarray) and column.dtype == np.float64):
+        if not all(isinstance(x, float) for x in column):
+            return [_fmt(x) for x in column]
+        column = np.array(column, dtype=np.float64)
+    text = "%.15g\n" * len(column) % tuple((column + 0.0).tolist())
+    return text.split("\n")[:-1]
+
+
+def _write_csv(path: str, header: list[str], columns) -> None:
+    """The table with these columns, under its header, one row a line."""
+    lines = [",".join(header)]
+    lines += map(",".join, zip(*map(_cells, columns), strict=True))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.write("\n".join(lines) + "\n")
+
+
+def _per_field(results, names) -> list[list]:
+    """One column per field name: that field of every result, in order."""
+    return [[getattr(res, name) for res in results] for name in names]
 
 
 def _map_sweep(fn, jobs, workers: int):
@@ -209,20 +232,13 @@ def _map_sweep(fn, jobs, workers: int):
 
 # ----------------------------------------------------------- sweep points ---
 
-def _classical_point(geom, protocol):
-    res = classical_transmission(geom, protocol)
-    return (protocol.ell, res.r, res.r_measured, res.L_r_bar, res.above_threshold)
-
-
-def _occupation_rows(geom, protocol):
+def _occupation_columns(geom, protocol):
     es, occ = eigen_occupations(run_protocol(geom, protocol))
     mu = es.grid.values()
     kinetic = (es.vectors ** 2).T @ (mu ** 2 / (2.0 * geom.I_r))
-    return [
-        (protocol.ell, i, float(int(es.labels[i]) * geom.mu_r_unit),
-         float(es.energies[i]), float(kinetic[i]), float(occ[i]))
-        for i in range(es.dim)
-    ]
+    k = [float(int(label) * geom.mu_r_unit) for label in es.labels]
+    return [[protocol.ell] * es.dim, list(range(es.dim)), k, es.energies,
+            kinetic, occ]
 
 
 # ----------------------------------------------------------- subcommands ---
@@ -231,19 +247,19 @@ def _cmd_bands(doc, workers):
     config = _gear_config(doc)
     num_bands = _integer(doc.get("num_bands", 3), "num_bands")
     bs = band_structure(derive_geometry(config), num_bands)
-    rows = [
-        (float(k), band + 1, bs.energies[band, i])
-        for band in range(bs.num_bands)
-        for i, k in enumerate(bs.ks)
+    ks = [float(k) for k in bs.ks]
+    return ["k", "band", "energy"], [
+        ks * bs.num_bands,
+        [band + 1 for band in range(bs.num_bands) for _ in ks],
+        bs.energies.ravel(),
     ]
-    return ["k", "band", "energy"], rows
 
 
 def _cmd_transmission(doc, workers):
     jobs = _sweep(doc, "ell", default_num_kicks=1)
-    rows = [(p.ell, res.r, res.L1_bar, res.L2_bar, res.L_r_bar, res.period_estimate)
-            for (_, p), res in zip(jobs, _map_sweep(transmission_ratio, jobs, workers))]
-    return ["ell", "r", "L1_bar", "L2_bar", "L_r_bar", "period_estimate"], rows
+    fields = ["r", "L1_bar", "L2_bar", "L_r_bar", "period_estimate"]
+    results = _map_sweep(transmission_ratio, jobs, workers)
+    return ["ell", *fields], [[p.ell for _, p in jobs], *_per_field(results, fields)]
 
 
 def _cmd_multikick(doc, workers):
@@ -251,9 +267,10 @@ def _cmd_multikick(doc, workers):
     if jobs[0][1].num_kicks is not None:
         raise ConfigError("multikick sends |ell| unit kicks and takes no "
                           "protocol.num_kicks")
-    rows = [(p.delta_t, res.r, res.L1_bar, res.L2_bar, res.L_r_bar)
-            for (_, p), res in zip(jobs, _map_sweep(transmission_ratio, jobs, workers))]
-    return ["delta_t", "r", "L1_bar", "L2_bar", "L_r_bar"], rows
+    fields = ["r", "L1_bar", "L2_bar", "L_r_bar"]
+    results = _map_sweep(transmission_ratio, jobs, workers)
+    return (["delta_t", *fields],
+            [[p.delta_t for _, p in jobs], *_per_field(results, fields)])
 
 
 def _cmd_classical(doc, workers):
@@ -261,37 +278,33 @@ def _cmd_classical(doc, workers):
     geom = jobs[0][0]
     print(f"L_r threshold {geom.L_r_threshold:.6g}; "
           f"gear-1 kick threshold {geom.ell_threshold:.6g}")
-    rows = _map_sweep(_classical_point, jobs, workers)
-    return ["ell", "r", "r_measured", "L_r_bar", "above_threshold"], rows
+    fields = ["r", "r_measured", "L_r_bar", "above_threshold"]
+    results = _map_sweep(classical_transmission, jobs, workers)
+    return ["ell", *fields], [[p.ell for _, p in jobs], *_per_field(results, fields)]
 
 
 def _cmd_occupations(doc, workers):
     jobs = _sweep(doc, "ell", default_num_kicks=1)
-    nested = _map_sweep(_occupation_rows, jobs, workers)
-    rows = [row for chunk in nested for row in chunk]
-    return ["ell", "state", "k", "energy", "kinetic_energy", "occupation"], rows
+    points = _map_sweep(_occupation_columns, jobs, workers)
+    return (["ell", "state", "k", "energy", "kinetic_energy", "occupation"],
+            [[x for point in column for x in point] for column in zip(*points)])
 
 
 def _cmd_evolve(doc, workers):
     geom = derive_geometry(_gear_config(doc))
     protocol = _protocol(doc, default_num_kicks=1)
     ts = time_series(run_protocol(geom, protocol), _times(doc))
-    rows = zip(ts.times, ts.L1, ts.L2, ts.L2_sq, ts.energy_r, ts.norm)
-    return ["t", "L1", "L2", "L2_sq", "energy_r", "norm"], rows
+    return (["t", "L1", "L2", "L2_sq", "energy_r", "norm"],
+            [ts.times, ts.L1, ts.L2, ts.L2_sq, ts.energy_r, ts.norm])
 
 
 def _cmd_ergotropy(doc, workers):
     geom = derive_geometry(_gear_config(doc))
     protocol = _protocol(doc, default_num_kicks=1)
     times = _times(doc)
+    fields = ["kinetic", "net_kinetic", "ergotropy", "ratio_ergotropy", "ratio_net"]
     reports = ergotropy_time_series(geom, protocol, times)
-    rows = [
-        (t, rep.kinetic, rep.net_kinetic, rep.ergotropy,
-         rep.ratio_ergotropy, rep.ratio_net)
-        for t, rep in zip(times, reports)
-    ]
-    return ["t", "kinetic", "net_kinetic", "ergotropy",
-            "ratio_ergotropy", "ratio_net"], rows
+    return ["t", *fields], [times, *_per_field(reports, fields)]
 
 
 def _cmd_oracle(doc, workers):
@@ -302,8 +315,8 @@ def _cmd_oracle(doc, workers):
     _require_keys(oracle_doc, {"cutoff"}, "oracle")
     cutoff = _integer(oracle_doc.get("cutoff", 24), "oracle.cutoff")
     series = oracle_run(config, protocol, times, cutoff=cutoff)
-    rows = zip(series.times, series.L1, series.L2, series.L2_sq, series.norm)
-    return ["t", "L1", "L2", "L2_sq", "norm"], rows
+    return (["t", "L1", "L2", "L2_sq", "norm"],
+            [series.times, series.L1, series.L2, series.L2_sq, series.norm])
 
 
 def _cmd_verify(only) -> int:
@@ -325,7 +338,7 @@ def _cmd_verify(only) -> int:
     return 0
 
 
-# name: (handler(doc, workers) -> (header, rows), help); each writes
+# name: (handler(doc, workers) -> (header, columns), help); each writes
 # <name>.csv, and `verify` takes no config
 _COMMANDS = {
     "bands": (_cmd_bands, "Bloch band energies over the physical quasi-momenta"),
@@ -367,10 +380,10 @@ def main(argv=None) -> int:
         doc = _load_config(args.config)
         handler, _ = _COMMANDS[args.command]
         out_dir = _out_dir(doc, args.out)
-        header, rows = handler(doc, _workers(doc, args.workers))
+        header, columns = handler(doc, _workers(doc, args.workers))
         os.makedirs(out_dir, exist_ok=True)
         path = os.path.join(out_dir, f"{args.command}.csv")
-        _write_csv(path, header, rows)
+        _write_csv(path, header, columns)
         print(path)
         return 0
     except ConfigError as exc:

@@ -7,9 +7,12 @@ the window is regrown, up to MAX_HALF_WIDTH, when a kick or long evolution
 pushes probability toward an edge.  `relative._ensure_window` fits the
 window and projects the state onto its eigenstates once; the propagation
 kernel `_amplitudes` turns that into the amplitudes at all T sample times as
-one (T, dim) matrix, by two real products with the eigenvectors.  `evolve`,
-`evolved_states`, `time_series` and `ergotropy_time_series` read its rows;
-`time_series` checks every sample's L1 and L2 two independent ways.
+one (T, dim) matrix, by two real products with the eigenvectors.  Its phase
+matrix exp(-iEt) comes from the compiled `gearsim_phases` (`_ckernel`), or
+from numpy's `np.exp` where that cannot be built, with the same floats.
+`evolve`, `evolved_states`, `time_series` and `ergotropy_time_series` read
+its rows; `time_series` checks every sample's L1 and L2 two independent
+ways.
 
 The infinite-time average of any observable is its diagonal-ensemble value,
 taken in the symmetry-resolved eigenbasis of `relative.eigendecompose`:
@@ -19,12 +22,14 @@ the reflection maps onto themselves.
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
+from . import _ckernel
 from .errors import ConfigError, InternalInconsistency
 from .model import (
     DerivedGeometry,
@@ -150,17 +155,39 @@ def evolve(state: RotorState, t: float) -> RotorState:
     return evolved_states(state, [t])[0]
 
 
+def _phases(times: np.ndarray, energies: np.ndarray) -> np.ndarray:
+    """The (T, d) matrix exp(-iEt) of every time and energy: the compiled
+    kernel's, or numpy's where it cannot be built, bit for bit the same."""
+    lib = _ckernel.library()
+    if lib is None:
+        return np.exp(np.outer(times, -1j * energies))
+    out = np.empty((times.size, energies.size), dtype=complex)
+    if out.size:
+        # times and energies go over as float64 bytes and out as the address
+        # of its own buffer, each far cheaper to get than `.ctypes.data`
+        lib.gearsim_phases(times.size, energies.size,
+                           times.astype(np.float64, copy=False).tobytes(),
+                           energies.astype(np.float64, copy=False).tobytes(),
+                           ctypes.addressof(ctypes.c_char.from_buffer(out)))
+    return out
+
+
 def _amplitudes(state: RotorState, times
                 ) -> tuple[RotorState, np.ndarray, np.ndarray]:
     """The propagation kernel: the state on its adequate window, the times
     as `model._sample_times` checked them, and the (T, dim) matrix C whose
     row i holds the amplitudes at times[i], C = X V^T with X = e^{-iEt} * a
-    for every time at once."""
+    for every time at once.  numpy multiplies by a, and the real and
+    imaginary parts of C are written in place, one real product each."""
     times = _sample_times(times)
     state, es, a = _ensure_window(state)
-    X = np.exp(np.outer(times, -1j * es.energies)) * a
+    X = _phases(times, es.energies)
+    X *= a
     VT = es.vectors.T
-    return state, times, X.real @ VT + 1j * (X.imag @ VT)
+    C = np.empty((X.shape[0], VT.shape[1]), dtype=complex)
+    C.real = X.real @ VT
+    C.imag = X.imag @ VT
+    return state, times, C
 
 
 def evolved_states(state: RotorState, times) -> list[RotorState]:

@@ -1,10 +1,11 @@
-"""Building and loading the compiled RK4 kernel (`gearsim._ckernel`).
+"""Building and loading the compiled kernels (`gearsim._ckernel`).
 
-The kernel is built on first use into the package's `__pycache__/`; where
-that fails the classical limit runs the Python loop.  These tests pin that
-a compiler on PATH does give a loaded kernel, so a broken build cannot fall
-back unseen, and that every failure leaves nothing behind and is tried once.
-The kernel's floats are pinned in tests/test_classical.py.
+The kernels are built on first use into the package's `__pycache__/`; where
+that fails the classical limit runs the Python loop and the propagation
+numpy's np.exp.  These tests pin that a compiler on PATH does give a loaded
+library, so a broken build cannot fall back unseen, and that every failure
+leaves nothing behind and is tried once.  The kernels' floats are pinned in
+tests/test_classical.py (RK4) and tests/test_dynamics.py (phases).
 """
 
 import shutil
@@ -12,7 +13,7 @@ import shutil
 import numpy as np
 import pytest
 
-from gearsim import _ckernel, classical
+from gearsim import _ckernel, classical, dynamics
 from gearsim.model import GearConfig, derive_geometry
 
 needs_cc = pytest.mark.skipif(shutil.which("cc") is None,
@@ -23,10 +24,18 @@ def _same_as_the_python_loop(geom, th, l, dt, n_steps, mode, target, direction):
     """Whether the process's `_integrator` and the Python loop `_rk4` return
     the same step index and write the same samples for this run."""
     got, want = np.empty((2, n_steps + 1)), np.empty((2, n_steps + 1))
-    fired = classical._integrator(geom)(th, l, dt, n_steps, mode, target, direction, got)
+    fired = classical._integrator(geom, got)(th, l, dt, n_steps, mode, target, direction)
     last = (fired or n_steps) + 1
     return (fired == classical._rk4(geom, th, l, dt, n_steps, mode, target, direction, *want)
             and np.array_equal(got[:, :last], want[:, :last]))
+
+
+def _same_phases_as_numpy():
+    """Whether the process's phase matrix is numpy's, bit for bit."""
+    times, energies = np.linspace(0.0, 50.0, 101), np.linspace(-40.0, 60.0, 37)
+    want = np.exp(np.outer(times, -1j * energies))
+    return np.array_equal(dynamics._phases(times, energies).view(np.int64),
+                          want.view(np.int64))
 
 
 @needs_cc
@@ -46,6 +55,7 @@ def test_a_fresh_build_leaves_one_library_and_the_same_floats(monkeypatch, tmp_p
         assert _same_as_the_python_loop(geom, 0.4, -2.0, 1e-3, 500, classical._NONE, 0.0, 0.0)
         assert _same_as_the_python_loop(geom, 0.4, -2.0, 1e-3, 5000, classical._TURNING,
                                         0.0, 0.0)
+        assert _same_phases_as_numpy()
     finally:
         _ckernel.library.cache_clear()
 
@@ -58,6 +68,7 @@ def test_a_missing_compiler_leaves_the_python_loop(no_compiler):
     assert _same_as_the_python_loop(geom, 0.4, -2.0, 1e-3, 50, classical._NONE, 0.0, 0.0)
     assert _same_as_the_python_loop(geom, 0.4, -2.0, 1e-3, 50, classical._CROSSING,
                                     0.35, -1.0)
+    assert _same_phases_as_numpy()
 
 
 def test_a_failed_build_is_tried_once_per_process(no_compiler, monkeypatch):

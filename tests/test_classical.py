@@ -1,5 +1,6 @@
 """Classical limit: RK4 relative dynamics, interlock threshold, drift averages."""
 
+import functools
 import json
 import math
 from pathlib import Path
@@ -18,7 +19,7 @@ from gearsim.classical import (
     simulate_relative,
 )
 from gearsim.dynamics import KickProtocol
-from gearsim.errors import ConvergenceFailure
+from gearsim.errors import ConfigError, ConvergenceFailure
 from gearsim.model import GearConfig, PotentialSpec, derive_geometry
 
 
@@ -188,8 +189,8 @@ def _count_steps(monkeypatch) -> list[int]:
     steps = []
     integrator = classical._integrator
 
-    def counted_integrator(geom):
-        run = integrator(geom)
+    def counted_integrator(geom, out):
+        run = integrator(geom, out)
 
         def counted(th, l, dt, n_steps, *event):
             fired = run(th, l, dt, n_steps, *event)
@@ -462,18 +463,18 @@ def _assert_same_run(got, want):
 
 
 def _python_loop(geom):
-    """The Python loop `_rk4` as an `_integrator` callable, compiler or not."""
-    def integrate(*run):
-        *args, out = run
-        return classical._rk4(geom, *args, out[0], out[1])
-    return integrate
+    """The Python loop `_rk4` in the shape of `_integrator(geom, .)`,
+    compiler or not."""
+    def integrator(out):
+        return lambda *run: classical._rk4(geom, *run, out[0], out[1])
+    return integrator
 
 
-def _written(integrate, th, l, dt, n_steps, mode, target, direction):
-    """(step index, theta, L) of one run of `integrate`, an `_integrator`
-    callable, cut to the samples it wrote."""
+def _written(integrator, th, l, dt, n_steps, mode, target, direction):
+    """(step index, theta, L) of one run of `integrator(out)`, an
+    `_integrator` callable on a fresh buffer, cut to the samples it wrote."""
     out = np.empty((2, n_steps + 1))
-    fired = integrate(th, l, dt, n_steps, mode, target, direction, out)
+    fired = integrator(out)(th, l, dt, n_steps, mode, target, direction)
     last = (fired or n_steps) + 1
     return fired, out[0, :last], out[1, :last]
 
@@ -516,8 +517,31 @@ def test_compiled_kernel_matches_the_python_twin_bit_for_bit(
         pytest.skip("no C compiler: the classical limit runs the Python loop")
     geom, dt = _random_geometry(n, inertia, V0, harmonics, dt_scale)
     run = (th, l, dt, n_steps, mode, th + offset, direction)
-    _assert_same_run(_written(classical._integrator(geom), *run),
+    _assert_same_run(_written(functools.partial(classical._integrator, geom), *run),
                      _written(_python_loop(geom), *run))
+
+
+@pytest.mark.parametrize("path", ["compiled", "python"])
+def test_a_wrong_sample_buffer_is_a_config_error(request, path):
+    """`_integrator` checks its buffer once, when it is handed over, and
+    each call only that its steps fit: on either path a wrong buffer, or
+    a run longer than the buffer, raises ConfigError before any step."""
+    if path == "python":
+        request.getfixturevalue("no_compiler")
+    elif _ckernel.library() is None:
+        pytest.skip("no C compiler: the classical limit runs the Python loop")
+    geom = derive_geometry(GearConfig(2, 2, V0=10.0))
+    for bad in (np.empty((2, 11), dtype=np.float32), np.empty((11, 2)).T,
+                np.empty((3, 11)), np.empty(22), np.empty((2, 11, 1))):
+        with pytest.raises(ConfigError, match="C-contiguous float array"):
+            classical._integrator(geom, bad)
+    out = np.full((2, 11), 7.0)
+    run = classical._integrator(geom, out)
+    with pytest.raises(ConfigError, match="11 samples"):
+        run(0.4, -2.0, 1e-3, 11, classical._NONE, 0.0, 0.0)
+    assert (out == 7.0).all()
+    assert run(0.4, -2.0, 1e-3, 10, classical._NONE, 0.0, 0.0) == 0
+    assert out[0, 0] == 0.4 and out[1, 0] == -2.0 and (out != 7.0).all()
 
 
 def test_event_search_stops_at_the_event_step(monkeypatch, tmp_path):

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gearsim.cli import main
 from gearsim.dynamics import KickProtocol, transmission_ratio
@@ -65,6 +67,20 @@ def test_worker_count_does_not_change_output(tmp_path):
                      "--workers", str(workers)])
         assert code == 0
         blobs.append((out / "transmission.csv").read_bytes())
+    assert blobs[0] == blobs[1]
+
+
+@pytest.mark.parametrize("command", ["classical", "occupations"])
+def test_worker_count_does_not_change_the_other_sweeps(tmp_path, command):
+    # their sweep points run in worker processes as whole results or columns
+    doc = dict(BASE, sweep={"ell": [1, 2, 5]}, protocol={"num_kicks": 1})
+    cfg = write_config(tmp_path, doc)
+    blobs = []
+    for workers in (1, 2):
+        out = tmp_path / f"w{workers}"
+        assert main([command, "--config", cfg, "--out", str(out),
+                     "--workers", str(workers)]) == 0
+        blobs.append((out / f"{command}.csv").read_bytes())
     assert blobs[0] == blobs[1]
 
 
@@ -330,7 +346,8 @@ def test_calls_share_one_parser(capsys):
     assert "verify" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("value, text", [
+# every kind of cell a handler hands `_write_csv`, and its text
+CELLS = [
     (-0.0, "0"),
     (0.0, "0"),
     (float("inf"), "inf"),
@@ -349,10 +366,89 @@ def test_calls_share_one_parser(capsys):
     (12, "12"),
     (None, ""),
     ("x", "x"),
-])
+]
+
+
+@pytest.mark.parametrize("value, text", CELLS)
 def test_cell_format_is_pinned(value, text):
     from gearsim import cli
     assert cli._fmt(value) == text
+
+
+def _cell_by_cell(path, header, columns):
+    """The writer before columns were formatted whole: `_fmt` on every cell,
+    row by row.  The reference for `_write_csv`'s bytes."""
+    from gearsim import cli
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in zip(*columns):
+            fh.write(",".join(cli._fmt(v) for v in row) + "\n")
+
+
+def _same_bytes_as_cell_by_cell(tmp_path, columns, header=None):
+    from gearsim import cli
+    header = header if header is not None else [f"c{i}" for i in range(len(columns))]
+    cli._write_csv(tmp_path / "got.csv", header, columns)
+    _cell_by_cell(tmp_path / "want.csv", header, columns)
+    return (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+EDGE_FLOATS = [-0.0, float("nan"), float("inf"), float("-inf"), 1e-300,
+               1.23456789012345678e17, 0.1, -2.5e-7, 5e-324]
+
+
+@pytest.mark.parametrize("value", [v for v, _ in CELLS],
+                         ids=[f"{type(v).__name__}-{t}" for v, t in CELLS])
+def test_column_writer_matches_the_cell_formatter(tmp_path, value):
+    """Each kind of cell `_fmt` pins, in a column of its own kind (a list,
+    and an array where numpy keeps the kind), beside floats, and in a
+    column holding every kind, writes the bytes `_fmt` writes cell by cell."""
+    n = len(CELLS)
+    uniform = [value] * n
+    beside_floats = [value if i % 3 == 1 else i / 7 for i in range(n)]
+    beside_edges = [value, *EDGE_FLOATS] + [0.5] * (n - 1 - len(EDGE_FLOATS))
+    columns = [uniform, beside_floats, beside_edges, [v for v, _ in CELLS]]
+    if isinstance(value, (float, np.floating, np.integer, np.bool_, bool, int)):
+        columns.append(np.array(uniform))
+    assert _same_bytes_as_cell_by_cell(tmp_path, columns)
+
+
+def test_float_columns_with_edge_values_and_a_none(tmp_path):
+    floats = [0.25, *EDGE_FLOATS, -1.0]
+    with_none = [0.25, None, *EDGE_FLOATS]
+    assert _same_bytes_as_cell_by_cell(tmp_path, [np.array(floats), floats, with_none])
+    assert _same_bytes_as_cell_by_cell(
+        tmp_path, [np.array(floats), [np.float64(x) for x in floats],
+                   np.array(floats, dtype=np.float32), np.array(floats)[::-1]])
+    assert (tmp_path / "got.csv").read_text().splitlines()[2].split(",")[:2] == ["0", "0"]
+    # whole numbers among floats stay whole numbers, however large
+    for big in ([0.5, 2**60 + 1, True, 1.5],
+                [0.5, np.int64(2**60 + 1), np.bool_(True), Fraction(2**60 + 1, 1)]):
+        assert _same_bytes_as_cell_by_cell(tmp_path, [big])
+        assert "1152921504606846977" in (tmp_path / "got.csv").read_text()
+
+
+def test_header_only_tables(tmp_path):
+    from gearsim import cli
+    for columns in ([], [[], []], [np.empty(0), np.empty(0, dtype=np.int64)]):
+        assert _same_bytes_as_cell_by_cell(tmp_path, columns, ["a", "b"])
+        assert (tmp_path / "got.csv").read_bytes() == b"a,b\n"
+    cli._write_csv(tmp_path / "none.csv", [], [])
+    assert (tmp_path / "none.csv").read_bytes() == b"\n"
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=40))
+def test_any_float_column_matches_the_cell_formatter(tmp_path_factory, values):
+    tmp_path = tmp_path_factory.mktemp("csv")
+    assert _same_bytes_as_cell_by_cell(tmp_path, [np.array(values, dtype=np.float64),
+                                                  values])
+
+
+def test_columns_of_unequal_length_are_refused(tmp_path):
+    from gearsim import cli
+    with pytest.raises(ValueError):
+        cli._write_csv(tmp_path / "x.csv", ["a", "b"], [[1.0, 2.0], [1.0]])
 
 
 def test_oracle_cutoff_below_n1_plus_n2_is_one_config_error_line(tmp_path, capsys):

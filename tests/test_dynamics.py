@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gearsim import dynamics, model, relative
+from gearsim import _ckernel, dynamics, model, relative
 from gearsim.dynamics import (
     KickProtocol,
     apply_kick,
@@ -229,7 +229,7 @@ THIRD = PotentialSpec(((0, 0.5), (1, 0.45), (3, 0.05)))
 SMALL_SECOND = PotentialSpec(((0, 0.5), (1, 0.4), (2, 0.1)))
 
 
-@pytest.mark.parametrize("config, protocol", [
+KERNEL_CASES = [
     pytest.param(GearConfig(2, 2, V0=10.0), KickProtocol(ell=6, num_kicks=1),
                  id="22"),
     pytest.param(GearConfig(4, 2, V0=10.0),
@@ -242,7 +242,10 @@ SMALL_SECOND = PotentialSpec(((0, 0.5), (1, 0.4), (2, 0.1)))
                  id="32-ell40"),
     pytest.param(GearConfig(3, 3, V0=10.0), KickProtocol(ell=120, num_kicks=1),
                  id="33-ell120"),
-])
+]
+
+
+@pytest.mark.parametrize("config, protocol", KERNEL_CASES)
 def test_kernel_is_the_per_time_propagator(config, protocol):
     state = run_protocol(derive_geometry(config), protocol)
     times = np.array([0.0, 0.3, 1.7, 4.0, 12.5, 60.0])
@@ -267,6 +270,69 @@ def test_evolve_is_the_kernel_row(geom22):
         row = evolved_states(state, [t])[0]
         assert np.array_equal(one.amplitudes, row.amplitudes)
         assert (one.grid, one.A) == (row.grid, row.A)
+
+
+def _needs_kernel():
+    if _ckernel.library() is None:
+        pytest.skip("no C compiler: the propagation runs numpy's np.exp")
+
+
+def _bits(z: np.ndarray) -> np.ndarray:
+    return z.view(np.int64)
+
+
+# |y| at and around DBL_MIN, where libm's cexp returns (1, y) unevaluated
+DBL_MIN = np.finfo(float).tiny
+_PHASE_TIMES = st.one_of(st.sampled_from([0.0, 5e-324, 1e-300, 1.0, 1e4]),
+                         st.floats(0.0, 1e4))
+_PHASE_ENERGIES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, DBL_MIN, -DBL_MIN,
+                     2 * DBL_MIN, -2 * DBL_MIN, 1e5, -1e5]),
+    st.floats(-1e5, 1e5))
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(times=st.lists(_PHASE_TIMES, max_size=30).map(lambda ts: [0.0, *ts]),
+       energies=st.lists(_PHASE_ENERGIES, max_size=30))
+def test_phase_kernel_is_numpys_exp_bit_for_bit(times, energies):
+    """`gearsim_phases` writes np.exp(np.outer(times, -1j * E)) bit for bit:
+    t = 0 in every draw, energies of both signs, signed zeros and
+    subnormals, |tE| up to 1e9.
+
+    The bits depend on libm: numpy's complex exp calls cexp, which for a
+    zero real part is (cos y, sin y), or (1, y) at |y| <= DBL_MIN; the
+    kernel calls the same cos and sin.  With another libm, or a numpy that
+    brings its own cexp, this test is where the difference shows."""
+    _needs_kernel()
+    times, energies = np.array(times), np.array(energies)
+    want = np.exp(np.outer(times, -1j * energies))
+    got = dynamics._phases(times, energies)
+    assert got.shape == want.shape == (len(times), len(energies))
+    assert np.array_equal(_bits(got), _bits(want))
+
+
+def test_phase_kernel_takes_any_layout_and_empty_axes():
+    _needs_kernel()
+    times, energies = np.linspace(0.0, 40.0, 41), np.linspace(-30.0, 50.0, 33)
+    want = np.exp(np.outer(times[::2], -1j * energies[::-3]))
+    assert np.array_equal(_bits(dynamics._phases(times[::2], energies[::-3])),
+                          _bits(want))
+    assert dynamics._phases(np.empty(0), energies).shape == (0, 33)
+    assert dynamics._phases(times, np.empty(0)).shape == (41, 0)
+
+
+@pytest.mark.parametrize("config, protocol", KERNEL_CASES)
+def test_amplitudes_are_the_same_without_the_phase_kernel(config, protocol,
+                                                          monkeypatch):
+    """`_amplitudes` returns the same bits whether its phases come from the
+    compiled kernel or from numpy's np.exp, on one sample and on 201."""
+    _needs_kernel()
+    state = run_protocol(derive_geometry(config), protocol)
+    grids = [np.linspace(0.0, 30.0, 201), [0.0], [7.25]]
+    compiled = [dynamics._amplitudes(state, times)[2] for times in grids]
+    monkeypatch.setattr(_ckernel, "library", lambda: None)
+    for times, C in zip(grids, compiled):
+        assert np.array_equal(_bits(dynamics._amplitudes(state, times)[2]), _bits(C))
 
 
 @pytest.mark.parametrize("config, protocol", [

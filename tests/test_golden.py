@@ -5,7 +5,8 @@ and the SHA-256 of every CSV it writes, and of what `verify` prints, must
 equal the committed table.  A change that is meant to leave the outputs
 alone (a refactor, a faster path to the same floats) must pass this as it
 stands; a change that moves a byte on purpose updates the table and says
-why.
+why.  The same bytes are required where no C compiler is found, so the
+Python RK4 loop and numpy's phase matrix are held to the compiled kernels.
 
 The bytes depend on this machine's BLAS/LAPACK build (and numpy/scipy
 versions): the table was made with Python 3.11.7, numpy 2.4.6 and scipy
@@ -62,11 +63,19 @@ def test_verify_stdout_matches_golden_bytes(capsys):
     assert _sha256(capsys.readouterr().out.encode()) == VERIFY
 
 
-def test_classical_csv_is_the_same_on_the_python_loop(tmp_path, no_compiler):
-    """Where the RK4 kernel cannot be built, the Python loop writes the same
-    classical CSV bytes as the compiled kernel."""
-    config = CONFIGS / "classical_22.json"
-    assert main(["classical", "--config", str(config), "--out", str(tmp_path)]) == 0
+@pytest.mark.parametrize("config", sorted(CONFIGS.glob("*.json")), ids=lambda p: p.stem)
+def test_config_csvs_are_the_same_without_a_compiler(tmp_path, no_compiler, config):
+    """Where the C kernels cannot be built, the Python RK4 loop and numpy's
+    phase matrix write the same CSV bytes as the compiled kernels."""
+    command = config.stem.rsplit("_", 1)[0]
+    assert main([command, "--config", str(config), "--out", str(tmp_path)]) == 0
     assert _ckernel.library() is None
-    got = _sha256((tmp_path / "classical.csv").read_bytes())
-    assert got == GOLDEN["classical_22.json/classical.csv"]
+    got = {f"{config.name}/{p.name}": _sha256(p.read_bytes())
+           for p in tmp_path.glob("*.csv")}
+    assert got == {k: v for k, v in GOLDEN.items() if k.startswith(f"{config.name}/")}
+
+
+def test_verify_stdout_is_the_same_without_a_compiler(capsys, no_compiler):
+    assert main(["verify"]) == 0
+    assert _ckernel.library() is None
+    assert _sha256(capsys.readouterr().out.encode()) == VERIFY

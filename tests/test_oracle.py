@@ -1,6 +1,9 @@
 """Independent raw-lattice reference: it must agree with the fast pipeline
 while sharing none of its machinery."""
 
+import ast
+import pathlib
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -477,3 +480,58 @@ def test_edge_checks_fail_on_nan(cfg22):
     state.amplitudes[CUTOFF, CUTOFF] = np.nan
     with pytest.raises(TruncationBreach):
         oracle_apply_kick(state, l1=1)
+
+
+# what oracle.py may take from gearsim: nothing of the pipeline, so no fast
+# kernel (relative, dynamics, _ckernel's compiled phases) can reach the
+# reference path
+ORACLE_IMPORTS = {"_lapack": None, "errors": None,
+                  "model": {"GearConfig", "_int", "_sample_times"}}
+
+
+def _gearsim_imports(source: str) -> list[tuple[str, str | None]]:
+    """(gearsim module, name) for every import of gearsim in the source,
+    anywhere in it: name None for a whole module."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [(alias.name.removeprefix("gearsim."), None) for alias in node.names
+                      if alias.name == "gearsim" or alias.name.startswith("gearsim.")]
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0 and not (module == "gearsim" or module.startswith("gearsim.")):
+                continue
+            module = module.removeprefix("gearsim").lstrip(".")
+            for alias in node.names:
+                # `from . import x` and `from gearsim import x` take a module
+                found.append((alias.name, None) if not module else (module, alias.name))
+    return found
+
+
+def _breaches(source: str) -> list[str]:
+    bad = []
+    for module, name in _gearsim_imports(source):
+        if module not in ORACLE_IMPORTS:
+            bad.append(f"{module}" + (f".{name}" if name else ""))
+        elif ORACLE_IMPORTS[module] is not None and name not in ORACLE_IMPORTS[module]:
+            bad.append(f"{module}.{name}")
+    return bad
+
+
+def test_oracle_imports_nothing_of_the_pipeline():
+    source = (pathlib.Path(oracle.__file__)).read_text(encoding="utf-8")
+    assert _gearsim_imports(source)  # the walk sees oracle's own imports
+    assert _breaches(source) == []
+
+
+@pytest.mark.parametrize("line", [
+    "from . import _ckernel",
+    "from .dynamics import _amplitudes",
+    "from .model import derive_geometry",
+    "import gearsim.relative",
+    "from gearsim import dynamics",
+    "from gearsim.model import PotentialSpec",
+    "def f():\n    from .relative import ground_state",
+])
+def test_oracle_import_guard_catches_a_pipeline_import(line):
+    assert _breaches(line) != []
