@@ -53,8 +53,7 @@ from .dynamics import (
     transmission_ratio,
 )
 from .ergotropy import (
-    ErgotropyReport,
-    MomentumDistribution,
+    ErgotropySeries,
     ergotropy,
     ergotropy_time_series,
     passive_state,

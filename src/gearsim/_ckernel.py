@@ -12,9 +12,10 @@ Tests and benchmarks run gearsim from its source tree, with no build step,
 so the library builds the kernel itself: `cc -O2 -ffp-contract=off -fPIC
 -shared` into the package's own `__pycache__/`, which is as writable as the
 modules beside it.  The file is named by a CRC-32 of the C source, the
-flags and the machine, so an edit to any of them builds afresh.  The
-compiler writes a temporary file in that directory, which is then renamed
-into place, so a concurrent process never loads half a library.
+flags and the machine, so an edit to any of them builds afresh, and a
+successful build removes the libraries built before it.  The compiler
+writes a temporary file in that directory, which is then renamed into
+place, so a concurrent process never loads half a library.
 
 No fast math and no FMA contraction: the kernels must give the floats
 the Python loop and numpy give.  Where there is no compiler, the build
@@ -76,8 +77,10 @@ def library():
 
 
 def _build(path: str) -> bool:
-    """Compile `_rk4.c` to `path` through a temporary file beside it;
-    False, with the temporary file removed, if that fails."""
+    """Compile `_rk4.c` to `path` through a temporary file beside it, then
+    remove every other `_rk4-*.so` there; False, with the temporary file
+    removed, if that fails."""
+    import glob
     import subprocess
 
     try:
@@ -98,4 +101,10 @@ def _build(path: str) -> bool:
         except OSError:
             pass
         return False
+    for stale in glob.glob(os.path.join(_BUILD_DIR, "_rk4-*.so")):
+        if stale != path:
+            try:
+                os.remove(stale)
+            except OSError:
+                pass
     return True

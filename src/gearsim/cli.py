@@ -302,9 +302,10 @@ def _cmd_ergotropy(doc, workers):
     geom = derive_geometry(_gear_config(doc))
     protocol = _protocol(doc, default_num_kicks=1)
     times = _times(doc)
-    fields = ["kinetic", "net_kinetic", "ergotropy", "ratio_ergotropy", "ratio_net"]
-    reports = ergotropy_time_series(geom, protocol, times)
-    return ["t", *fields], [times, *_per_field(reports, fields)]
+    es = ergotropy_time_series(geom, protocol, times)
+    return (["t", "kinetic", "net_kinetic", "ergotropy", "ratio_ergotropy", "ratio_net"],
+            [times, es.kinetic, es.net_kinetic, es.ergotropy, es.ratio_ergotropy,
+             es.ratio_net])
 
 
 def _cmd_oracle(doc, workers):

@@ -6,11 +6,12 @@ just a probability distribution over integer m2.  Its ergotropy has a closed
 form: reorder the probabilities passively (largest onto m=0, next two onto
 m=+1, m=-1, ...) and take the kinetic-energy difference.
 
-One array kernel computes that for a whole (time, momentum) matrix of
-probabilities at once: `ergotropy` runs it on one distribution and
-`ergotropy_time_series` on every time sample together, with no per-sample
-Python objects.  Its sums run term by term in ascending momentum, so each
-sample gives the same bits as reducing that state on its own.
+Every stage works on whole arrays, one row per state: `reduced_gear2` gives
+gear 2's distributions as a `MomentumDistribution`, `passive_state` reorders
+every row at once, and `ergotropy` returns an `ErgotropySeries` of columns.
+`ergotropy_time_series` is the three stages over every sample of a series.
+Every sum runs left to right over ascending momentum, so a row gives the
+same bits whether it is reduced alone or with the rest of its series.
 """
 
 from __future__ import annotations
@@ -19,9 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, InternalInconsistency
+from .errors import InternalInconsistency
 from .dynamics import KickProtocol, _amplitudes, run_protocol
-from .model import DerivedGeometry, _real, _whole
+from .model import DerivedGeometry
 from .relative import RotorState
 
 # tolerance on |sum of probabilities - 1| of a gear-2 distribution
@@ -29,7 +30,7 @@ _NORM_TOL = 1e-10
 
 __all__ = [
     "MomentumDistribution",
-    "ErgotropyReport",
+    "ErgotropySeries",
     "reduced_gear2",
     "passive_state",
     "ergotropy",
@@ -37,51 +38,57 @@ __all__ = [
 ]
 
 
+def _last_of_running_sum(x: np.ndarray) -> np.ndarray:
+    """Row sums of x added left to right, one term after another."""
+    return np.add.accumulate(x, axis=1)[:, -1]
+
+
 @dataclass(frozen=True)
 class MomentumDistribution:
-    """Diagonal state of a single rotor: probabilities over integer m."""
+    """Diagonal states of one rotor: row i of `probs` is the probability of
+    each momentum of `m` in state i."""
 
-    probs: tuple[tuple[int, float], ...]  # (m, p), ascending in m, p > 0
+    m: np.ndarray  # (d,) int64 momenta, distinct and ascending
+    probs: np.ndarray  # (T, d), every row normalised
     inertia: float
 
     def __post_init__(self):
-        inertia = _real(self.inertia, "inertia")
-        if not 0 < inertia < np.inf:
-            raise ConfigError(f"inertia must be positive and finite, got {inertia!r}")
-        object.__setattr__(self, "inertia", inertia)
-        total = 0.0
-        seen = set()
-        clean = []
-        for m, p in self.probs:
-            m = _whole(m, "momentum")
-            p = _real(p, f"probability at m={m}")
-            if m in seen:
-                raise ConfigError(f"duplicate momentum {m}")
-            if not p >= -1e-15:
-                raise ConfigError(f"negative or NaN probability {p} at m={m}")
-            seen.add(m)
-            if p > 0.0:
-                clean.append((m, p))
-                total += p
-        if abs(total - 1.0) > _NORM_TOL:
-            raise ConfigError(f"probabilities sum to {total}, expected 1")
-        object.__setattr__(self, "probs", tuple(sorted(clean)))
-
-
-def reduced_gear2(state: RotorState) -> MomentumDistribution:
-    """Gear 2's reduced (diagonal) state."""
-    _, m2 = state.momentum_pairs()
-    p = np.abs(state.amplitudes) ** 2
-    probs: dict[int, float] = {}
-    for m, pi in zip(m2.tolist(), p.tolist()):
-        if m in probs:
+        if np.any(self.m[1:] <= self.m[:-1]):
+            raise InternalInconsistency("momenta not distinct and ascending; "
+                                        "reduction not diagonal")
+        total = _last_of_running_sum(self.probs)
+        bad = ~(np.abs(total - 1.0) <= _NORM_TOL)  # NaN fails too
+        if bad.any():
             raise InternalInconsistency(
-                f"two grid points map to the same m2={m}; reduction not diagonal"
-            )
-        probs[m] = pi
-    n = p.sum()
-    items = tuple((m, pi / n) for m, pi in probs.items() if pi > 0.0)
-    return MomentumDistribution(items, inertia=state.geom.config.I2)
+                f"probabilities sum to {float(total[bad][0])!r}, expected 1")
+
+
+@dataclass(frozen=True)
+class ErgotropySeries:
+    """Extractable work and its companions, one entry per state.
+
+    The ratio columns are object arrays holding None where the kinetic
+    energy is below 1e-12, too small to divide by.
+    """
+
+    kinetic: np.ndarray
+    net_kinetic: np.ndarray
+    ergotropy: np.ndarray
+    ratio_ergotropy: np.ndarray
+    ratio_net: np.ndarray
+
+
+def reduced_gear2(state: RotorState, C: np.ndarray | None = None) -> MomentumDistribution:
+    """Gear 2's reduced (diagonal) state of `state`, or of every row of C,
+    amplitudes on `state`'s window; each row is normalised by its own sum
+    in grid order."""
+    if C is None:
+        C = state.amplitudes[None, :]
+    _, m2 = state.momentum_pairs()
+    P = np.abs(C) ** 2
+    order = np.argsort(m2, kind="stable")
+    return MomentumDistribution(m2[order], (P / P.sum(axis=1, keepdims=True))[:, order],
+                                state.geom.config.I2)
 
 
 def _levels(size: int) -> np.ndarray:
@@ -92,91 +99,37 @@ def _levels(size: int) -> np.ndarray:
 
 def passive_state(dist: MomentumDistribution) -> MomentumDistribution:
     """Probabilities reordered to make no work extractable by momentum
-    shifts: the largest onto m=0, the next two onto m=1 and m=-1, and so on.
-
-    Ties are broken deterministically (equal probabilities placed on the
-    lower-|m| level, positive before negative); any tie-breaking gives the
-    same energy.
-    """
-    ranked = sorted(dist.probs, key=lambda mp: (-mp[1], abs(mp[0]), mp[0] < 0))
-    levels = _levels(len(ranked)).tolist()
-    return MomentumDistribution(
-        tuple((level, p) for level, (_, p) in zip(levels, ranked)), dist.inertia)
-
-
-@dataclass(frozen=True)
-class ErgotropyReport:
-    """Extractable work and its companions for one distribution.
-
-    ratio_* are None when the kinetic energy is too small to divide by.
-    """
-
-    ergotropy: float
-    kinetic: float
-    net_kinetic: float
-    ratio_ergotropy: float | None
-    ratio_net: float | None
-
-
-def _last_of_running_sum(x: np.ndarray) -> np.ndarray:
-    """Row sums of x added left to right, one term after another."""
-    return np.add.accumulate(x, axis=1)[:, -1]
-
-
-def _reports(m: np.ndarray, Q: np.ndarray, inertia: float) -> list[ErgotropyReport]:
-    """ErgotropyReport of every row of Q, a (T, d) matrix of normalised
-    probabilities over the d distinct integer momenta m (in any order).
-
-    Every sum runs left to right over ascending m, or over ascending
-    passive level, as a term-by-term sum of the nonzero entries would; zero
-    entries add nothing.  The passive state of a row is the row sorted in
-    descending order and placed on the levels of `_levels`; swapping equal
-    values between levels changes no sum.
-    """
-    order = np.argsort(m, kind="stable")
-    m = m[order]
-    if np.any(m[1:] == m[:-1]):
-        raise InternalInconsistency("two grid points map to the same momentum; "
-                                    "reduction not diagonal")
-    total = _last_of_running_sum(Q)
-    bad = ~(np.abs(total - 1.0) <= _NORM_TOL)  # NaN fails too
-    if bad.any():
-        raise InternalInconsistency(
-            f"probabilities sum to {total[bad][0]!r}, expected 1")
-    Q = Q[:, order]
-    two_I = 2.0 * inertia
-    kinetic = _last_of_running_sum((m * m).astype(float) * Q) / two_I
-    mean = _last_of_running_sum(m.astype(float) * Q)
-    net = mean * mean / two_I
-    levels = _levels(Q.shape[1])
+    shifts: in every row the largest onto m=0, the next two onto m=1 and
+    m=-1, and so on.  Swapping equal probabilities between levels changes
+    no sum."""
+    levels = _levels(len(dist.m))
     up = np.argsort(levels, kind="stable")
-    descending = np.sort(Q, axis=1)[:, ::-1]
-    passive = _last_of_running_sum(
-        (levels[up] ** 2).astype(float) * descending[:, up]) / two_I
-    reports = []
-    for kin, pas, n in zip(kinetic.tolist(), passive.tolist(), net.tolist()):
-        erg = kin - pas
-        if kin < 1e-12:
-            reports.append(ErgotropyReport(erg, kin, n, None, None))
-        else:
-            reports.append(ErgotropyReport(erg, kin, n, erg / kin, n / kin))
-    return reports
+    descending = np.sort(dist.probs, axis=1)[:, ::-1]
+    return MomentumDistribution(levels[up], descending[:, up], dist.inertia)
 
 
-def ergotropy(dist: MomentumDistribution) -> ErgotropyReport:
-    """Work extractable from a diagonal rotor state by unitaries."""
-    m, p = zip(*dist.probs)
-    return _reports(np.array(m, dtype=np.int64), np.array([p]), dist.inertia)[0]
+def _kinetic(dist: MomentumDistribution) -> np.ndarray:
+    """Kinetic energy of every state of `dist`."""
+    return _last_of_running_sum((dist.m * dist.m).astype(float) * dist.probs) \
+        / (2.0 * dist.inertia)
+
+
+def ergotropy(dist: MomentumDistribution) -> ErgotropySeries:
+    """Work extractable by unitaries from every state of `dist`."""
+    kinetic = _kinetic(dist)
+    mean = _last_of_running_sum(dist.m.astype(float) * dist.probs)
+    net = mean * mean / (2.0 * dist.inertia)
+    erg = kinetic - _kinetic(passive_state(dist))
+    small = kinetic < 1e-12
+    divisor = np.where(small, 1.0, kinetic)
+    return ErgotropySeries(kinetic, net, erg, np.where(small, None, erg / divisor),
+                           np.where(small, None, net / divisor))
 
 
 def ergotropy_time_series(
     geom: DerivedGeometry, protocol: KickProtocol, times
-) -> list[ErgotropyReport]:
+) -> ErgotropySeries:
     """Ergotropy of gear 2 at each time after a kick protocol."""
     state, _, C = _amplitudes(run_protocol(geom, protocol), times)
-    # every sample shares one window, so the momentum map is made once and
-    # all samples go through the kernel together, each row normalised by
-    # its own sum in grid order
-    _, m2 = state.momentum_pairs()
-    P = np.abs(C) ** 2
-    return _reports(m2, P / P.sum(axis=1, keepdims=True), geom.config.I2)
+    # every sample shares one window, so the momentum map is made once
+    return ergotropy(reduced_gear2(state, C))

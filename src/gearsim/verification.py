@@ -211,26 +211,21 @@ def check_10_ergotropy_properties() -> CriterionResult:
     geom = derive_geometry(CONFIG_22)
     proto = _single_kick(6)
     times = np.linspace(0.0, 30.0, 301)
-    reports = ergotropy_time_series(geom, proto, times)
-    mean_L2s = time_series(run_protocol(geom, proto), times).L2
+    es = ergotropy_time_series(geom, proto, times)
+    mean_L2 = time_series(run_protocol(geom, proto), times).L2
     I2 = CONFIG_22.I2
     eps = 1e-10
-    ordering_ok = True
-    bound_ok = True
-    worst_margin = math.inf
-    for rep, mean_L2 in zip(reports, mean_L2s):
-        scale = max(1.0, rep.kinetic)
-        if not (-eps * scale <= rep.net_kinetic <= rep.ergotropy + eps * scale
-                and rep.ergotropy <= rep.kinetic + eps * scale):
-            ordering_ok = False
-        if rep.ratio_ergotropy is None or rep.ratio_net is None \
-                or rep.ratio_ergotropy < rep.ratio_net - eps:
-            ordering_ok = False
-        for m in range(-12, 13):
-            lower = (2.0 * m * mean_L2 - m * m) / (2.0 * I2)
-            worst_margin = min(worst_margin, rep.ergotropy - lower)
-            if rep.ergotropy < lower - 1e-9:
-                bound_ok = False
+    slack = eps * np.maximum(1.0, es.kinetic)
+    # every ratio exists (no None) before the ratios are compared
+    ordering_ok = bool(np.all(-slack <= es.net_kinetic)
+                       and np.all(es.net_kinetic <= es.ergotropy + slack)
+                       and np.all(es.ergotropy <= es.kinetic + slack)
+                       and np.all(es.kinetic >= 1e-12)
+                       and np.all(es.ratio_ergotropy >= es.ratio_net - eps))
+    m = np.arange(-12, 13)
+    lower = (2.0 * m * mean_L2[:, None] - m * m) / (2.0 * I2)
+    worst_margin = float(np.min(es.ergotropy[:, None] - lower))
+    bound_ok = bool(np.all(es.ergotropy[:, None] >= lower - 1e-9))
     return CriterionResult(
         10, "ergotropy dominates directed kinetic energy", ordering_ok and bound_ok,
         f"ordering ok={ordering_ok}; kick-extraction bound ok={bound_ok} "

@@ -3,11 +3,13 @@
 The kernels are built on first use into the package's `__pycache__/`; where
 that fails the classical limit runs the Python loop and the propagation
 numpy's np.exp.  These tests pin that a compiler on PATH does give a loaded
-library, so a broken build cannot fall back unseen, and that every failure
-leaves nothing behind and is tried once.  The kernels' floats are pinned in
+library, so a broken build cannot fall back unseen, that a build leaves only
+its own library, and that every failure leaves nothing behind and is tried
+once.  The kernels' floats are pinned in
 tests/test_classical.py (RK4) and tests/test_dynamics.py (phases).
 """
 
+import pathlib
 import shutil
 
 import numpy as np
@@ -58,6 +60,22 @@ def test_a_fresh_build_leaves_one_library_and_the_same_floats(monkeypatch, tmp_p
         assert _same_phases_as_numpy()
     finally:
         _ckernel.library.cache_clear()
+
+
+@needs_cc
+def test_a_build_removes_the_libraries_of_older_sources(monkeypatch, tmp_path):
+    build = tmp_path / "build"
+    build.mkdir()
+    (build / "_rk4-00000000.so").write_bytes(b"built from an older _rk4.c")
+    monkeypatch.setattr(_ckernel, "_BUILD_DIR", str(build))
+    _ckernel.library.cache_clear()
+    try:
+        lib = _ckernel.library()
+    finally:
+        _ckernel.library.cache_clear()
+    assert lib is not None
+    built = [p.name for p in build.iterdir()]
+    assert built == [pathlib.Path(lib._name).name] and built != ["_rk4-00000000.so"]
 
 
 def test_a_missing_compiler_leaves_the_python_loop(no_compiler):

@@ -148,6 +148,16 @@ def test_ergotropy_output(tmp_path):
     assert len(rows) == 3
 
 
+def test_ergotropy_of_a_resting_gear_leaves_the_ratio_cells_empty(tmp_path):
+    # V0 = 0: the kick never reaches gear 2, so no ratio can be divided out
+    doc = {"gears": {"n1": 2, "n2": 2, "V0": 0.0}, "protocol": {"ell": 3},
+           "times": {"stop": 2.0, "num": 3}}
+    code, out = run(tmp_path, "ergotropy", doc)
+    assert code == 0
+    lines = (out / "ergotropy.csv").read_text(encoding="utf-8").splitlines()
+    assert lines[1:] == ["0,0,0,0,,", "1,0,0,0,,", "2,0,0,0,,"]
+
+
 def test_oracle_output(tmp_path):
     doc = dict(BASE, protocol={"ell": 1, "num_kicks": 1},
                times={"stop": 1.0, "num": 3}, oracle={"cutoff": 14})

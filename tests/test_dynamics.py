@@ -355,9 +355,11 @@ def test_outputs_ignore_eigenvector_signs(config, protocol, monkeypatch):
         ts = time_series(state, times)
         es, occ = eigen_occupations(state)
         res = transmission_ratio(geom, protocol)
-        return ([ts.L1, ts.L2, ts.L2_sq, ts.energy_r, ts.norm, es.energies, occ],
-                (ergotropy_time_series(geom, protocol, times), res.r,
-                 res.L1_bar, res.L2_bar, res.L_r_bar, res.period_estimate))
+        erg = ergotropy_time_series(geom, protocol, times)
+        return ([ts.L1, ts.L2, ts.L2_sq, ts.energy_r, ts.norm, es.energies, occ,
+                 erg.kinetic, erg.net_kinetic, erg.ergotropy, erg.ratio_ergotropy,
+                 erg.ratio_net],
+                (res.r, res.L1_bar, res.L2_bar, res.L_r_bar, res.period_estimate))
 
     rng = np.random.default_rng(11)
     unflipped = relative.eigendecompose

@@ -7,6 +7,7 @@ import pytest
 
 from gearsim.dynamics import (
     KickProtocol,
+    _amplitudes,
     apply_kick,
     evolve,
     evolved_states,
@@ -15,7 +16,6 @@ from gearsim.dynamics import (
 )
 from gearsim.errors import InternalInconsistency
 from gearsim.ergotropy import (
-    ErgotropyReport,
     MomentumDistribution,
     ergotropy,
     ergotropy_time_series,
@@ -27,37 +27,49 @@ from gearsim.relative import ground_state
 
 
 def dist(pairs, inertia=1.0):
-    return MomentumDistribution(tuple(pairs), inertia)
+    """One state: the (m, p) pairs in ascending m."""
+    m, p = zip(*sorted(pairs))
+    return MomentumDistribution(np.array(m, dtype=np.int64), np.array([p]), inertia)
+
+
+def row(series, i=0):
+    """Entry i of every column, in the CSV's order."""
+    return (series.kinetic[i], series.net_kinetic[i], series.ergotropy[i],
+            series.ratio_ergotropy[i], series.ratio_net[i])
 
 
 def test_symmetric_pair_yields_quarter():
     d = dist([(1, 0.5), (-1, 0.5)])
     rep = ergotropy(d)
-    assert rep.kinetic == pytest.approx(0.5)
+    assert rep.kinetic[0] == pytest.approx(0.5)
     # passive order fills m = 0 first, then |m| = 1: half the energy is work
-    assert rep.ergotropy == pytest.approx(0.25, abs=1e-15)
-    assert rep.ratio_ergotropy == pytest.approx(0.5)
+    assert rep.ergotropy[0] == pytest.approx(0.25, abs=1e-15)
+    assert rep.ratio_ergotropy[0] == pytest.approx(0.5)
 
 
 def test_passive_reordering_worked_example():
     d = dist([(2, 0.5), (0, 0.3), (-1, 0.2)])
     p = passive_state(d)
-    assert dict(p.probs) == pytest.approx({0: 0.5, 1: 0.3, -1: 0.2})
+    assert dict(zip(p.m.tolist(), p.probs[0].tolist())) == pytest.approx(
+        {0: 0.5, 1: 0.3, -1: 0.2})
 
 
 def test_passive_state_is_passive():
     d = dist([(3, 0.4), (-2, 0.35), (5, 0.25)])
     p = passive_state(d)
-    assert ergotropy(p).ergotropy == pytest.approx(0.0, abs=1e-15)
+    assert ergotropy(p).ergotropy[0] == pytest.approx(0.0, abs=1e-15)
     # idempotent
-    assert passive_state(p).probs == p.probs
+    q = passive_state(p)
+    assert np.array_equal(q.m, p.m) and np.array_equal(q.probs, p.probs)
 
 
 def test_passive_insensitive_to_input_order():
-    pairs = [(4, 0.1), (-1, 0.3), (0, 0.25), (2, 0.2), (-3, 0.15)]
-    a = passive_state(dist(pairs))
-    b = passive_state(dist(reversed(pairs)))
-    assert a.probs == b.probs
+    # the same probabilities on other momenta, in another order
+    ms = [4, -1, 0, 2, -3]
+    ps = [0.1, 0.3, 0.25, 0.2, 0.15]
+    a = passive_state(dist(zip(ms, ps)))
+    b = passive_state(dist(zip([7, 1, -5, 3, 0], reversed(ps))))
+    assert np.array_equal(a.m, b.m) and np.array_equal(a.probs, b.probs)
 
 
 def test_ergotropy_bounds_random_distributions():
@@ -65,26 +77,31 @@ def test_ergotropy_bounds_random_distributions():
     for _ in range(50):
         ms = rng.choice(np.arange(-8, 9), size=5, replace=False)
         ps = rng.dirichlet(np.ones(5))
-        rep = ergotropy(dist(zip(ms.tolist(), ps.tolist())))
-        assert -1e-12 <= rep.ergotropy <= rep.kinetic + 1e-12
-        if rep.ratio_ergotropy is not None:
-            assert 0.0 <= rep.ratio_ergotropy <= 1.0 + 1e-12
+        kinetic, _, erg, ratio, _ = row(ergotropy(dist(zip(ms.tolist(), ps.tolist()))))
+        assert -1e-12 <= erg <= kinetic + 1e-12
+        if ratio is not None:
+            assert 0.0 <= ratio <= 1.0 + 1e-12
 
 
 def test_distribution_validation():
-    with pytest.raises(ValueError):
-        dist([(0, 0.5), (1, 0.4)])  # does not sum to one
-    with pytest.raises(ValueError):
-        dist([(0, -0.1), (1, 1.1)])
+    for m, probs, match in [
+        ([0, 1], [[0.5, 0.5], [0.5, 0.4]], "sum to 0.9"),
+        ([0, 1], [[0.5, 0.5], [1.0, np.nan]], "sum to nan"),
+        ([0, 0], [[0.5, 0.5]], "distinct and ascending"),
+        ([1, 0], [[0.5, 0.5]], "distinct and ascending"),
+    ]:
+        with pytest.raises(InternalInconsistency, match=match):
+            MomentumDistribution(np.array(m), np.array(probs), 1.0)
 
 
 def test_resting_gear_has_no_work_content():
     geom = derive_geometry(GearConfig(2, 2, V0=0.0))
-    rep = ergotropy(reduced_gear2(ground_state(geom)))
-    assert rep.kinetic == pytest.approx(0.0, abs=1e-15)
-    assert rep.ergotropy == pytest.approx(0.0, abs=1e-15)
-    assert rep.ratio_ergotropy is None
-    assert rep.ratio_net is None
+    kinetic, _, erg, ratio_ergotropy, ratio_net = row(
+        ergotropy(reduced_gear2(ground_state(geom))))
+    assert kinetic == pytest.approx(0.0, abs=1e-15)
+    assert erg == pytest.approx(0.0, abs=1e-15)
+    assert ratio_ergotropy is None
+    assert ratio_net is None
 
 
 def test_reduced_distribution_matches_observables(geom22):
@@ -93,25 +110,24 @@ def test_reduced_distribution_matches_observables(geom22):
     rep = ergotropy(d)
     ts = time_series(kicked, [2.5])
     two_I2 = 2.0 * geom22.config.I2
-    assert sum(p for _, p in d.probs) == pytest.approx(1.0, abs=1e-12)
-    assert rep.kinetic == pytest.approx(ts.L2_sq[0] / two_I2, abs=1e-10)
-    assert rep.net_kinetic == pytest.approx(ts.L2[0] ** 2 / two_I2, abs=1e-10)
+    assert d.probs.sum() == pytest.approx(1.0, abs=1e-12)
+    assert rep.kinetic[0] == pytest.approx(ts.L2_sq[0] / two_I2, abs=1e-10)
+    assert rep.net_kinetic[0] == pytest.approx(ts.L2[0] ** 2 / two_I2, abs=1e-10)
 
 
 def test_ergotropy_exceeds_directed_energy_after_kick(cfg22, geom22):
     state = evolve(run_protocol(geom22, KickProtocol(ell=6, num_kicks=1)), 5.0)
-    rep = ergotropy(reduced_gear2(state))
-    assert rep.ergotropy >= rep.net_kinetic - 1e-12
-    assert rep.ergotropy <= rep.kinetic + 1e-12
+    kinetic, net, erg, _, _ = row(ergotropy(reduced_gear2(state)))
+    assert erg >= net - 1e-12
+    assert erg <= kinetic + 1e-12
 
 
 def test_ergotropy_time_series_shape(geom22):
     times = np.linspace(0.0, 3.0, 4)
-    reports = ergotropy_time_series(geom22, KickProtocol(ell=2, num_kicks=1), times)
-    assert len(reports) == len(times)
-    for rep in reports:
-        assert rep.kinetic >= 0.0
-        assert 0.0 - 1e-12 <= rep.ergotropy <= rep.kinetic + 1e-12
+    es = ergotropy_time_series(geom22, KickProtocol(ell=2, num_kicks=1), times)
+    assert all(len(column) == len(times) for column in row(es, slice(None)))
+    assert np.all(es.kinetic >= 0.0)
+    assert np.all((-1e-12 <= es.ergotropy) & (es.ergotropy <= es.kinetic + 1e-12))
 
 
 @pytest.mark.parametrize("config,protocol", [
@@ -130,26 +146,31 @@ def test_time_series_is_the_per_state_reduction(config, protocol):
     times = np.linspace(0.0, 12.0, 25)
     geom = derive_geometry(config)
     state = run_protocol(geom, protocol)
-    expected = [ergotropy(reduced_gear2(st)) for st in evolved_states(state, times)]
-    assert ergotropy_time_series(geom, protocol, times) == expected
-    assert ergotropy_time_series(geom, protocol, []) == []
+    expected = [row(ergotropy(reduced_gear2(st))) for st in evolved_states(state, times)]
+    got = ergotropy_time_series(geom, protocol, times)
+    for column, want in zip(row(got, slice(None)), zip(*expected)):
+        assert np.array_equal(column, np.array(want))
+    assert all(len(column) == 0
+               for column in row(ergotropy_time_series(geom, protocol, []), slice(None)))
 
 
-def per_entry_report(dist):
-    """The ergotropy formula entry by entry: left-to-right sums over
+def per_entry_report(pairs, inertia):
+    """The ergotropy formula entry by entry, as (kinetic, net_kinetic,
+    ergotropy, ratio_ergotropy, ratio_net): left-to-right sums over
     ascending m and over ascending passive level."""
-    two_I = 2.0 * dist.inertia
-    kinetic = sum(m * m * p for m, p in dist.probs) / two_I
-    mean = sum(m * p for m, p in dist.probs)
-    ranked = sorted(dist.probs, key=lambda mp: (-mp[1], abs(mp[0]), mp[0] < 0))
+    pairs = sorted(pairs)
+    two_I = 2.0 * inertia
+    kinetic = sum(m * m * p for m, p in pairs) / two_I
+    mean = sum(m * p for m, p in pairs)
+    ranked = sorted(pairs, key=lambda mp: (-mp[1], abs(mp[0]), mp[0] < 0))
     levels = [0 if i == 0 else ((i + 1) // 2 if i % 2 else -(i // 2))
               for i in range(len(ranked))]
     passive = sorted(zip(levels, (p for _, p in ranked)))
     erg = kinetic - sum(m * m * p for m, p in passive) / two_I
     net = mean * mean / two_I
     if kinetic < 1e-12:
-        return ErgotropyReport(erg, kinetic, net, None, None)
-    return ErgotropyReport(erg, kinetic, net, erg / kinetic, net / kinetic)
+        return kinetic, net, erg, None, None
+    return kinetic, net, erg, erg / kinetic, net / kinetic
 
 
 def test_ergotropy_is_the_per_entry_formula_bit_for_bit():
@@ -165,8 +186,8 @@ def test_ergotropy_is_the_per_entry_formula_bit_for_bit():
             ps[i] = ps[j]
         ps = ps / ps.sum()
         inertia = float(rng.choice([1.0, 0.5, 2.7, 1 / 3]))
-        d = dist(zip(ms.tolist(), ps.tolist()), inertia)
-        assert ergotropy(d) == per_entry_report(d)
+        pairs = list(zip(ms.tolist(), ps.tolist()))
+        assert row(ergotropy(dist(pairs, inertia))) == per_entry_report(pairs, inertia)
 
 
 @pytest.mark.parametrize("value", [np.nan, 0.0])
@@ -186,3 +207,22 @@ def test_time_series_rejects_a_sample_that_is_no_distribution(
     with np.errstate(invalid="ignore"), \
             pytest.raises(InternalInconsistency, match="sum to"):
         ergotropy_time_series(geom22, KickProtocol(ell=2, num_kicks=1), [0.0, 1.0])
+
+
+@pytest.mark.parametrize("config", [
+    GearConfig(2, 2, V0=10.0), GearConfig(4, 2, V0=10.0),
+    GearConfig(1, 3, V0=10.0), GearConfig(3, 3, V0=10.0),
+], ids=["22", "42", "13", "33"])
+def test_ergotropy_is_convex_over_a_series(config):
+    """Ergotropy is convex: the ergotropy of the row-averaged distribution of
+    a series is at most the mean of the row ergotropies, up to roundoff."""
+    geom = derive_geometry(config)
+    times = np.linspace(0.0, 40.0, 401)
+    for ell in range(1, 10):
+        state, _, C = _amplitudes(run_protocol(geom, KickProtocol(ell=ell)), times)
+        rows = reduced_gear2(state, C)
+        mean = MomentumDistribution(rows.m, rows.probs.mean(axis=0, keepdims=True),
+                                    rows.inertia)
+        averaged = ergotropy(mean)
+        excess = averaged.ergotropy[0] - ergotropy(rows).ergotropy.mean()
+        assert excess <= 1e-15 * max(1.0, averaged.kinetic[0]), (ell, excess)

@@ -16,6 +16,8 @@ import pytest
 import gearsim.cli  # noqa: F401  (loads every gearsim module the tracer reads)
 from gearsim import classical
 from gearsim.classical import ClassicalState, _default_dt, _step_grid
+from gearsim.dynamics import KickProtocol
+from gearsim.ergotropy import ergotropy_time_series
 from gearsim.model import GearConfig, derive_geometry
 from gearsim.oracle import oracle_run
 
@@ -53,3 +55,18 @@ def test_traced_steps_are_the_steps_of_the_run(monkeypatch, config, t_final):
         tracer.uninstall()
     n_steps, _ = _step_grid(t_final, _default_dt(geom, t_final))
     assert tracer.counts["classical.simulate_relative.steps"] == n_steps
+
+
+def test_an_ergotropy_series_runs_each_stage_once(monkeypatch, geom22):
+    """`ergotropy_time_series` is its three traced stages, each called once
+    on the whole series."""
+    tracer = _tracer_module(monkeypatch).Tracer()
+    tracer.install()
+    try:
+        ergotropy_time_series(geom22, KickProtocol(ell=2, num_kicks=1),
+                              [0.0, 0.5, 1.0])
+    finally:
+        tracer.uninstall()
+    calls = tracer.metrics()
+    for stage in ("reduced_gear2", "passive_state", "ergotropy"):
+        assert calls[f"ergotropy.{stage}.calls"] == 1

@@ -17,7 +17,6 @@ import pytest
 from gearsim.classical import ClassicalState, _step_grid, simulate_relative
 from gearsim.dynamics import KickProtocol, apply_kick, evolve, time_series
 from gearsim.errors import ConfigError, GearsError
-from gearsim.ergotropy import MomentumDistribution
 from gearsim.model import GearConfig, GridSpec, PotentialSpec, _as_fraction
 from gearsim.oracle import build_full_hamiltonian, oracle_run
 from gearsim.relative import band_structure, ground_state
@@ -82,7 +81,6 @@ def kicked(geom):
     lambda geom: build_full_hamiltonian(geom.config, 3),
     lambda geom: oracle_run(geom.config, KickProtocol(1), [0.0], cutoff=24.0),
     lambda geom: oracle_run(geom.config, KickProtocol(1), [0.0], cutoff=24.5),
-    lambda geom: MomentumDistribution(((0, 0.5), (1, 0.4)), inertia=1.0),
     lambda geom: _step_grid(0.0, 0.1),
     lambda geom: _step_grid(math.inf, 0.1),
     # t_final / dt overflows to inf; at 1e13 the grid would need 101 PiB
@@ -94,19 +92,13 @@ def kicked(geom):
     lambda geom: evolve(kicked(geom), [1.0, 2.0]),
     lambda geom: oracle_run(geom.config, KickProtocol(1), ["soon"], 16),
     lambda geom: oracle_run(geom.config, KickProtocol(1), [[0.0, 1.0]], 16),
-    lambda geom: MomentumDistribution(((0, 0.5), (1, 0.5)), inertia="heavy"),
-    lambda geom: MomentumDistribution(((0, 0.5), (1, 0.5)), inertia=math.inf),
-    lambda geom: MomentumDistribution(((0, 1.0), (1, "x")), inertia=1.0),
-    lambda geom: MomentumDistribution(((0.5, 1.0),), inertia=1.0),
-    lambda geom: MomentumDistribution(((0, 1.0), (1, math.nan)), inertia=1.0),
 ], ids=["n1", "I1-string", "V0-nan", "harmonic", "coefficient", "fourier",
         "grid-spacing", "fraction", "delta_t", "delta_t-string", "target_gear",
         "kick", "num_bands", "num_bands-float", "num_bands-bool", "cutoff",
-        "cutoff-whole-float", "cutoff-float", "distribution", "t_final", "t_final-inf",
+        "cutoff-whole-float", "cutoff-float", "t_final", "t_final-inf",
         "t_final-overflow", "t_final-huge",
         "times-string", "times-2d", "evolve-string", "evolve-list",
-        "oracle-times-string", "oracle-times-2d", "inertia-string", "inertia-inf",
-        "probability-string", "momentum-half", "probability-nan"])
+        "oracle-times-string", "oracle-times-2d"])
 def test_invalid_input_is_a_config_error(geom22, make):
     """The library owns each check; ConfigError is still a ValueError, so
     callers that catch ValueError keep working."""
