@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InternalInconsistency
+from .errors import ConfigError, InternalInconsistency
 from .dynamics import KickProtocol, _amplitudes, run_protocol
 from .model import DerivedGeometry
 from .relative import RotorState
@@ -46,7 +46,8 @@ def _last_of_running_sum(x: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class MomentumDistribution:
     """Diagonal states of one rotor: row i of `probs` is the probability of
-    each momentum of `m` in state i."""
+    each momentum of `m` in state i.  Momenta that are not distinct and
+    ascending, or a row that does not sum to 1, are a ConfigError."""
 
     m: np.ndarray  # (d,) int64 momenta, distinct and ascending
     probs: np.ndarray  # (T, d), every row normalised
@@ -54,12 +55,11 @@ class MomentumDistribution:
 
     def __post_init__(self):
         if np.any(self.m[1:] <= self.m[:-1]):
-            raise InternalInconsistency("momenta not distinct and ascending; "
-                                        "reduction not diagonal")
+            raise ConfigError("momenta not distinct and ascending")
         total = _last_of_running_sum(self.probs)
         bad = ~(np.abs(total - 1.0) <= _NORM_TOL)  # NaN fails too
         if bad.any():
-            raise InternalInconsistency(
+            raise ConfigError(
                 f"probabilities sum to {float(total[bad][0])!r}, expected 1")
 
 
@@ -87,8 +87,12 @@ def reduced_gear2(state: RotorState, C: np.ndarray | None = None) -> MomentumDis
     _, m2 = state.momentum_pairs()
     P = np.abs(C) ** 2
     order = np.argsort(m2, kind="stable")
-    return MomentumDistribution(m2[order], (P / P.sum(axis=1, keepdims=True))[:, order],
-                                state.geom.config.I2)
+    probs = (P / P.sum(axis=1, keepdims=True))[:, order]
+    try:
+        return MomentumDistribution(m2[order], probs, state.geom.config.I2)
+    except ConfigError as err:
+        # the check refusing a state's own amplitudes is a bug, not bad input
+        raise InternalInconsistency(str(err)) from err
 
 
 def _levels(size: int) -> np.ndarray:

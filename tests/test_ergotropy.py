@@ -14,7 +14,7 @@ from gearsim.dynamics import (
     run_protocol,
     time_series,
 )
-from gearsim.errors import InternalInconsistency
+from gearsim.errors import ConfigError, InternalInconsistency
 from gearsim.ergotropy import (
     MomentumDistribution,
     ergotropy,
@@ -90,7 +90,7 @@ def test_distribution_validation():
         ([0, 0], [[0.5, 0.5]], "distinct and ascending"),
         ([1, 0], [[0.5, 0.5]], "distinct and ascending"),
     ]:
-        with pytest.raises(InternalInconsistency, match=match):
+        with pytest.raises(ConfigError, match=match):
             MomentumDistribution(np.array(m), np.array(probs), 1.0)
 
 

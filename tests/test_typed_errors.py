@@ -12,11 +12,13 @@ import math
 import pathlib
 import types
 
+import numpy as np
 import pytest
 
 from gearsim.classical import ClassicalState, _step_grid, simulate_relative
 from gearsim.dynamics import KickProtocol, apply_kick, evolve, time_series
 from gearsim.errors import ConfigError, GearsError
+from gearsim.ergotropy import MomentumDistribution
 from gearsim.model import GearConfig, GridSpec, PotentialSpec, _as_fraction
 from gearsim.oracle import build_full_hamiltonian, oracle_run
 from gearsim.relative import band_structure, ground_state
@@ -81,6 +83,7 @@ def kicked(geom):
     lambda geom: build_full_hamiltonian(geom.config, 3),
     lambda geom: oracle_run(geom.config, KickProtocol(1), [0.0], cutoff=24.0),
     lambda geom: oracle_run(geom.config, KickProtocol(1), [0.0], cutoff=24.5),
+    lambda geom: MomentumDistribution(np.array([0, 1]), np.array([[0.5, 0.4]]), 1.0),
     lambda geom: _step_grid(0.0, 0.1),
     lambda geom: _step_grid(math.inf, 0.1),
     # t_final / dt overflows to inf; at 1e13 the grid would need 101 PiB
@@ -92,13 +95,14 @@ def kicked(geom):
     lambda geom: evolve(kicked(geom), [1.0, 2.0]),
     lambda geom: oracle_run(geom.config, KickProtocol(1), ["soon"], 16),
     lambda geom: oracle_run(geom.config, KickProtocol(1), [[0.0, 1.0]], 16),
+    lambda geom: MomentumDistribution(np.array([0, 1]), np.array([[1.0, np.nan]]), 1.0),
 ], ids=["n1", "I1-string", "V0-nan", "harmonic", "coefficient", "fourier",
         "grid-spacing", "fraction", "delta_t", "delta_t-string", "target_gear",
         "kick", "num_bands", "num_bands-float", "num_bands-bool", "cutoff",
-        "cutoff-whole-float", "cutoff-float", "t_final", "t_final-inf",
+        "cutoff-whole-float", "cutoff-float", "distribution", "t_final", "t_final-inf",
         "t_final-overflow", "t_final-huge",
         "times-string", "times-2d", "evolve-string", "evolve-list",
-        "oracle-times-string", "oracle-times-2d"])
+        "oracle-times-string", "oracle-times-2d", "probability-nan"])
 def test_invalid_input_is_a_config_error(geom22, make):
     """The library owns each check; ConfigError is still a ValueError, so
     callers that catch ValueError keep working."""
